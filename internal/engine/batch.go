@@ -50,8 +50,9 @@ func BatchByName(ctx context.Context, solver string, instances []*platform.Insta
 }
 
 // ForEach runs fn(ctx, i) for i in [0, n) on a worker pool. It is the
-// engine's generic sweep primitive: Batch, the Figure 7 grid and the
-// Figure 19 repetition loops all run through it. Guarantees:
+// engine's generic sweep primitive: Batch, the Figure 7 grid, the
+// Figure 19 repetition loops and the service's batch and job items all
+// run through it. Guarantees:
 //
 //   - workers ≤ max(1, min(workers, n)), defaulting to GOMAXPROCS;
 //   - indexes are claimed in order, so early indexes start first and

@@ -123,35 +123,50 @@ func scanLines(t *testing.T, r io.Reader, max int) [][]byte {
 
 // TestCanceledSolvesReturnWorkspacesUnderStarvation: with the worker
 // gate and the solve path both stalled by injection, clients that give
-// up must always get their workspace (and gate permit) back.
+// up must always get their workspace (and gate permit) back. Batch and
+// job items take their permits through the same starved gate.
 func TestCanceledSolvesReturnWorkspacesUnderStarvation(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	fired0 := injectedCount(chaos.GateStarve) + injectedCount(chaos.SolveDelay)
 	armPlan(t,
 		chaos.Rule{Point: chaos.GateStarve, Rate: 1, Delay: 200 * time.Millisecond},
 		chaos.Rule{Point: chaos.SolveDelay, Rate: 1, Delay: 200 * time.Millisecond},
 	)
 	base := engine.LeasedWorkspaces()
-	for i := 0; i < 20; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/solve",
-			strings.NewReader(fig1Request))
+	// giveUp posts body and hangs up after timeout, long before the
+	// injected 200 ms stall ends.
+	giveUp := func(path, body string, timeout time.Duration) {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+path, strings.NewReader(body))
 		if err != nil {
-			cancel()
 			t.Fatal(err)
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
+		if resp, err := http.DefaultClient.Do(req); err == nil {
 			resp.Body.Close()
 		}
-		cancel()
+	}
+	for i := 0; i < 20; i++ {
+		giveUp("/v1/solve", fig1Request, 5*time.Millisecond)
+	}
+	starved := injectedCount(chaos.GateStarve)
+	for i := 0; i < 20; i++ {
+		giveUp("/v1/batch", jobBatchBody(4), 50*time.Millisecond)
+	}
+	if injectedCount(chaos.GateStarve) == starved {
+		t.Fatal("service.gate.starve never reached a batch item")
+	}
+	starved = injectedCount(chaos.GateStarve)
+	waitJobDone(t, ts.URL, submitJob(t, ts.URL, jobBatchBody(4)))
+	if injectedCount(chaos.GateStarve) == starved {
+		t.Fatal("service.gate.starve never reached a job item")
 	}
 	chaos.Disarm()
 	deadline := time.Now().Add(5 * time.Second)
-	for engine.LeasedWorkspaces() != base {
+	for engine.LeasedWorkspaces() != base || len(srv.gate) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d workspaces still leased after canceled solves",
-				engine.LeasedWorkspaces()-base)
+			t.Fatalf("%d workspaces still leased and %d gate permits held after canceled solves",
+				engine.LeasedWorkspaces()-base, len(srv.gate))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

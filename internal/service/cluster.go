@@ -161,7 +161,7 @@ func (s *Server) handleClusterFill(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var doc wire.FillDoc
-	if err := wireUnmarshal(body, &doc, "fill request"); err != nil {
+	if err := wire.Unmarshal(body, &doc, "fill request"); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -183,7 +183,7 @@ func (s *Server) handleClusterFill(w http.ResponseWriter, r *http.Request) {
 	// from an indented outer document carries shifted indentation, and
 	// the cache must store exactly what its own encoder would emit
 	// (decode→re-encode of a canonical document is byte-identical).
-	rendered, err := wireMarshal(plan)
+	rendered, err := wire.Marshal(plan)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -251,7 +251,7 @@ func (s *Server) memberOp(w http.ResponseWriter, r *http.Request, join bool) {
 		return
 	}
 	var doc wire.MemberOpDoc
-	if err := wireUnmarshal(body, &doc, "membership request"); err != nil {
+	if err := wire.Unmarshal(body, &doc, "membership request"); err != nil {
 		s.fail(w, err)
 		return
 	}

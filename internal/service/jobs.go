@@ -14,21 +14,25 @@ import (
 
 // The async job API: POST /v1/jobs accepts the same batch document as
 // /v1/batch but returns a job id immediately instead of blocking the
-// connection on N solves. The items run in the background — still one
-// worker-gate permit per in-flight solve, still through the plan
-// cache — and land at their request index. GET /v1/jobs/{id} reports
-// progress; GET /v1/jobs/{id}/stream replays the per-item results as
-// NDJSON in item order as they complete, flushing each line, so a
-// client consumes plan 0 while plan 7 is still solving. The stream is
-// resumable: ?from=K skips the first K items, so a client that
-// disconnected mid-batch reattaches at its last confirmed index
-// without re-solving anything.
+// connection on N solves. The items run in the background on the fan-out
+// /v1/batch uses (solveItems: at most Config.Workers engine.ForEach
+// workers, items claimed in index order, one worker-gate permit per
+// running item, through the plan cache) and land at their request
+// index. GET /v1/jobs/{id} reports progress; GET /v1/jobs/{id}/stream
+// replays the per-item results as NDJSON in item order as they
+// complete, flushing each line, so a client consumes plan 0 while plan
+// 7 is still solving. The stream is resumable: ?from=K skips the first
+// K items, so a client that disconnected mid-batch reattaches at its
+// last confirmed index without re-solving anything.
 //
-// Jobs outlive their submitting connection by design; Server.Close
-// cancels the background context and waits for every item worker.
-// Unlike /v1/batch (fail-fast, all-or-nothing), a job runs every item
-// to completion and records per-item errors inline, so one infeasible
-// instance does not poison the rest of a sweep.
+// Jobs outlive their submitting connection by design. Unlike /v1/batch
+// (fail-fast, all-or-nothing), a job runs every item to completion and
+// records per-item errors inline, so one infeasible instance does not
+// poison the rest of a sweep. A job is done once its last line lands.
+// Server.Close cancels the background context and waits for the
+// workers; a job still running then ends "canceled": items already
+// claimed finish (a canceled solve records a canceled line) and every
+// item no worker claimed gets a canceled line.
 
 // jobStatus values.
 const (
@@ -69,8 +73,11 @@ type jobStatusDoc struct {
 	Errors    int    `json:"errors"`
 }
 
-// finishItem records item i's line and wakes every stream reader.
-func (j *job) finishItem(i int, line []byte, failed bool) {
+// finishItem records item i's line and wakes every stream reader. The
+// last line marks the job done in the same step, so a reader holding
+// every line never finds the job running; when the server is already
+// canceling the job, cancel marks it instead.
+func (j *job) finishItem(i int, line []byte, failed, canceling bool) {
 	j.mu.Lock()
 	if j.lines[i] == nil {
 		j.lines[i] = line
@@ -78,17 +85,32 @@ func (j *job) finishItem(i int, line []byte, failed bool) {
 		if failed {
 			j.errs++
 		}
+		if j.completed == len(j.lines) && !canceling {
+			j.status = jobDone
+		}
 	}
 	j.wakeLocked()
 	j.mu.Unlock()
 }
 
-// finish marks the job terminal.
-func (j *job) finish(status string) {
+// cancel ends a job the server canceled before it was done: each item
+// no worker claimed gets an error line carrying err, and the job is
+// marked canceled.
+func (j *job) cancel(err error) {
 	j.mu.Lock()
-	j.status = status
+	defer j.mu.Unlock()
+	if j.status != jobRunning {
+		return // every line landed before the cancellation
+	}
+	for i, line := range j.lines {
+		if line == nil {
+			j.lines[i] = jobLine(i, nil, err)
+			j.completed++
+			j.errs++
+		}
+	}
+	j.status = jobCanceled
 	j.wakeLocked()
-	j.mu.Unlock()
 }
 
 // wakeLocked rotates the broadcast channel. Callers hold j.mu.
@@ -112,30 +134,14 @@ func (j *job) statusDoc() jobStatusDoc {
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	defer s.track("jobs")()
-	body, err := s.readBody(w, r)
+	reqs, err := s.readBatch(w, r, "job request")
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	var breq batchRequest
-	if err := wireUnmarshal(body, &breq, "job request"); err != nil {
-		s.fail(w, err)
-		return
-	}
-	if breq.V != wire.Version {
-		s.fail(w, fmt.Errorf("%w: job request has v=%d", wire.ErrVersion, breq.V))
-		return
-	}
-	if len(breq.Requests) == 0 {
+	if len(reqs) == 0 {
 		s.fail(w, fmt.Errorf("%w: job request has no items", wire.ErrMalformed))
 		return
-	}
-	reqs := make([]engine.Request, len(breq.Requests))
-	for i, wr := range breq.Requests {
-		if reqs[i], err = wr.Request(); err != nil {
-			s.fail(w, fmt.Errorf("request %d: %w", i, err))
-			return
-		}
 	}
 
 	s.mu.Lock()
@@ -166,7 +172,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 	go s.runJob(j, reqs)
 
-	doc, err := wireMarshal(j.statusDoc())
+	doc, err := wire.Marshal(j.statusDoc())
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -204,48 +210,22 @@ func (s *Server) evictFinishedJobsLocked() {
 	s.jobOrder = kept
 }
 
-// runJob executes every item, one gate permit per in-flight solve,
-// and marks the job terminal once all items have landed. Jobs are
-// parented to the server's lifetime, not the submitting request's:
-// when the server closes mid-job the remaining items record canceled
-// error lines so attached streams terminate cleanly.
+// runJob runs every item on the shared fan-out, recording each outcome
+// as its line; an item error never stops the others. Jobs are parented
+// to the server's lifetime, not the submitting request's.
 func (s *Server) runJob(j *job, reqs []engine.Request) {
 	defer s.jobsWG.Done()
-	var wg sync.WaitGroup
-	canceled := false
-	for i := range reqs {
-		if !canceled {
-			// Guarded by !canceled: after shutdown starts, another select
-			// could still win a freed permit and strand it — once canceled,
-			// the remaining items are marked without touching the gate.
-			select {
-			case s.gate <- struct{}{}:
-			case <-s.jobsCtx.Done():
-				canceled = true
-			}
-		}
-		if canceled {
-			j.finishItem(i, s.jobLine(i, nil, engineCanceled(s.jobsCtx.Err())), true)
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer s.release()
-			plan, err := s.execute(s.jobsCtx, reqs[i])
-			j.finishItem(i, s.jobLine(i, plan, err), err != nil)
-		}(i)
+	err := s.solveItems(s.jobsCtx, reqs, func(i int, plan *engine.Plan, err error) error {
+		j.finishItem(i, jobLine(i, plan, err), err != nil, s.jobsCtx.Err() != nil)
+		return nil
+	})
+	if err != nil {
+		j.cancel(err)
 	}
-	wg.Wait()
-	if canceled {
-		j.finish(jobCanceled)
-		return
-	}
-	j.finish(jobDone)
 }
 
 // jobLine renders one item's NDJSON line.
-func (s *Server) jobLine(i int, plan *engine.Plan, err error) []byte {
+func jobLine(i int, plan *engine.Plan, err error) []byte {
 	doc := jobItemDoc{V: wire.Version, Index: i}
 	if err != nil {
 		ed := wire.NewErrorDoc(err)

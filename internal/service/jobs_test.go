@@ -501,6 +501,58 @@ func TestJobShutdownLeaksNoGatePermits(t *testing.T) {
 	}
 }
 
+// TestJobCloseCancelsUnclaimedItems pins the shutdown rule: Close
+// mid-job lets the item a worker already claimed finish, gives every
+// item no worker claimed a canceled line, and ends the job canceled
+// with no gate permit left behind.
+func TestJobCloseCancelsUnclaimedItems(t *testing.T) {
+	release := make(chan struct{})
+	var solves atomic.Int64
+	srv := New(Config{Workers: 1, Registry: slowRegistry(release, &solves)})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const items = 3
+	id := submitJob(t, ts.URL, slowBatchBody(items))
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.CacheStats().Misses == 0 { // item 0 is parked in the solver
+		if time.Now().After(deadline) {
+			t.Fatal("item 0 never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	for srv.jobsCtx.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("Close never canceled the job context")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release <- struct{}{} // item 0 returns; items 1 and 2 were never claimed
+	<-closed
+
+	if n := len(srv.gate); n != 0 {
+		t.Fatalf("%d worker-gate permits stranded after Close", n)
+	}
+	status, completed, errs := jobStatus(t, ts.URL, id)
+	if status != jobCanceled || completed != items {
+		t.Fatalf("status = %s/%d/%d, want %s/%d", status, completed, errs, jobCanceled, items)
+	}
+	lines := readStream(t, ts.URL, id, 0)
+	if len(lines) != items {
+		t.Fatalf("stream returned %d lines, want %d", len(lines), items)
+	}
+	for _, line := range lines[1:] {
+		var doc struct {
+			Code string `json:"code"`
+		}
+		if err := json.Unmarshal(line, &doc); err != nil || doc.Code != wire.CodeCanceled {
+			t.Fatalf("unclaimed item line: %s, want code %q", line, wire.CodeCanceled)
+		}
+	}
+}
+
 // TestJobSubmitAfterCloseRejected: a closing server refuses new jobs.
 func TestJobSubmitAfterCloseRejected(t *testing.T) {
 	srv := New(Config{Workers: 2})

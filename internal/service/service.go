@@ -19,11 +19,19 @@
 //	                  workspaces)
 //
 // All solve work funnels through one bounded worker gate (Config.
-// Workers permits), so a burst of concurrent requests shares the
-// engine's pooled workspaces instead of growing them without bound —
-// the PR 2 zero-allocation hot path survives under load, and
-// engine.LeasedWorkspaces() returns to its baseline once the last
-// response is written and every session is closed.
+// Workers permits, taken only through acquireCtx), so a burst of
+// concurrent requests shares the engine's pooled workspaces instead of
+// growing them without bound — the zero-allocation hot path survives
+// under load, and engine.LeasedWorkspaces() returns to its baseline
+// once the last response is written and every session is closed.
+//
+// /v1/batch and /v1/jobs share one item fan-out, solveItems, built on
+// engine.ForEach: at most Config.Workers workers per call claim items
+// in index order, and each running item holds one gate permit while it
+// solves. A batch stops at its first failure and answers with the
+// causing error, never with the cancellations that failure triggers in
+// its siblings; a job records every item's outcome and, when Close
+// cancels it, gives each item no worker claimed a canceled line.
 //
 // Stateless solves (solve, batch, job items) are memoized by default
 // through a content-addressed engine.Cache keyed by the SHA-256 of the
@@ -62,7 +70,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/planstore"
-	"repro/internal/platform"
 	"repro/internal/wire"
 )
 
@@ -268,15 +275,6 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// execute routes one stateless solve through the plan cache (when
-// enabled) and the configured registry.
-func (s *Server) execute(ctx context.Context, req engine.Request) (*engine.Plan, error) {
-	if s.cache != nil {
-		engine.WithCache(s.cache)(&req)
-	}
-	return s.cfg.Registry.Execute(ctx, req)
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -351,9 +349,6 @@ func (s *Server) OpenSessions() int {
 	return len(s.sessions)
 }
 
-// acquire takes a worker permit, honoring request cancellation.
-func (s *Server) acquire(r *http.Request) error { return s.acquireCtx(r.Context()) }
-
 // acquireCtx takes a worker permit, honoring context cancellation.
 func (s *Server) acquireCtx(ctx context.Context) error {
 	if f, ok := chaos.Hit(chaos.GateStarve); ok {
@@ -373,20 +368,15 @@ func (s *Server) acquireCtx(ctx context.Context) error {
 
 func (s *Server) release() { <-s.gate }
 
-// statusFor maps decode and engine errors to HTTP status codes via the
-// wire codec's exported code table — the same table the client SDK
-// reconstructs sentinels from, so service, peers and SDK cannot drift.
-func statusFor(err error) int { return wire.StatusFor(err) }
-
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	s.errorsN.Add(1)
-	doc, mErr := wireMarshal(wire.NewErrorDoc(err))
+	doc, mErr := wire.Marshal(wire.NewErrorDoc(err))
 	if mErr != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(statusFor(err))
+	w.WriteHeader(wire.StatusFor(err))
 	_, _ = w.Write(doc)
 }
 
@@ -467,7 +457,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, forwardable 
 			return
 		}
 	}
-	if err := s.acquire(r); err != nil {
+	if err := s.acquireCtx(r.Context()); err != nil {
 		s.fail(w, engineCanceled(err))
 		return
 	}
@@ -517,7 +507,7 @@ func (s *Server) solveRendered(ctx context.Context, req engine.Request) (out []b
 }
 
 // engineCanceled tags a raw context error with the engine sentinel so
-// statusFor maps it consistently.
+// wire.StatusFor maps it to 504 like every other canceled solve.
 func engineCanceled(err error) error {
 	if errors.Is(err, engine.ErrCanceled) {
 		return err
@@ -526,9 +516,10 @@ func engineCanceled(err error) error {
 }
 
 // ---------------------------------------------------------------------------
-// /v1/batch
+// /v1/batch and the item fan-out it shares with /v1/jobs
 
-// batchRequest is the wire form of a batch call.
+// batchRequest is the wire form of a batch call; a job submission posts
+// the same document.
 type batchRequest struct {
 	V        int            `json:"v"`
 	Requests []wire.Request `json:"requests"`
@@ -541,86 +532,75 @@ type batchResponse struct {
 	Plans []wire.Plan `json:"plans"`
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	defer s.track("batch")()
+// readBatch reads and decodes a batch document for /v1/batch and
+// /v1/jobs alike: version checked, every item validated before anything
+// solves. what names the document in error messages.
+func (s *Server) readBatch(w http.ResponseWriter, r *http.Request, what string) ([]engine.Request, error) {
 	body, err := s.readBody(w, r)
 	if err != nil {
-		s.fail(w, err)
-		return
+		return nil, err
 	}
-	var breq batchRequest
-	if err := wireUnmarshal(body, &breq, "batch request"); err != nil {
-		s.fail(w, err)
-		return
+	var doc batchRequest
+	if err := wire.Unmarshal(body, &doc, what); err != nil {
+		return nil, err
 	}
-	if breq.V != wire.Version {
-		s.fail(w, fmt.Errorf("%w: batch request has v=%d", wire.ErrVersion, breq.V))
-		return
+	if doc.V != wire.Version {
+		return nil, fmt.Errorf("%w: %s has v=%d", wire.ErrVersion, what, doc.V)
 	}
-	reqs := make([]engine.Request, len(breq.Requests))
-	for i, wr := range breq.Requests {
+	reqs := make([]engine.Request, len(doc.Requests))
+	for i, wr := range doc.Requests {
 		if reqs[i], err = wr.Request(); err != nil {
-			s.fail(w, fmt.Errorf("request %d: %w", i, err))
-			return
-		}
-	}
-	plans, err := s.executeBatch(r, reqs)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	resp := batchResponse{V: wire.Version, Plans: make([]wire.Plan, len(plans))}
-	for i, p := range plans {
-		resp.Plans[i] = wire.FromPlan(p)
-	}
-	out, err := wireMarshal(resp)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.reply(w, out)
-}
-
-// executeBatch runs every request through the shared worker gate — one
-// permit per in-flight solve, never one per batch — so concurrent
-// batches and solves together stay within Config.Workers. Plans land
-// at their request index; the first error (lowest index) wins and
-// cancels the rest.
-func (s *Server) executeBatch(r *http.Request, reqs []engine.Request) ([]*engine.Plan, error) {
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	plans := make([]*engine.Plan, len(reqs))
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i := range reqs {
-		select {
-		case s.gate <- struct{}{}:
-		case <-ctx.Done():
-			errs[i] = engineCanceled(ctx.Err())
-		}
-		if errs[i] != nil {
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer s.release()
-			p, err := s.execute(ctx, reqs[i])
-			if err != nil {
-				errs[i] = err
-				cancel() // stop handing out new permits
-				return
-			}
-			plans[i] = p
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
 			return nil, fmt.Errorf("request %d: %w", i, err)
 		}
 	}
-	return plans, nil
+	return reqs, nil
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	defer s.track("batch")()
+	reqs, err := s.readBatch(w, r, "batch request")
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	resp := batchResponse{V: wire.Version, Plans: make([]wire.Plan, len(reqs))}
+	err = s.solveItems(r.Context(), reqs, func(i int, plan *engine.Plan, err error) error {
+		if err != nil {
+			return fmt.Errorf("request %d: %w", i, err)
+		}
+		resp.Plans[i] = wire.FromPlan(plan)
+		return nil
+	})
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	s.replyDoc(w, resp)
+}
+
+// solveItems is the one item fan-out behind /v1/batch and /v1/jobs. It
+// runs engine.ForEach with at most Config.Workers workers, which claim
+// items in index order; each running item takes one gate permit through
+// acquireCtx, solves on the cached plan path, releases the permit and
+// hands its outcome to done. A non-nil return from done cancels the
+// items not yet claimed, and solveItems returns the causing error
+// rather than the cancellations it set off. When ctx ends first the
+// result is ErrCanceled joined with the context error.
+func (s *Server) solveItems(ctx context.Context, reqs []engine.Request, done func(i int, plan *engine.Plan, err error) error) error {
+	err := engine.ForEach(ctx, len(reqs), s.cfg.Workers, func(ctx context.Context, i int) error {
+		if err := s.acquireCtx(ctx); err != nil {
+			return done(i, nil, engineCanceled(err))
+		}
+		req := reqs[i]
+		engine.WithCache(s.cache)(&req)
+		plan, err := s.cfg.Registry.Execute(ctx, req)
+		s.release()
+		return done(i, plan, err)
+	})
+	if err != nil && ctx.Err() != nil {
+		return engineCanceled(err)
+	}
+	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -683,7 +663,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sreq sessionRequest
-	if err := wireUnmarshal(body, &sreq, "session request"); err != nil {
+	if err := wire.Unmarshal(body, &sreq, "session request"); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -758,7 +738,7 @@ func (s *Server) sessionResolve(w http.ResponseWriter, r *http.Request, sreq ses
 	// queue of resolves on one (single-threaded) session must not sit
 	// on gate permits it cannot use while other endpoints starve.
 	ss.mu.Lock()
-	if err := s.acquire(r); err != nil {
+	if err := s.acquireCtx(r.Context()); err != nil {
 		ss.mu.Unlock()
 		s.fail(w, engineCanceled(err))
 		return
@@ -777,7 +757,7 @@ func (s *Server) sessionResolve(w http.ResponseWriter, r *http.Request, sreq ses
 		s.fail(w, err)
 		return
 	}
-	plan := wire.FromPlan(&engine.Plan{Result: res, TStar: tstarOf(ins)})
+	plan := wire.FromPlan(&engine.Plan{Result: res, TStar: core.OptimalCyclicThroughput(ins)})
 	s.replyDoc(w, sessionResponse{
 		V: wire.Version, Session: sreq.Session, Solver: solver, Plan: &plan, Stats: stats,
 	})
@@ -801,7 +781,7 @@ func (s *Server) sessionClose(w http.ResponseWriter, sreq sessionRequest) {
 }
 
 func (s *Server) replyDoc(w http.ResponseWriter, doc any) {
-	out, err := wireMarshal(doc)
+	out, err := wire.Marshal(doc)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -935,13 +915,3 @@ func (s *Server) StoreStats() planstore.Stats {
 	}
 	return s.store.Stats()
 }
-
-// ---------------------------------------------------------------------------
-// small shims over the wire codec's canonical marshaling
-
-func wireMarshal(v any) ([]byte, error) { return wire.Marshal(v) }
-
-func wireUnmarshal(data []byte, v any, what string) error { return wire.Unmarshal(data, v, what) }
-
-// tstarOf is the cyclic optimum used to normalize session plans.
-func tstarOf(ins *platform.Instance) float64 { return core.OptimalCyclicThroughput(ins) }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,6 +142,54 @@ func TestBatchEndpoint(t *testing.T) {
 		if p.Throughput <= 0 {
 			t.Errorf("plan %d empty: %+v", i, p)
 		}
+	}
+}
+
+// TestBatchErrorIsTheCause: when one item fails, the batch answers with
+// that failure, not with the cancellation it causes in a sibling. Item
+// 0 joins another client's in-flight solve of the same request and is
+// canceled when item 1 fails on an unknown solver; the answer must be
+// item 1's 400, not item 0's 504.
+func TestBatchErrorIsTheCause(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	var solves atomic.Int64
+	srv := New(Config{Workers: 4, Registry: slowRegistry(release, &solves)})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { free(); ts.Close(); srv.Close() })
+
+	const x = `{"v":1,"instance":{"v":1,"b0":6,"open":[5,5]},"solver":"slow"}`
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(x))
+		if err != nil {
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.CacheStats().Misses == 0 { // the flight for x is open
+		if time.Now().After(deadline) {
+			t.Fatal("the held solve never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	nope := `{"v":1,"instance":{"v":1,"b0":6,"open":[5,5]},"solver":"nope"}`
+	code, data := post(t, ts.URL+"/v1/batch", `{"v":1,"requests":[`+x+`,`+nope+`]}`)
+	var ed wire.ErrorDoc
+	if err := json.Unmarshal(data, &ed); err != nil {
+		t.Fatalf("batch answer is not an error doc: %s", data)
+	}
+	if code != http.StatusBadRequest || ed.Code != wire.CodeUnknownSolver {
+		t.Fatalf("batch answered %d %q (%s), want 400 %q", code, ed.Code, ed.Error, wire.CodeUnknownSolver)
+	}
+	free()
+	if got := <-held; got != http.StatusOK {
+		t.Fatalf("held solve: status %d, want 200", got)
 	}
 }
 
