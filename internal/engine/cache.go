@@ -69,16 +69,20 @@ type NeighborPlan struct {
 // and since the wire encoding is canonical, re-encoding a cached Plan
 // yields byte-identical documents.
 //
-// Three mechanisms compose:
+// It is the only in-memory plan tier, and three mechanisms compose:
 //
-//   - a size-bounded LRU of completed plans (MaxEntries), with
-//     rendered-only fill entries (PutRendered) segregated so a
-//     back-fill storm cannot evict hot solved plans;
+//   - one size-bounded LRU keyed by content address and evicted by
+//     recency alone. An entry holds a solved plan, its canonical
+//     rendering, or both: disk hits and Fill keep the rendering only,
+//     and a later plan-path caller solves once and merges into the
+//     same entry;
 //   - singleflight deduplication: concurrent identical requests
 //     collapse onto one in-flight solve, followers wait for the
 //     leader's result (or their own context, whichever ends first);
 //   - monotonic hit/miss/shared/eviction counters (Stats), surfaced by
-//     the service's /metrics endpoint.
+//     the service's /metrics endpoint. Every answer from a held entry
+//     counts as one hit, whether it came through Rendered, Execute or
+//     ExecuteRendered.
 //
 // A Cache can additionally sit on a PlanStore (SetStore): misses then
 // consult the store for the exact document (disk hit) or a similar
@@ -93,8 +97,7 @@ type Cache struct {
 	max int
 
 	mu       sync.Mutex
-	lru      *list.List // of *cacheEntry with a decoded plan, front = most recent
-	fills    *list.List // of rendered-only *cacheEntry (fill tier), front = most recent
+	lru      *list.List // of *cacheEntry, front = most recent
 	entries  map[[sha256.Size]byte]*list.Element
 	inflight map[[sha256.Size]byte]*flight
 	store    PlanStore
@@ -105,16 +108,14 @@ type Cache struct {
 	evictions atomic.Int64
 }
 
-// cacheEntry is one memoized plan, optionally with its canonical
+// cacheEntry is one memoized answer: a decoded plan, its canonical
 // rendered document (filled in by the ExecuteRendered path so byte
-// hits skip the encoder too). A fill entry (plan == nil) holds only
-// document bytes — a cluster back-fill or a disk hit — and lives on
-// the cache's fill list, not the plan LRU.
+// hits skip the encoder too), or both. A disk hit or a Fill holds
+// only the document (plan == nil).
 type cacheEntry struct {
 	key      [sha256.Size]byte
 	plan     *Plan
 	rendered []byte
-	fill     bool // which list the element lives on
 }
 
 // flight is one in-progress solve that followers wait on.
@@ -130,8 +131,8 @@ type flight struct {
 // non-positive size.
 const DefaultCacheEntries = 1024
 
-// NewCache builds a plan cache bounded to maxEntries completed plans
-// (≤ 0 means DefaultCacheEntries). key renders requests canonically;
+// NewCache builds a plan cache bounded to maxEntries entries (≤ 0
+// means DefaultCacheEntries). key renders requests canonically;
 // pass wire.EncodeRequest (the facade's NewPlanCache does).
 func NewCache(maxEntries int, key CacheKeyFunc) *Cache {
 	if maxEntries <= 0 {
@@ -141,15 +142,15 @@ func NewCache(maxEntries int, key CacheKeyFunc) *Cache {
 		key:      key,
 		max:      maxEntries,
 		lru:      list.New(),
-		fills:    list.New(),
 		entries:  make(map[[sha256.Size]byte]*list.Element),
 		inflight: make(map[[sha256.Size]byte]*flight),
 	}
 }
 
 // SetStore attaches a persistence/similarity tier under the cache (nil
-// detaches). Call before serving traffic: the store pointer is read
-// unlocked on the miss path.
+// detaches). The miss path reads the pointer under the cache lock, so
+// SetStore may race with early requests; a solve already past its
+// store lookup may still spill to the tier it started with.
 func (c *Cache) SetStore(s PlanStore) {
 	c.mu.Lock()
 	c.store = s
@@ -166,7 +167,7 @@ func (c *Cache) getStore() PlanStore {
 }
 
 // CacheStats is a monotonic snapshot of a cache's counters (Entries
-// and FillEntries are current sizes, the rest only grow).
+// is the current size, the rest only grow).
 type CacheStats struct {
 	// Hits counts lookups answered from a completed entry (memory or,
 	// with a store attached, the persisted document).
@@ -179,58 +180,58 @@ type CacheStats struct {
 	Shared int64
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions int64
-	// Entries is the number of fully solved plans currently held.
+	// Entries is the number of entries currently held: solved plans
+	// and rendered-only documents alike.
 	Entries int
-	// FillEntries is the number of rendered-only entries (cluster
-	// back-fills, disk hits) currently held. Fills evict before plans.
-	FillEntries int
 }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	n, nf := c.lru.Len(), c.fills.Len()
+	n := c.lru.Len()
 	c.mu.Unlock()
 	return CacheStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Shared:      c.shared.Load(),
-		Evictions:   c.evictions.Load(),
-		Entries:     n,
-		FillEntries: nf,
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Shared:    c.shared.Load(),
+		Evictions: c.evictions.Load(),
+		Entries:   n,
 	}
 }
 
-// NoteBytesHit records a hit answered by a byte-level front cache
-// sitting above this one (the service's raw-body → response-bytes
-// memo). Such a hit is still "a lookup answered from a completed
-// entry" — the front entry was written from this cache's rendering —
-// so it counts toward Hits and keeps the exported counters consistent
-// with what clients observe. The LRU order is deliberately untouched:
-// the front cache answered without consulting an entry.
-func (c *Cache) NoteBytesHit() { c.hits.Add(1) }
-
-// Contains reports whether a completed plan for the request is
-// currently cached, without bumping the LRU or the counters — a
-// read-only probe for callers sizing or introspecting a cache.
-func (c *Cache) Contains(req Request) bool {
-	k, err := c.keyOf(req)
-	if err != nil {
-		return false
-	}
+// Rendered returns the canonical plan document held in memory under a
+// content address (the SHA-256 of a canonical request encoding),
+// bumping its recency and counting a hit. It never solves, renders or
+// reads the store: a missing entry, or one without a rendering, is a
+// miss that counts nothing, and the caller falls back to
+// ExecuteRendered. The returned bytes are immutable.
+func (c *Cache) Rendered(key [sha256.Size]byte) ([]byte, bool) {
 	c.mu.Lock()
-	_, ok := c.entries[k]
+	var out []byte
+	if el, ok := c.entries[key]; ok {
+		if out = el.Value.(*cacheEntry).rendered; out != nil {
+			c.lru.MoveToFront(el)
+		}
+	}
 	c.mu.Unlock()
-	return ok
+	if out == nil {
+		return nil, false
+	}
+	c.hits.Add(1)
+	return out, true
 }
 
-// keyOf hashes the request's canonical encoding.
-func (c *Cache) keyOf(req Request) ([sha256.Size]byte, error) {
-	data, err := c.key(req)
-	if err != nil {
-		return [sha256.Size]byte{}, err
-	}
-	return sha256.Sum256(data), nil
+// Fill keeps a canonical plan document in memory under a content
+// address without running a solve (the cluster's back-fill, and a
+// non-owner keeping the owner's answer). The bytes must be the
+// rendering the cache's RenderFunc would have produced; the wire
+// encoding is canonical, so any replica's rendering is THE rendering.
+// An existing entry keeps its first rendering. Fill never touches the
+// store and counts neither a hit nor a miss.
+func (c *Cache) Fill(key [sha256.Size]byte, rendered []byte) {
+	c.mu.Lock()
+	c.insertLocked(key, nil, rendered)
+	c.mu.Unlock()
 }
 
 // RenderFunc encodes a completed plan into its canonical document
@@ -299,7 +300,7 @@ func (c *Cache) run(ctx context.Context, r *Registry, req Request, render Render
 		if el, ok := c.entries[k]; ok {
 			e := el.Value.(*cacheEntry)
 			if e.plan != nil || render != nil {
-				c.touchLocked(el)
+				c.lru.MoveToFront(el)
 				plan, rendered := e.plan, e.rendered
 				c.mu.Unlock()
 				c.hits.Add(1)
@@ -311,9 +312,9 @@ func (c *Cache) run(ctx context.Context, r *Registry, req Request, render Render
 				}
 				return plan, rendered, RenderedInfo{Hit: true}, nil
 			}
-			// Fill-only entry (PutRendered stored document bytes without a
-			// decoded plan) but this caller needs the *Plan: fall through
-			// to solve; insertLocked merges, keeping the rendered bytes.
+			// Rendered-only entry (a disk hit or a Fill) but this caller
+			// needs the *Plan: fall through to solve; insertLocked merges,
+			// keeping the rendered bytes.
 		}
 		if f, ok := c.inflight[k]; ok {
 			c.mu.Unlock()
@@ -323,7 +324,7 @@ func (c *Cache) run(ctx context.Context, r *Registry, req Request, render Render
 				if f.err == nil {
 					if f.plan == nil && render == nil {
 						// The leader answered from stored bytes; this caller
-						// needs a decoded plan. Retry — the fill-only entry
+						// needs a decoded plan. Retry — the rendered-only entry
 						// falls through to a solve above.
 						continue
 					}
@@ -465,102 +466,27 @@ func (c *Cache) attachRendering(k [sha256.Size]byte, plan *Plan, render RenderFu
 	return plan, out, nil
 }
 
-// touchLocked moves an entry to the front of whichever list it lives
-// on. Callers hold c.mu.
-func (c *Cache) touchLocked(el *list.Element) {
-	if el.Value.(*cacheEntry).fill {
-		c.fills.MoveToFront(el)
-	} else {
-		c.lru.MoveToFront(el)
-	}
-}
-
-// insertLocked adds a completed plan (or, with plan == nil, a
-// rendered-only fill) and enforces the LRU bound. Callers hold c.mu.
+// insertLocked adds a completed answer (with plan == nil, a
+// rendered-only one) and enforces the LRU bound. An existing entry
+// keeps its first plan and rendering and gains whichever it lacked.
+// Callers hold c.mu.
 func (c *Cache) insertLocked(k [sha256.Size]byte, plan *Plan, rendered []byte) {
-	if el, ok := c.entries[k]; ok { // raced with another flight's insert
+	if el, ok := c.entries[k]; ok {
 		e := el.Value.(*cacheEntry)
+		if e.plan == nil {
+			e.plan = plan
+		}
 		if e.rendered == nil {
 			e.rendered = rendered
 		}
-		if plan != nil && e.plan == nil {
-			// A fill entry gained its decoded plan: promote it to the
-			// plan LRU, where it carries a plan's weight.
-			e.plan = plan
-			if e.fill {
-				c.fills.Remove(el)
-				e.fill = false
-				c.entries[k] = c.lru.PushFront(e)
-				c.evictLocked()
-				return
-			}
-		}
-		c.touchLocked(el)
+		c.lru.MoveToFront(el)
 		return
 	}
-	e := &cacheEntry{key: k, plan: plan, rendered: rendered, fill: plan == nil}
-	if e.fill {
-		c.entries[k] = c.fills.PushFront(e)
-	} else {
-		c.entries[k] = c.lru.PushFront(e)
-	}
-	c.evictLocked()
-}
-
-// evictLocked enforces the bound over both tiers, dropping
-// rendered-only fills before solved plans: a fill is a small document
-// blob that is cheap to recover (the peer that pushed it still has it,
-// and with a store attached it is on disk), while a solved plan took a
-// full solve to build. Weighting them equally let a cluster back-fill
-// storm wash hot plans out of the cache. Callers hold c.mu.
-func (c *Cache) evictLocked() {
-	for c.lru.Len()+c.fills.Len() > c.max {
-		from := c.fills
-		if from.Len() == 0 {
-			from = c.lru
-		}
-		oldest := from.Back()
-		from.Remove(oldest)
+	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, plan: plan, rendered: rendered})
+	for c.lru.Len() > c.max {
+		oldest := c.lru.Back()
+		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
 		c.evictions.Add(1)
 	}
-}
-
-// PutRendered stores a pre-rendered canonical plan document under the
-// request's content address without running a solve — the cluster's
-// peer back-fill path: a replica that solved a plan it does not own
-// pushes the document to the owner so the next lookup there hits. The
-// bytes must be the canonical rendering the cache's RenderFunc would
-// have produced (the wire encoding is canonical, so any replica's
-// rendering is THE rendering). Existing entries keep their first
-// rendering; fills count toward neither Hits nor Misses, and evict
-// before solved plans. With a store attached the document is also
-// persisted — the replica owns this shard of the key space, so its
-// store accumulates exactly the plans the ring routes to it. It
-// reports whether the document was stored (an unencodable request
-// cannot be addressed).
-func (c *Cache) PutRendered(req Request, rendered []byte) bool {
-	data, err := c.key(req)
-	if err != nil {
-		return false
-	}
-	k := sha256.Sum256(data)
-	c.mu.Lock()
-	store := c.store
-	if el, ok := c.entries[k]; ok {
-		e := el.Value.(*cacheEntry)
-		if e.rendered == nil {
-			e.rendered = rendered
-		}
-		c.touchLocked(el)
-		c.mu.Unlock()
-	} else {
-		c.entries[k] = c.fills.PushFront(&cacheEntry{key: k, rendered: rendered, fill: true})
-		c.evictLocked()
-		c.mu.Unlock()
-	}
-	if store != nil {
-		store.Persist(req, data, rendered, nil)
-	}
-	return true
 }

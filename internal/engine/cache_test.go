@@ -295,41 +295,32 @@ func TestCacheExecuteRendered(t *testing.T) {
 	}
 }
 
-func TestCacheContains(t *testing.T) {
-	var calls atomic.Int64
-	r := countingRegistry(t, &calls)
-	c := NewCache(8, testKeyFunc)
-	req := NewRequest(cacheFig1(), WithSolver("acyclic"), WithCache(c))
-	if c.Contains(req) {
-		t.Fatal("Contains true before any solve")
-	}
-	if _, err := r.Execute(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Contains(req) {
-		t.Fatal("Contains false after a completed solve")
-	}
-	if st := c.Stats(); st.Hits != 0 {
-		t.Errorf("Contains must not count as a hit: %+v", st)
-	}
-}
-
-// TestCachePutRenderedServesByteHits pins the cluster back-fill path:
-// a pre-rendered document stored with PutRendered answers the rendered
-// execute path without ever running the solver, and a later plan-path
-// caller solves once and merges into the same entry.
-func TestCachePutRenderedServesByteHits(t *testing.T) {
+// TestCacheFillServesByteHits pins the cluster back-fill path: a
+// pre-rendered document kept with Fill answers Rendered and the
+// rendered execute path by its content address without ever running
+// the solver, and a later plan-path caller solves once and merges into
+// the same entry.
+func TestCacheFillServesByteHits(t *testing.T) {
 	var calls atomic.Int64
 	r := countingRegistry(t, &calls)
 	c := NewCache(8, testKeyFunc)
 	req := NewRequest(cacheFig1(), WithSolver("acyclic"))
+	data, err := testKeyFunc(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sha256.Sum256(data)
 	render := func(p *Plan) ([]byte, error) {
 		return []byte(fmt.Sprintf("plan:%.6f", p.Throughput)), nil
 	}
 
+	if _, ok := c.Rendered(key); ok {
+		t.Fatal("Rendered hit on an empty cache")
+	}
 	doc := []byte("plan:filled-by-peer")
-	if !c.PutRendered(req, doc) {
-		t.Fatal("PutRendered refused an encodable request")
+	c.Fill(key, doc)
+	if out, ok := c.Rendered(key); !ok || !bytes.Equal(out, doc) {
+		t.Fatalf("Rendered = (%q, %v), want the filled document", out, ok)
 	}
 	out, info, err := c.ExecuteRendered(context.Background(), r, req, render)
 	if err != nil {
@@ -340,6 +331,9 @@ func TestCachePutRenderedServesByteHits(t *testing.T) {
 	}
 	if calls.Load() != 0 {
 		t.Fatalf("solver ran %d times answering a filled entry", calls.Load())
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want 2 hits and no miss (Fill counts neither)", st)
 	}
 
 	// A plan-path caller needs the *Plan the fill does not carry: it
@@ -355,59 +349,66 @@ func TestCachePutRenderedServesByteHits(t *testing.T) {
 	if err != nil || !info2.Hit || !bytes.Equal(out2, doc) {
 		t.Fatalf("after merge: info=%+v out=%q err=%v (first rendering must win)", info2, out2, err)
 	}
-	if st := c.Stats(); st.Entries != 1 || st.FillEntries != 0 {
-		t.Fatalf("entries = %+v, want 1 plan entry (fill and solve merged and promoted)", st)
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("entries = %+v, want 1 (fill and solve merged)", st)
 	}
 
 	// Filling an existing entry never clobbers its rendering.
-	if !c.PutRendered(req, []byte("plan:other")) {
-		t.Fatal("PutRendered on existing entry")
-	}
+	c.Fill(key, []byte("plan:other"))
 	out3, _, err := c.ExecuteRendered(context.Background(), r, req, render)
 	if err != nil || !bytes.Equal(out3, doc) {
 		t.Fatalf("refill clobbered the stored rendering: %q", out3)
 	}
 }
 
-// TestCacheBackfillStormKeepsPlans is the eviction-tier regression: a
-// flood of rendered-only PutRendered fills (a cluster back-fill storm)
-// must wash out other fills, never the solved plans sharing the cache.
-func TestCacheBackfillStormKeepsPlans(t *testing.T) {
+// TestCacheRecentDiskHitOutlivesOlderPlan is the eviction-rule
+// regression: the LRU evicts by recency alone, so a rendered-only
+// entry (a disk hit) that was just used outlives an older solved plan.
+// Requests whose rendered bytes came from the store must not be pushed
+// back to disk ahead of one-off solves.
+func TestCacheRecentDiskHitOutlivesOlderPlan(t *testing.T) {
 	var calls atomic.Int64
 	r := countingRegistry(t, &calls)
-	c := NewCache(4, testKeyFunc)
+	c := NewCache(2, testKeyFunc)
 	reqFor := func(b0 float64) Request {
 		return NewRequest(platform.MustInstance(b0, []float64{5, 5}, nil),
 			WithSolver("acyclic"), WithCache(c))
 	}
-	for _, b0 := range []float64{6, 7, 8} {
-		if _, err := r.Execute(context.Background(), reqFor(b0)); err != nil {
-			t.Fatal(err)
+	a, b, cc := reqFor(6), reqFor(7), reqFor(8)
+	data, err := testKeyFunc(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := []byte(`{"persisted":"A"}`)
+	store := &mockPlanStore{rendered: map[[sha256.Size]byte][]byte{sha256.Sum256(data): doc}}
+	c.SetStore(store)
+	render := func(p *Plan) ([]byte, error) { return json.Marshal(p.Throughput) }
+	ctx := context.Background()
+
+	readA := func(step int) {
+		t.Helper()
+		out, info, err := c.ExecuteRendered(ctx, r, a, render)
+		if err != nil || !info.Hit || !bytes.Equal(out, doc) {
+			t.Fatalf("step %d: info=%+v out=%q err=%v, want A's stored document as a hit", step, info, out, err)
 		}
 	}
-	const storm = 100
-	for i := 0; i < storm; i++ {
-		req := NewRequest(platform.MustInstance(100+float64(i), []float64{5, 5}, nil),
-			WithSolver("acyclic"))
-		if !c.PutRendered(req, []byte(fmt.Sprintf("fill:%d", i))) {
-			t.Fatalf("fill %d refused", i)
-		}
+	readA(1) // a disk hit: A enters memory rendered-only
+	if _, err := r.Execute(ctx, b); err != nil {
+		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.Entries != 3 || st.FillEntries != 1 {
-		t.Fatalf("after storm: %+v, want 3 plan entries / 1 fill", st)
+	readA(3) // a memory hit: A is now more recent than B
+	if _, err := r.Execute(ctx, cc); err != nil {
+		t.Fatal(err)
 	}
-	if st.Evictions != storm-1 {
-		t.Fatalf("evictions = %d, want %d (only fills evict fills)", st.Evictions, storm-1)
+	readA(5) // B, the least recent, was evicted; A is still held
+	store.mu.Lock()
+	reads := store.reads
+	store.mu.Unlock()
+	if reads != 1 {
+		t.Fatalf("store read %d times, want 1 (a recently used disk-sourced entry must outlive an older solved plan)", reads)
 	}
-	// Every solved plan is still warm: no re-solve.
-	for _, b0 := range []float64{6, 7, 8} {
-		if _, err := r.Execute(context.Background(), reqFor(b0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("solver ran %d times, want 3 (storm must not evict solved plans)", calls.Load())
+	if calls.Load() != 2 {
+		t.Fatalf("solver ran %d times, want 2 (B and C)", calls.Load())
 	}
 }
 
@@ -416,6 +417,7 @@ type mockPlanStore struct {
 	mu       sync.Mutex
 	rendered map[[sha256.Size]byte][]byte
 	neighbor *NeighborPlan
+	reads    int // Rendered calls
 	persists int
 	warmHeld []bool
 }
@@ -423,6 +425,7 @@ type mockPlanStore struct {
 func (m *mockPlanStore) Rendered(key [sha256.Size]byte) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.reads++
 	out, ok := m.rendered[key]
 	return out, ok
 }

@@ -19,9 +19,10 @@ import (
 // its canonical wire encoding — the same key the cache uses) onto a
 // replica ring. A replica that receives a solve it does not own
 // forwards it to the owner's /v1/cluster/solve, so every distinct plan
-// is solved once cluster-wide and lands in exactly one replica's
-// cache (the owner's singleflight collapses concurrent copies). The
-// forward is hedged: when the owner stays silent past Config.
+// is solved once cluster-wide (the owner's singleflight collapses
+// concurrent copies) and persisted only by its owner; the forwarding
+// replica keeps the answer in memory for its repeats. The forward is
+// hedged: when the owner stays silent past Config.
 // HedgeAfter — or fails outright — the replica solves locally and
 // back-fills the owner's cache via /v1/cluster/fill, so a slow or dead
 // owner costs latency, never availability.
@@ -66,19 +67,27 @@ func (s *Server) peer(ep string) *client.Client {
 	return c
 }
 
-// maybeForward routes one decoded solve by ring ownership. When the
-// key belongs to a peer it forwards there (hedged with a local solve)
-// and reports forwarded=true; a local owner — or an unencodable
-// request, which has no content address — reports forwarded=false and
-// leaves the caller on the ordinary local path.
-func (s *Server) maybeForward(r *http.Request, req engine.Request) (out []byte, forwarded bool, err error) {
+// maybeForward routes one decoded solve by ring ownership. For a key a
+// peer owns it answers from memory when this replica already holds the
+// plan (label "hit"), and otherwise forwards to the owner, hedged with
+// a local solve, and keeps the owner's answer in memory (label
+// "forward"). A self-owned key, or an unencodable request, which has
+// no content address, returns label "" and leaves the caller on the
+// ordinary local path.
+func (s *Server) maybeForward(r *http.Request, req engine.Request) (out []byte, label string, err error) {
 	canonical, encErr := wire.EncodeRequest(req)
 	if encErr != nil {
-		return nil, false, nil
+		return nil, "", nil
 	}
-	owner, self := s.node.Owner(cluster.Key(canonical))
+	key := cluster.Key(canonical)
+	owner, self := s.node.Owner(key)
 	if self || owner == "" {
-		return nil, false, nil
+		return nil, "", nil
+	}
+	if s.cache != nil {
+		if out, ok := s.cache.Rendered(key); ok {
+			return out, "hit", nil
+		}
 	}
 	s.forwardsN.Add(1)
 	out, fromFallback, err := cluster.Hedged(r.Context(), s.cfg.HedgeAfter,
@@ -106,13 +115,16 @@ func (s *Server) maybeForward(r *http.Request, req engine.Request) (out []byte, 
 			return out, err
 		})
 	if err != nil {
-		return nil, true, err
+		return nil, "", err
 	}
 	if fromFallback {
 		s.fallbackWinsN.Add(1)
 		s.backfill(owner, canonical, out)
+	} else if s.cache != nil {
+		// Memory only: the owner persists the key in its own shard.
+		s.cache.Fill(key, out)
 	}
-	return out, true, nil
+	return out, "forward", nil
 }
 
 // backfill pushes a locally solved plan to the replica that owns its
@@ -190,10 +202,16 @@ func (s *Server) handleClusterFill(w http.ResponseWriter, r *http.Request) {
 	}
 	stored := false
 	if s.cache != nil {
-		stored = s.cache.PutRendered(req, rendered)
-	}
-	if stored {
-		s.fillsRecvN.Add(1)
+		if canonical, err := wire.EncodeRequest(req); err == nil {
+			s.cache.Fill(cluster.Key(canonical), rendered)
+			if s.store != nil {
+				// A back-fill is sent to the key's ring owner, so it
+				// belongs in this replica's shard of the store.
+				s.store.Persist(req, canonical, rendered, nil)
+			}
+			stored = true
+			s.fillsRecvN.Add(1)
+		}
 	}
 	s.replyDoc(w, wire.FillAckDoc{V: wire.Version, Stored: stored})
 }

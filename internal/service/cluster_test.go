@@ -197,18 +197,30 @@ func TestClusterSolvesEachKeyOnce(t *testing.T) {
 		t.Errorf("forward counter sum = %d, want 2", fwdN)
 	}
 
-	// Round 2: every replica now answers from its raw-body front cache.
-	for _, u := range urls {
-		code, body, hdr := postHdr(t, u+"/v1/solve", fig1Request)
-		if code != http.StatusOK || !bytes.Equal(body, bodies[0]) {
-			t.Fatalf("repeat on %s diverged (status %d)", u, code)
-		}
-		if got := hdr.Get("X-Bmpcast-Cache"); got != "hit" {
-			t.Errorf("repeat on %s: X-Bmpcast-Cache = %q, want hit", u, got)
+	// Round 2: every replica now answers from memory, whether the
+	// repeat is spelled as in round 1 or in canonical form. A non-owner
+	// finds the owner's answer under the canonical key and forwards
+	// nothing.
+	for _, in := range []string{fig1Request, string(canonicalFig1(t))} {
+		for _, u := range urls {
+			code, body, hdr := postHdr(t, u+"/v1/solve", in)
+			if code != http.StatusOK || !bytes.Equal(body, bodies[0]) {
+				t.Fatalf("repeat on %s diverged (status %d)", u, code)
+			}
+			if got := hdr.Get("X-Bmpcast-Cache"); got != "hit" {
+				t.Errorf("repeat on %s: X-Bmpcast-Cache = %q, want hit", u, got)
+			}
 		}
 	}
 	if got := sumMisses(srvs); got != 1 {
 		t.Errorf("cluster-wide misses after repeats = %d, want still 1", got)
+	}
+	fwdN = 0
+	for _, s := range srvs {
+		fwdN += s.forwardsN.Load()
+	}
+	if fwdN != 2 {
+		t.Errorf("forward counter sum after repeats = %d, want still 2", fwdN)
 	}
 }
 

@@ -2,11 +2,16 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/client"
+	"repro/internal/engine"
+	"repro/internal/wire"
 )
 
 // fig1Mutated is fig1Request with one open bandwidth rescaled — a
@@ -87,6 +92,61 @@ func TestStoreServesAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestStoreKeepsBackfill: a plan back-filled into a standalone replica
+// over /v1/cluster/fill is persisted to its store, so a fresh process
+// over the same directory answers the request from disk without a
+// solve.
+func TestStoreKeepsBackfill(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := NewServer(Config{Workers: 2, StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	canonical := canonicalFig1(t)
+	req, err := wire.DecodeRequest(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := engine.Default.Execute(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendered, err := wire.EncodePlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.NewFromConfig(client.Config{Endpoints: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored, err := c.PeerFill(context.Background(), canonical, rendered); err != nil || !stored {
+		t.Fatalf("PeerFill = (%v, %v), want stored", stored, err)
+	}
+	ts.Close()
+	srv.Close()
+
+	srv2, err := NewServer(Config{Workers: 2, StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2)
+	defer func() { ts2.Close(); srv2.Close() }()
+	code, got, label := postCache(t, ts2.URL+"/v1/solve", fig1Request)
+	if code != http.StatusOK || label != "hit" {
+		t.Fatalf("solve after restart: status %d label %q: %s", code, label, got)
+	}
+	if !bytes.Equal(got, rendered) {
+		t.Fatalf("served plan differs from the back-filled one:\n%s\nvs\n%s", got, rendered)
+	}
+	if cs := srv2.CacheStats(); cs.Misses != 0 {
+		t.Fatalf("cache stats %+v, want no solve", cs)
+	}
+	if st := srv2.StoreStats(); st.DiskHits != 1 {
+		t.Fatalf("store stats %+v, want the back-fill served as 1 disk hit", st)
+	}
+}
+
 // TestStoreMetrics pins the store gauge lines on /metrics.
 func TestStoreMetrics(t *testing.T) {
 	srv, err := NewServer(Config{Workers: 2, StoreDir: t.TempDir()})
@@ -109,7 +169,6 @@ func TestStoreMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"bmpcast_cache_entries 1",
-		"bmpcast_cache_fill_entries 0",
 		"bmpcast_store_entries 1",
 		"bmpcast_store_disk_hits 0",
 		"bmpcast_store_warm_hits 0",
