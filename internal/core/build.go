@@ -145,8 +145,8 @@ func BuildSchemeWithWorkspace(ins *platform.Instance, w Word, T float64, ws *Wor
 // the corresponding low-degree scheme — the end-to-end pipeline of
 // Section IV (GreedyTest + dichotomic search + Lemma 4.6 construction).
 func SolveAcyclic(ins *platform.Instance) (float64, *Scheme, error) {
-	ws := acquireWorkspace()
-	defer releaseWorkspace(ws)
+	ws := AcquireWorkspace()
+	defer ReleaseWorkspace(ws)
 	return SolveAcyclicWithWorkspace(ins, ws)
 }
 
@@ -167,22 +167,25 @@ func SolveAcyclicWordWithWorkspace(ins *platform.Instance, ws *Workspace) (float
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	T, s, err := buildSchemeShaved(ins, w, T, ws)
+	T, s, err := BuildSchemeShaved(ins, w, T, ws, BuildSchemeWithWorkspace)
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	return T, s, w, nil
 }
 
-// buildSchemeShaved materializes word w at throughput T, retrying a
-// hair below when float dust makes the exact optimum infeasible — the
-// one retry policy shared by the full solve and both repair paths. It
-// returns the throughput actually built (possibly shaved).
-func buildSchemeShaved(ins *platform.Instance, w Word, T float64, ws *Workspace) (float64, *Scheme, error) {
-	scheme, err := BuildSchemeWithWorkspace(ins, w, T, ws)
+// BuildSchemeShaved materializes word w at throughput T with build
+// (BuildSchemeWithWorkspace, or the depth-aware builder), retrying a
+// hair below T when float dust makes the exact optimum infeasible — the
+// one retry policy shared by the full solve, both repair paths and the
+// engine's word-search solvers. It returns the throughput actually
+// built (possibly shaved).
+func BuildSchemeShaved(ins *platform.Instance, w Word, T float64, ws *Workspace,
+	build func(*platform.Instance, Word, float64, *Workspace) (*Scheme, error)) (float64, *Scheme, error) {
+	scheme, err := build(ins, w, T, ws)
 	if err != nil {
 		T *= 1 - 1e-12
-		if scheme, err = BuildSchemeWithWorkspace(ins, w, T, ws); err != nil {
+		if scheme, err = build(ins, w, T, ws); err != nil {
 			return 0, nil, err
 		}
 	}

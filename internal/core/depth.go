@@ -97,7 +97,3 @@ func BuildSchemeDepthAware(ins *platform.Instance, w Word, T float64) (*Scheme, 
 	}
 	return scheme, nil
 }
-
-// SchemeDepth returns the longest hop path from the source in the
-// scheme's graph (−1 for cyclic schemes) — the streaming delay metric.
-func SchemeDepth(s *Scheme) int { return s.Graph().Depth(0) }

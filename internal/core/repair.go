@@ -86,8 +86,8 @@ type RepairResult struct {
 
 // RepairAcyclic is RepairAcyclicWithWorkspace on a pooled workspace.
 func RepairAcyclic(ins *platform.Instance, prev Word) (RepairResult, error) {
-	ws := acquireWorkspace()
-	defer releaseWorkspace(ws)
+	ws := AcquireWorkspace()
+	defer ReleaseWorkspace(ws)
 	return RepairAcyclicWithWorkspace(ins, prev, ws)
 }
 
@@ -125,7 +125,7 @@ func RepairAcyclicWithWorkspace(ins *platform.Instance, prev Word, ws *Workspace
 		}
 	}
 
-	built, scheme, err := buildSchemeShaved(ins, bestWord, best, ws)
+	built, scheme, err := BuildSchemeShaved(ins, bestWord, best, ws, BuildSchemeWithWorkspace)
 	if err == nil {
 		best = built
 		// Verify capped at best+2tol: the acceptance band is ±tol, so
@@ -153,7 +153,7 @@ func fullAcyclicWithWord(ins *platform.Instance, ws *Workspace) (RepairResult, e
 	if err != nil {
 		return RepairResult{}, err
 	}
-	T, scheme, err := buildSchemeShaved(ins, w, T, ws)
+	T, scheme, err := BuildSchemeShaved(ins, w, T, ws, BuildSchemeWithWorkspace)
 	if err != nil {
 		return RepairResult{}, err
 	}

@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"sort"
 
-	"repro/internal/graph"
 	"repro/internal/maxflow"
 	"repro/internal/platform"
 )
@@ -69,6 +68,12 @@ func (a *adjacency) remove(j int) {
 		return
 	}
 	*a = append((*a)[:pos], (*a)[pos+1:]...)
+}
+
+// Edge is one positive-rate entry c[From][To] = Weight of a scheme.
+type Edge struct {
+	From, To int
+	Weight   float64
 }
 
 // Scheme is a broadcast scheme: the rate matrix {c_ij} of Section II-D
@@ -199,23 +204,22 @@ func (s *Scheme) MaxOutDegree() int {
 
 // Edges returns all edges sorted by (From, To). The adjacency slices are
 // already destination-sorted, so this is a single ordered copy.
-func (s *Scheme) Edges() []graph.Edge {
-	es := make([]graph.Edge, 0, s.NumEdges())
+func (s *Scheme) Edges() []Edge {
+	es := make([]Edge, 0, s.NumEdges())
 	for i := range s.out {
 		for _, e := range s.out[i] {
-			es = append(es, graph.Edge{From: i, To: e.to, Weight: e.rate})
+			es = append(es, Edge{From: i, To: e.to, Weight: e.rate})
 		}
 	}
 	return es
 }
 
 // InEdges appends every positive-rate edge into j to buf (in sender
-// order) and returns the extended slice. Callers needing one node's
-// in-edges use this instead of materializing the whole Graph.
-func (s *Scheme) InEdges(j int, buf []graph.Edge) []graph.Edge {
+// order) and returns the extended slice.
+func (s *Scheme) InEdges(j int, buf []Edge) []Edge {
 	for i := range s.out {
 		if pos, ok := s.out[i].find(j); ok {
-			buf = append(buf, graph.Edge{From: i, To: j, Weight: s.out[i][pos].rate})
+			buf = append(buf, Edge{From: i, To: j, Weight: s.out[i][pos].rate})
 		}
 	}
 	return buf
@@ -230,20 +234,10 @@ func (s *Scheme) NumEdges() int {
 	return c
 }
 
-// Graph exports the scheme as a weighted digraph.
-func (s *Scheme) Graph() *graph.Digraph {
-	g := graph.New(s.ins.Total())
-	for _, e := range s.Edges() {
-		g.AddEdge(e.From, e.To, e.Weight)
-	}
-	return g
-}
-
-// IsAcyclic reports whether the communication graph is a DAG. It runs
-// Kahn's algorithm directly over the sparse adjacency — the Digraph
-// materialization this replaces (two edge appends per arc) was the
-// single largest allocation site on the service's plan-encode path.
-func (s *Scheme) IsAcyclic() bool {
+// topoOrder runs Kahn's algorithm over the sparse adjacency and returns
+// the nodes in the order it released them. The order holds every node
+// exactly when the scheme is acyclic; on a cycle it stops short.
+func (s *Scheme) topoOrder() []int32 {
 	n := len(s.out)
 	indeg := make([]int32, n)
 	for i := range s.out {
@@ -251,22 +245,51 @@ func (s *Scheme) IsAcyclic() bool {
 			indeg[e.to]++
 		}
 	}
-	ready := make([]int32, 0, n)
+	order := make([]int32, 0, n)
 	for v := range indeg {
 		if indeg[v] == 0 {
-			ready = append(ready, int32(v))
+			order = append(order, int32(v))
 		}
 	}
-	seen := 0
-	for qi := 0; qi < len(ready); qi++ {
-		seen++
-		for _, e := range s.out[ready[qi]] {
+	for qi := 0; qi < len(order); qi++ {
+		for _, e := range s.out[order[qi]] {
 			if indeg[e.to]--; indeg[e.to] == 0 {
-				ready = append(ready, int32(e.to))
+				order = append(order, int32(e.to))
 			}
 		}
 	}
-	return seen == n
+	return order
+}
+
+// IsAcyclic reports whether the communication graph is a DAG.
+func (s *Scheme) IsAcyclic() bool { return len(s.topoOrder()) == len(s.out) }
+
+// SchemeDepth returns the longest hop path from the source (−1 for
+// cyclic schemes) — the streaming delay metric of the paper's
+// conclusion. Nodes the source does not reach are ignored.
+func SchemeDepth(s *Scheme) int {
+	order := s.topoOrder()
+	if len(order) != len(s.out) {
+		return -1
+	}
+	dist := make([]int, len(s.out))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[0] = 0
+	maxd := 0
+	for _, v := range order {
+		if dist[v] < 0 {
+			continue
+		}
+		for _, e := range s.out[v] {
+			if d := dist[v] + 1; d > dist[e.to] {
+				dist[e.to] = d
+				maxd = max(maxd, d)
+			}
+		}
+	}
+	return maxd
 }
 
 // Throughput computes T = min_i maxflow(C0 → Ci) with the float64

@@ -35,8 +35,8 @@ func searchDone(lo, hi float64) bool { return hi-lo <= 4*tol(hi) }
 // T*_ac, so the result is a certified acyclic throughput within bisection
 // resolution of the true optimum.
 func OptimalAcyclicThroughput(ins *platform.Instance) (float64, Word, error) {
-	ws := acquireWorkspace()
-	defer releaseWorkspace(ws)
+	ws := AcquireWorkspace()
+	defer ReleaseWorkspace(ws)
 	return OptimalAcyclicThroughputWithWorkspace(ins, ws)
 }
 
@@ -148,8 +148,8 @@ func OptimalAcyclicThroughputExact(ins *platform.Instance) (*big.Rat, Word, erro
 // FeasibleAcyclic reports whether throughput T is acyclically achievable,
 // i.e. T ≤ T*_ac (Theorem 4.1's linear-time decision).
 func FeasibleAcyclic(ins *platform.Instance, T float64) bool {
-	ws := acquireWorkspace()
-	defer releaseWorkspace(ws)
+	ws := AcquireWorkspace()
+	defer ReleaseWorkspace(ws)
 	return FeasibleAcyclicWithWorkspace(ins, T, ws)
 }
 

@@ -115,11 +115,6 @@ func TheoremWord(ins *platform.Instance) (Word, error) {
 	return Omega2(n, m)
 }
 
-// TheoremWordThroughput evaluates the TheoremWord series.
-func TheoremWordThroughput(ins *platform.Instance) (float64, Word, error) {
-	return TheoremWordThroughputWithWorkspace(ins, nil)
-}
-
 // TheoremWordThroughputWithWorkspace evaluates the TheoremWord series on
 // reusable per-word scratch.
 func TheoremWordThroughputWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, Word, error) {

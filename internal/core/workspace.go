@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/maxflow"
 	"repro/internal/platform"
 )
@@ -20,8 +19,8 @@ import (
 // BuildScheme, OptimalAcyclicThroughput, ...) are one-line delegations
 // and no existing caller changes behavior.
 //
-// A Workspace is not safe for concurrent use; internal/engine pools one
-// per worker.
+// A Workspace is not safe for concurrent use; internal/engine leases one
+// per worker from the package pool (AcquireWorkspace).
 type Workspace struct {
 	flow     maxflow.Workspace
 	targets  []int
@@ -30,7 +29,7 @@ type Workspace struct {
 	wordCur  Word // probe buffer for feasibility tests
 	wordBest Word // survivor buffer the search keeps across probes
 	cands    []wCand
-	edges    []graph.Edge
+	edges    []Edge
 	resid    []float64
 	poolA    []float64
 	poolB    []float64
@@ -135,16 +134,19 @@ func (ws *Workspace) Prealloc(total int) {
 	ws.flow.Prealloc(total)
 }
 
-// wsPool recycles private workspaces for the convenience wrappers
-// (OptimalAcyclicThroughput, SolveAcyclic, ...), so callers who don't
-// thread a Workspace of their own still amortize scratch storage across
-// calls instead of paying a cold allocation set per solve. The engine
-// layer keeps its own per-goroutine pool; this one only backs the
-// package-level helpers.
+// wsPool is the one workspace pool: the convenience wrappers
+// (OptimalAcyclicThroughput, SolveAcyclic, ...) draw private scratch
+// from it, and internal/engine leases its per-worker workspaces from it,
+// so every caller amortizes scratch storage across calls instead of
+// paying a cold allocation set per solve.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
-func acquireWorkspace() *Workspace   { return wsPool.Get().(*Workspace) }
-func releaseWorkspace(ws *Workspace) { wsPool.Put(ws) }
+// AcquireWorkspace takes a workspace from the pool; return it with
+// ReleaseWorkspace when done.
+func AcquireWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
+
+// ReleaseWorkspace returns a non-nil workspace to the pool.
+func ReleaseWorkspace(ws *Workspace) { wsPool.Put(ws) }
 
 // Stats returns a snapshot of the cumulative evaluation counters
 // (including the flow solver's growth counter).

@@ -163,31 +163,26 @@ type Solver interface {
 	Solve(ctx context.Context, ins *platform.Instance) (Result, error)
 }
 
-// wsPool is the engine's workspace pool: Batch/ForEach workers (and any
-// direct Solve caller) reuse one warm core.Workspace per goroutine
-// across a whole sweep, so the per-instance evaluation pipeline reaches
-// its zero-allocation steady state after the first few solves.
-var wsPool = sync.Pool{New: func() any { return core.NewWorkspace() }}
-
-// wsLeased counts workspaces taken from the pool and not yet returned.
-// The leak tests (Session cancellation, sim mid-trace abort) assert it
-// returns to its baseline once every session is closed.
+// wsLeased counts workspaces leased through AcquireWorkspace and not
+// yet returned. The leak tests (Session cancellation, sim mid-trace
+// abort) assert it returns to its baseline once every session is closed.
 var wsLeased atomic.Int64
 
-// AcquireWorkspace takes a workspace from the engine pool. Callers
-// running solver internals directly (the experiment drivers do) share
-// the same warm pool as the registry solvers; return it with
-// ReleaseWorkspace when done.
+// AcquireWorkspace leases a workspace from core's pool: Batch/ForEach
+// workers, direct Solve callers and the experiment drivers all reuse
+// warm core.Workspaces across a sweep, so the per-instance evaluation
+// pipeline reaches its zero-allocation steady state after the first few
+// solves. Return it with ReleaseWorkspace when done.
 func AcquireWorkspace() *core.Workspace {
 	wsLeased.Add(1)
-	return wsPool.Get().(*core.Workspace)
+	return core.AcquireWorkspace()
 }
 
-// ReleaseWorkspace returns a workspace to the engine pool.
+// ReleaseWorkspace returns a leased workspace to core's pool.
 func ReleaseWorkspace(ws *core.Workspace) {
 	if ws != nil {
 		wsLeased.Add(-1)
-		wsPool.Put(ws)
+		core.ReleaseWorkspace(ws)
 	}
 }
 
@@ -210,6 +205,12 @@ func WorkspaceGrows() int64 { return wsGrows.Load() }
 // verified result, falling back to a full solve internally when the
 // warm start does not hold up.
 type RepairFunc func(*platform.Instance, core.Word, *core.Workspace) (core.RepairResult, error)
+
+// repairResult is the Result a repair entry point's answer stands for:
+// Repaired unless the repair fell back to a full solve.
+func repairResult(rr core.RepairResult) Result {
+	return Result{Throughput: rr.T, Scheme: rr.Scheme, Word: rr.Word, Verified: rr.Verified, Repaired: !rr.FellBack}
+}
 
 // funcSolver adapts a plain function to the Solver interface.
 type funcSolver struct {

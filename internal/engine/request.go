@@ -257,9 +257,8 @@ func solveRequest(ctx context.Context, s Solver, req Request) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("%s: %w", fn.name, err)
 	}
-	res := Result{Throughput: rr.T, Scheme: rr.Scheme, Word: rr.Word, Verified: rr.Verified}
+	res := repairResult(rr)
 	finishResult(&res, fn.name, ws.Stats().Sub(before), start)
-	res.Repaired = !rr.FellBack
 	return res, nil
 }
 

@@ -127,8 +127,8 @@ func (s *Session) Resolve(ctx context.Context, ins *platform.Instance) (Result, 
 		if err != nil {
 			return Result{}, fmt.Errorf("%s: %w", name, err)
 		}
-		res = Result{Throughput: rr.T, Scheme: rr.Scheme, Word: rr.Word, Verified: rr.Verified}
-		repaired = !rr.FellBack
+		res = repairResult(rr)
+		repaired = res.Repaired
 		if rr.FellBack && hadWord {
 			s.stats.Fallbacks++
 		}

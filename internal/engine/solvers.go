@@ -93,7 +93,11 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			return buildWord(ins, w, T, ws, core.BuildSchemeWithWorkspace)
+			T, s, err := core.BuildSchemeShaved(ins, w, T, ws, core.BuildSchemeWithWorkspace)
+			if err != nil {
+				return Result{}, err
+			}
+			return Result{Throughput: T, Scheme: s, Word: w}, nil
 		}))
 
 	Default.MustRegister(NewSolver("exhaustive",
@@ -103,7 +107,11 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			return buildWord(ins, w, T, ws, core.BuildSchemeWithWorkspace)
+			T, s, err := core.BuildSchemeShaved(ins, w, T, ws, core.BuildSchemeWithWorkspace)
+			if err != nil {
+				return Result{}, err
+			}
+			return Result{Throughput: T, Scheme: s, Word: w}, nil
 		}))
 
 	Default.MustRegister(NewSolver("depth",
@@ -113,10 +121,14 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			return buildWord(ins, w, T, ws,
+			T, s, err := core.BuildSchemeShaved(ins, w, T, ws,
 				func(ins *platform.Instance, w core.Word, T float64, _ *core.Workspace) (*core.Scheme, error) {
 					return core.BuildSchemeDepthAware(ins, w, T)
 				})
+			if err != nil {
+				return Result{}, err
+			}
+			return Result{Throughput: T, Scheme: s, Word: w}, nil
 		}))
 
 	Default.MustRegister(NewSolver("oneport",
@@ -128,21 +140,4 @@ func init() {
 			}
 			return Result{Throughput: T, Scheme: s}, nil
 		}))
-}
-
-// buildWord materializes word w at throughput T, retrying a hair below T
-// when float dust makes the exact optimum infeasible (same policy as
-// core.SolveAcyclic).
-func buildWord(ins *platform.Instance, w core.Word, T float64, ws *core.Workspace,
-	build func(*platform.Instance, core.Word, float64, *core.Workspace) (*core.Scheme, error)) (Result, error) {
-	s, err := build(ins, w, T, ws)
-	if err != nil {
-		shaved := T * (1 - 1e-12)
-		s, err = build(ins, w, shaved, ws)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Throughput: shaved, Word: w, Scheme: s}, nil
-	}
-	return Result{Throughput: T, Word: w, Scheme: s}, nil
 }

@@ -89,7 +89,7 @@ func Simulate(s *core.Scheme, T float64, cfg Config) (*Result, error) {
 	}
 	warmup := cfg.Warmup
 	if warmup == 0 {
-		if d := s.Graph().Depth(0); d > 0 {
+		if d := core.SchemeDepth(s); d > 0 {
 			warmup = d + 2
 		} else {
 			warmup = 2

@@ -1,6 +1,7 @@
 package massoulie
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -91,22 +92,55 @@ func TestSimulateRandomOverlays(t *testing.T) {
 	}
 }
 
+// TestSimulateDeterministicPerSeed: a seed fixes the run, and the runs
+// below are pinned to the bit. The overlay's depth sets the warm-up
+// window, so a change to how depth is computed shows up here.
 func TestSimulateDeterministicPerSeed(t *testing.T) {
-	ins := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
-	T, s, err := core.SolveAcyclic(ins)
-	if err != nil {
-		t.Fatal(err)
+	fig1 := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
+	guarded := platform.MustInstance(10, []float64{7, 3, 9, 2}, []float64{6, 1, 4})
+	acyclic := func(ins *platform.Instance) func() (float64, *core.Scheme, error) {
+		return func() (float64, *core.Scheme, error) { return core.SolveAcyclic(ins) }
 	}
-	a, err := Simulate(s, T, Config{Packets: 100, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name       string
+		solve      func() (float64, *core.Scheme, error)
+		depth      int
+		rounds     int
+		minGoodput uint64
+	}{
+		{"figure 1", acyclic(fig1), 5, 103, 0x3fef000000000000},
+		{"guarded", acyclic(guarded), 6, 104, 0x3feeaaaaaaaaaaab},
+		{"cyclic open", func() (float64, *core.Scheme, error) {
+			return core.SolveCyclicOpen(platform.MustInstance(5, []float64{5, 4, 4, 4, 3}, nil))
+		}, -1, 128, 0x3fe9249249249249},
+		{"cyclic pack", func() (float64, *core.Scheme, error) {
+			s, T, err := core.PackCyclicGuarded(guarded, core.OptimalCyclicThroughput(guarded))
+			return T, s, err
+		}, -1, 107, 0x3fee2be2be2be2be},
 	}
-	b, err := Simulate(s, T, Config{Packets: 100, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Rounds != b.Rounds || a.MinGoodput() != b.MinGoodput() {
-		t.Fatal("same seed produced different runs")
+	for _, c := range cases {
+		T, s, err := c.solve()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if d := core.SchemeDepth(s); d != c.depth {
+			t.Errorf("%s: depth %d, want %d", c.name, d, c.depth)
+		}
+		a, err := Simulate(s, T, Config{Packets: 100, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Simulate(s, T, Config{Packets: 100, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Rounds != b.Rounds || a.MinGoodput() != b.MinGoodput() {
+			t.Fatalf("%s: same seed produced different runs", c.name)
+		}
+		if a.Rounds != c.rounds || !a.Completed || math.Float64bits(a.MinGoodput()) != c.minGoodput {
+			t.Errorf("%s: rounds %d, completed %v, min goodput %#x (%v); want %d, true, %#x",
+				c.name, a.Rounds, a.Completed, math.Float64bits(a.MinGoodput()), a.MinGoodput(), c.rounds, c.minGoodput)
+		}
 	}
 }
 
@@ -157,7 +191,7 @@ func TestDelayBoundedByDepth(t *testing.T) {
 	}
 	// Delays stay modest: bounded by a small multiple of depth plus the
 	// catch-up skew; this is a sanity check, not a tight bound.
-	depth := s.Graph().Depth(0)
+	depth := core.SchemeDepth(s)
 	for v, d := range res.Delay {
 		if d > 30*(depth+1) {
 			t.Fatalf("node %d delay %d rounds with depth %d", v, d, depth)

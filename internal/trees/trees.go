@@ -66,8 +66,7 @@ func Decompose(s *core.Scheme, T float64) ([]Tree, error) {
 	if T <= 0 {
 		return nil, errors.New("trees: non-positive target throughput")
 	}
-	g := s.Graph()
-	if !g.IsAcyclic() {
+	if !s.IsAcyclic() {
 		return nil, errors.New("trees: scheme is cyclic; arborescence extraction requires a DAG")
 	}
 	total := s.Instance().Total()
@@ -80,7 +79,7 @@ func Decompose(s *core.Scheme, T float64) ([]Tree, error) {
 	// Residual rates, mutable.
 	type edgeKey struct{ from, to int }
 	residual := make(map[edgeKey]float64)
-	for _, e := range g.Edges() {
+	for _, e := range s.Edges() {
 		residual[edgeKey{e.From, e.To}] = e.Weight
 	}
 
