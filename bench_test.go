@@ -18,6 +18,8 @@
 //	BenchmarkExactVsFloat    — big.Rat reference vs float64 fast path
 //	BenchmarkAlgorithm1 / BenchmarkCyclicOpen / BenchmarkBuildScheme
 //	BenchmarkThroughputMaxflow — max-flow verification cost
+//	BenchmarkCertifyAcyclic  — the in-rate check that replaces it on
+//	                           acyclic plans (same scheme, warm workspace)
 //	BenchmarkTreeDecompose / BenchmarkMassoulie — downstream substrates
 package repro_test
 
@@ -338,6 +340,27 @@ func BenchmarkThroughputMaxflowWorkspace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ThroughputWithWorkspace(ws)
+	}
+}
+
+// BenchmarkCertifyAcyclic is the tolerance check a verified request
+// runs on the scheme of BenchmarkThroughputMaxflowWorkspace: one
+// in-rate pass and one Kahn pass on a warm workspace, no max-flow
+// (expected 0 allocs/op). The two rows are that layer before and after.
+func BenchmarkCertifyAcyclic(b *testing.B) {
+	ins := randomMixed(8, 100, 100)
+	T, s, err := repro.SolveAcyclic(ins)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := repro.NewWorkspace()
+	if _, ok := s.Certify(T, 1e-9, ws); !ok {
+		b.Fatal("scheme refused")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Certify(T, 1e-9, ws)
 	}
 }
 

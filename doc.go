@@ -33,7 +33,7 @@
 //
 //	plan, err := repro.Execute(ctx, repro.NewRequest(ins,
 //	    repro.WithSolver("acyclic"),     // or WithCapabilities(repro.CapExact|...)
-//	    repro.WithTolerance(1e-9),       // max-flow verification
+//	    repro.WithTolerance(1e-9),       // verify the throughput claim
 //	    repro.WithSchedule(20),          // scheme + trees + 20-block schedule
 //	))
 //	switch {

@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	T, scheme, ts := plan.Throughput, plan.Scheme, plan.Trees
-	fmt.Printf("instance %v\noverlay at T = %.2f with %d edges (max-flow verified %.2f)\n\n",
+	fmt.Printf("instance %v\noverlay at T = %.2f with %d edges (verified %.2f)\n\n",
 		ins, T, scheme.NumEdges(), plan.Verified)
 
 	if err := repro.VerifyTrees(scheme, T, ts); err != nil {

@@ -56,7 +56,7 @@ func main() {
 
 	// The same pipeline through the v2 Request/Plan API: one typed
 	// request in, one plan out — overlay, tree decomposition and a
-	// 20-block periodic transmission schedule, max-flow verified. This
+	// 20-block periodic transmission schedule, throughput verified. This
 	// is the contract `bmpcast serve` exposes over HTTP as versioned
 	// JSON (POST /v1/solve).
 	plan, err := repro.Execute(context.Background(), repro.NewRequest(ins,

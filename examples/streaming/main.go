@@ -33,7 +33,7 @@ func main() {
 	fmt.Println("swarm:", ins)
 
 	// One v2 Request computes the overlay, its cyclic bound T* and the
-	// max-flow verification in a single call.
+	// throughput verification in a single call.
 	plan, err := repro.Execute(context.Background(),
 		repro.NewRequest(ins, repro.WithScheme(), repro.WithTolerance(1e-9)))
 	if err != nil {

@@ -245,7 +245,13 @@ func (s *Scheme) topoOrder() []int32 {
 			indeg[e.to]++
 		}
 	}
-	order := make([]int32, 0, n)
+	return s.kahn(indeg, make([]int32, 0, n))
+}
+
+// kahn is topoOrder on caller scratch: indeg holds every node's
+// in-degree and is consumed (a released node ends at zero), and the
+// release order is appended to order.
+func (s *Scheme) kahn(indeg, order []int32) []int32 {
 	for v := range indeg {
 		if indeg[v] == 0 {
 			order = append(order, int32(v))

@@ -34,6 +34,10 @@ type Workspace struct {
 	poolA    []float64
 	poolB    []float64
 	pending  []pendingRate
+	indeg    []int32   // Certify: in-degrees, then Kahn's counters
+	order    []int32   // Certify: Kahn's release order
+	inRate   []float64 // Certify: float in-rate sums
+	unsure   []int32   // Certify: receivers left to the exact recheck
 	stats    WorkspaceStats
 }
 
@@ -178,6 +182,22 @@ func (ws *Workspace) broadcastTargets(total int) []int {
 	}
 	ws.targets = ws.targets[:total-1]
 	return fillBroadcastTargets(ws.targets)
+}
+
+// certifyScratch returns Certify's per-node scratch for a total-node
+// scheme: zeroed in-degree and in-rate vectors and an empty order
+// buffer with room for every node.
+func (ws *Workspace) certifyScratch(total int) (indeg []int32, in []float64, order []int32) {
+	if cap(ws.indeg) < total {
+		ws.indeg = make([]int32, total)
+		ws.order = make([]int32, 0, total)
+		ws.inRate = make([]float64, total)
+		ws.stats.Grows++
+	}
+	ws.indeg, ws.inRate = ws.indeg[:total], ws.inRate[:total]
+	clear(ws.indeg)
+	clear(ws.inRate)
+	return ws.indeg, ws.inRate, ws.order[:0]
 }
 
 // residFor returns the workspace's residual-capacity vector filled with

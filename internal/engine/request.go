@@ -35,9 +35,12 @@ type Request struct {
 	// ErrCanceled (joined with context.DeadlineExceeded). Zero means no
 	// per-request deadline beyond the caller's ctx.
 	Deadline time.Duration
-	// Tolerance, when positive, makes Execute verify the built scheme by
-	// max-flow and fail with ErrInfeasible if the verified throughput
-	// falls short of the claimed one by more than Tolerance (relative).
+	// Tolerance, when positive, makes Execute verify the built scheme
+	// and fail with ErrInfeasible if the verified throughput falls short
+	// of the claimed one by more than Tolerance (relative). The check is
+	// core.Scheme.Certify: exact for an acyclic scheme (its throughput is
+	// its smallest receiver in-rate), max-flow for a cyclic one. Repair
+	// and warm-start results are checked too.
 	Tolerance float64
 	// WantScheme requires an explicit rate matrix in the plan; solvers
 	// without CapBuildsScheme fail the request with ErrInfeasible.
@@ -84,8 +87,8 @@ func WithCapabilities(need Capability) RequestOption { return func(r *Request) {
 // WithDeadline bounds the solve's wall clock.
 func WithDeadline(d time.Duration) RequestOption { return func(r *Request) { r.Deadline = d } }
 
-// WithTolerance enables post-solve max-flow verification within the
-// given relative tolerance (see Request.Tolerance).
+// WithTolerance enables post-solve verification within the given
+// relative tolerance (see Request.Tolerance).
 func WithTolerance(tol float64) RequestOption { return func(r *Request) { r.Tolerance = tol } }
 
 // WithScheme requires an explicit rate matrix in the plan.
@@ -193,14 +196,15 @@ func (r *Registry) executeUncached(ctx context.Context, req Request) (*Plan, err
 	if needScheme && plan.Scheme == nil {
 		return nil, fmt.Errorf("%w: solver %q returned no scheme for this instance", ErrInfeasible, s.Name())
 	}
-	if req.Tolerance > 0 && plan.Scheme != nil && plan.Verified == 0 {
+	if req.Tolerance > 0 && plan.Scheme != nil {
 		ws := AcquireWorkspace()
-		plan.Verified = plan.Scheme.ThroughputWithWorkspace(ws)
+		verified, ok := plan.Scheme.Certify(plan.Throughput, req.Tolerance, ws)
 		ReleaseWorkspace(ws)
-		if plan.Verified < plan.Throughput*(1-req.Tolerance) {
+		if !ok {
 			return nil, fmt.Errorf("%w: scheme verifies at %g, below claimed %g beyond tolerance %g",
-				ErrInfeasible, plan.Verified, plan.Throughput, req.Tolerance)
+				ErrInfeasible, verified, plan.Throughput, req.Tolerance)
 		}
+		plan.Verified = verified
 	}
 	if req.WantTrees || req.ScheduleBlocks > 0 {
 		if !plan.Scheme.IsAcyclic() {
