@@ -106,10 +106,6 @@ type Config struct {
 	// HTTPClient substitutes the underlying *http.Client (timeouts,
 	// transports, instrumentation). Defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// VNodes overrides the ring's virtual-node count (0 means
-	// cluster.DefaultVNodes). Every client and replica of one cluster
-	// must agree on it.
-	VNodes int
 }
 
 // Client talks to a bmpcast service — one replica or a cluster of
@@ -120,7 +116,6 @@ type Client struct {
 	retries int           // extra attempts after the first
 	backoff time.Duration // first retry delay, doubled per retry cycle
 	hedge   time.Duration // 0 = hedging disabled
-	vnodes  int
 
 	mu        sync.RWMutex // guards endpoints+ring (RefreshMembers swaps them)
 	endpoints []string     // normalized, configured order
@@ -211,9 +206,8 @@ func NewFromConfig(cfg Config) (*Client, error) {
 		retries:   r.Retries,
 		backoff:   r.Backoff,
 		hedge:     cfg.Hedge.After,
-		vnodes:    cfg.VNodes,
 		endpoints: eps,
-		ring:      cluster.NewRing(eps, cfg.VNodes),
+		ring:      cluster.NewRing(eps),
 	}, nil
 }
 
@@ -413,26 +407,11 @@ func (c *Client) Solve(ctx context.Context, req Request) (Plan, error) {
 	return wire.DecodePlan(raw)
 }
 
-// batchDoc is the wire form of a batch call (mirrors the service).
-type batchDoc struct {
-	V        int            `json:"v"`
-	Requests []wire.Request `json:"requests"`
-}
-
-// encodeBatch renders the shared /v1/batch //v1/jobs payload.
-func encodeBatch(reqs []Request) ([]byte, error) {
-	doc := batchDoc{V: wire.Version, Requests: make([]wire.Request, len(reqs))}
-	for i, r := range reqs {
-		doc.Requests[i] = wire.FromRequest(r)
-	}
-	return wire.Marshal(doc)
-}
-
 // Batch posts a synchronous batch; plans[i] answers reqs[i]. The call
 // is all-or-nothing (the service fails fast on the first error); for
 // per-item results use Submit and Stream.
 func (c *Client) Batch(ctx context.Context, reqs []Request) ([]Plan, error) {
-	body, err := encodeBatch(reqs)
+	body, err := wire.EncodeBatch(reqs)
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding batch: %w", err)
 	}
@@ -440,10 +419,7 @@ func (c *Client) Batch(ctx context.Context, reqs []Request) ([]Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	var resp struct {
-		V     int    `json:"v"`
-		Plans []Plan `json:"plans"`
-	}
+	var resp wire.BatchPlans
 	if err := wire.Unmarshal(data, &resp, "batch response"); err != nil {
 		return nil, err
 	}
@@ -480,17 +456,9 @@ type Job struct {
 	Items int
 }
 
-// JobStatus is a job's progress snapshot.
-type JobStatus struct {
-	Job       string `json:"job"`
-	Status    string `json:"status"` // running | done | canceled
-	Items     int    `json:"items"`
-	Completed int    `json:"completed"`
-	Errors    int    `json:"errors"`
-}
-
-// Done reports whether the job has reached a terminal state.
-func (s JobStatus) Done() bool { return s.Status != "running" }
+// JobStatus is a job's progress snapshot; Done reports whether the job
+// has reached a terminal state.
+type JobStatus = wire.JobStatus
 
 // Submit posts a batch to /v1/jobs and returns the job handle
 // immediately; the items solve in the background. Submission is the
@@ -499,7 +467,7 @@ func (s JobStatus) Done() bool { return s.Status != "running" }
 // surface to the caller. The returned handle is pinned to the replica
 // that accepted the job.
 func (c *Client) Submit(ctx context.Context, reqs []Request) (*Job, error) {
-	body, err := encodeBatch(reqs)
+	body, err := wire.EncodeBatch(reqs)
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding job: %w", err)
 	}
@@ -704,13 +672,7 @@ func (s *Stream) Next() (Item, error) {
 
 // decode parses one NDJSON line into an Item.
 func (s *Stream) decode(line []byte) (Item, error) {
-	var doc struct {
-		V     int    `json:"v"`
-		Index int    `json:"index"`
-		Plan  *Plan  `json:"plan"`
-		Code  string `json:"code"`
-		Error string `json:"error"`
-	}
+	var doc wire.JobItem
 	if err := wire.Unmarshal(line, &doc, "job stream line"); err != nil {
 		return Item{}, err
 	}

@@ -119,7 +119,7 @@ func (c *Client) RefreshMembers(ctx context.Context) error {
 	}
 	c.mu.Lock()
 	c.endpoints = eps
-	c.ring = cluster.NewRing(eps, c.vnodes)
+	c.ring = cluster.NewRing(eps)
 	c.mu.Unlock()
 	return nil
 }

@@ -41,13 +41,22 @@ import (
 // trace enumerates.
 const TraceHorizon = 4096
 
+const (
+	// settleTimeout bounds the post-drain wait for the leak signals to
+	// return to baseline.
+	settleTimeout = 20 * time.Second
+	// maxRSSGrowth bounds resident-set growth over the run in bytes
+	// (only enforced where /proc/self/statm exists).
+	maxRSSGrowth = 256 << 20
+)
+
 // Config tunes one soak run. The zero value is usable: 10s, seed 1,
 // one replica, the default fault plan.
 type Config struct {
 	// Duration is the traffic window (drain and settle come on top).
 	Duration time.Duration
-	// Seed drives the load trace, the adversarial mix and (when Plan
-	// is nil) the fault plan — one seed replays the whole run.
+	// Seed drives the load trace, the adversarial mix and the fault
+	// plan, chaos.DefaultPlan(Seed) — one seed replays the whole run.
 	Seed int64
 	// RPS paces the mixed solve/job load trace.
 	RPS float64
@@ -64,16 +73,8 @@ type Config struct {
 	// StoreDir, when non-empty, gives each replica a plan store under
 	// StoreDir/r<i> — torn-append and compact faults need a store.
 	StoreDir string
-	// Plan overrides the armed fault plan; nil means
-	// chaos.DefaultPlan(Seed). NoFaults disarms injection entirely.
-	Plan     *chaos.Plan
+	// NoFaults disarms fault injection entirely.
 	NoFaults bool
-	// SettleTimeout bounds the post-drain wait for the leak signals to
-	// return to baseline (default 20s).
-	SettleTimeout time.Duration
-	// MaxRSSGrowth bounds resident-set growth over the run in bytes
-	// (default 256 MiB; only enforced where /proc/self/statm exists).
-	MaxRSSGrowth int64
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -102,12 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PJob == 0 {
 		c.PJob = 0.2
-	}
-	if c.SettleTimeout <= 0 {
-		c.SettleTimeout = 20 * time.Second
-	}
-	if c.MaxRSSGrowth <= 0 {
-		c.MaxRSSGrowth = 256 << 20
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -140,10 +135,7 @@ func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 // only; invariant violations land in Result.Violations.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	plan := cfg.Plan
-	if plan == nil {
-		plan = chaos.DefaultPlan(cfg.Seed)
-	}
+	plan := chaos.DefaultPlan(cfg.Seed)
 	res := &Result{Injected: make(map[chaos.Point]int64)}
 	var err error
 	if res.FaultTrace, err = plan.Trace(TraceHorizon); err != nil {
@@ -190,7 +182,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg.Logf("soak: traffic done: ops=%d errors=%d adversarial=%d injected=%v",
 		res.Ops, res.OpErrors, res.Adversarial, res.Injected)
 
-	drainAndCheck(cfg, httpc, urls, tr, base, res)
+	drainAndCheck(httpc, urls, tr, base, res)
 	return res, nil
 }
 
@@ -457,15 +449,6 @@ func slowDrain(ctx context.Context, r io.Reader, n int) {
 	}
 }
 
-// sessionDoc mirrors the service's session request wire document.
-type sessionDoc struct {
-	V        int            `json:"v"`
-	Op       string         `json:"op"`
-	Session  string         `json:"session,omitempty"`
-	Solver   string         `json:"solver,omitempty"`
-	Instance *wire.Instance `json:"instance,omitempty"`
-}
-
 // sessionChurn opens a warm session, replays a random slice of the
 // churn trace through it, and always closes — an abandoned session
 // would (correctly) trip the leak gate.
@@ -473,35 +456,35 @@ func sessionChurn(ctx context.Context, httpc *http.Client, url string, churn *si
 	if churn == nil {
 		return
 	}
-	post := func(doc sessionDoc) (sessionResp, bool) {
+	post := func(doc wire.SessionRequest) (wire.SessionReply, bool) {
 		body, err := wire.MarshalCompact(doc)
 		if err != nil {
-			return sessionResp{}, false
+			return wire.SessionReply{}, false
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/session", bytes.NewReader(body))
 		if err != nil {
-			return sessionResp{}, false
+			return wire.SessionReply{}, false
 		}
 		resp, err := httpc.Do(req)
 		if err != nil {
-			return sessionResp{}, false
+			return wire.SessionReply{}, false
 		}
 		defer resp.Body.Close()
 		data, _ := io.ReadAll(resp.Body)
-		var out sessionResp
+		var out wire.SessionReply
 		if resp.StatusCode != http.StatusOK || wire.Unmarshal(data, &out, "session response") != nil {
-			return sessionResp{}, false
+			return wire.SessionReply{}, false
 		}
 		return out, true
 	}
-	open, ok := post(sessionDoc{V: wire.Version, Op: "open", Solver: "acyclic"})
+	open, ok := post(wire.SessionRequest{V: wire.Version, Op: "open", Solver: "acyclic"})
 	if !ok || open.Session == "" {
 		return
 	}
 	// Close even when the surrounding context has expired: the session
 	// must not outlive this personality.
 	defer func() {
-		doc := sessionDoc{V: wire.Version, Op: "close", Session: open.Session}
+		doc := wire.SessionRequest{V: wire.Version, Op: "close", Session: open.Session}
 		body, _ := wire.MarshalCompact(doc)
 		req, err := http.NewRequest(http.MethodPost, url+"/v1/session", bytes.NewReader(body))
 		if err != nil {
@@ -513,7 +496,7 @@ func sessionChurn(ctx context.Context, httpc *http.Client, url string, churn *si
 		}
 	}()
 	scratch := churn.Initial.Clone()
-	if _, ok := post(sessionDoc{V: wire.Version, Op: "resolve", Session: open.Session, Instance: ptr(wire.FromInstance(scratch))}); !ok {
+	if _, ok := post(wire.SessionRequest{V: wire.Version, Op: "resolve", Session: open.Session, Instance: wire.FromInstance(scratch)}); !ok {
 		return
 	}
 	steps := 1 + rng.Intn(6)
@@ -525,26 +508,18 @@ func sessionChurn(ctx context.Context, httpc *http.Client, url string, churn *si
 			// an inapplicable event just ends this churn burst.
 			return
 		}
-		if _, ok := post(sessionDoc{V: wire.Version, Op: "resolve", Session: open.Session, Instance: ptr(wire.FromInstance(scratch))}); !ok {
+		if _, ok := post(wire.SessionRequest{V: wire.Version, Op: "resolve", Session: open.Session, Instance: wire.FromInstance(scratch)}); !ok {
 			return
 		}
 	}
 }
 
-func ptr[T any](v T) *T { return &v }
-
-// sessionResp is the subset of the session answer the harness needs.
-type sessionResp struct {
-	V       int    `json:"v"`
-	Session string `json:"session"`
-}
-
 // drainAndCheck waits for the daemons to go quiet, then asserts every
 // leak signal is back at baseline.
-func drainAndCheck(cfg Config, httpc *http.Client, urls []string, tr *http.Transport, base leakcheck.Baseline, res *Result) {
+func drainAndCheck(httpc *http.Client, urls []string, tr *http.Transport, base leakcheck.Baseline, res *Result) {
 	// First: server-side quiesce — no running jobs, no open sessions,
 	// no inflight requests (beyond the probe itself).
-	deadline := time.Now().Add(cfg.SettleTimeout)
+	deadline := time.Now().Add(settleTimeout)
 	for {
 		quiet := true
 		for _, url := range urls {
@@ -568,7 +543,7 @@ func drainAndCheck(cfg Config, httpc *http.Client, urls []string, tr *http.Trans
 	// of the wire — ours, and the replicas' peer clients on the
 	// default transport — so tear the idle pools down inside the wait
 	// loop (a straggling backfill can repopulate them once).
-	settleBy := time.Now().Add(cfg.SettleTimeout)
+	settleBy := time.Now().Add(settleTimeout)
 	for {
 		tr.CloseIdleConnections()
 		if dt, ok := http.DefaultTransport.(*http.Transport); ok {
@@ -588,10 +563,10 @@ func drainAndCheck(cfg Config, httpc *http.Client, urls []string, tr *http.Trans
 	}
 	res.FinalGoroutines, res.FinalLeased = currentCounts()
 	res.FinalRSS = rss()
-	if res.BaselineRSS > 0 && res.FinalRSS-res.BaselineRSS > cfg.MaxRSSGrowth {
+	if res.BaselineRSS > 0 && res.FinalRSS-res.BaselineRSS > maxRSSGrowth {
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("rss grew %d MiB (baseline %d MiB, cap %d MiB)",
-				(res.FinalRSS-res.BaselineRSS)>>20, res.BaselineRSS>>20, cfg.MaxRSSGrowth>>20))
+				(res.FinalRSS-res.BaselineRSS)>>20, res.BaselineRSS>>20, maxRSSGrowth>>20))
 	}
 	if res.Malformed5xx > 0 {
 		res.Violations = append(res.Violations,

@@ -15,8 +15,7 @@ import (
 // routed entirely on the ring it started with — membership changes
 // re-shard *future* requests, they never drop in-flight ones).
 type Node struct {
-	self   string
-	vnodes int
+	self string
 
 	mu      sync.RWMutex
 	ring    *Ring
@@ -24,14 +23,9 @@ type Node struct {
 }
 
 // NewNode builds a replica's membership state: self plus the seed
-// peers (self is always a member, duplicates are dropped). vnodes ≤ 0
-// means DefaultVNodes.
-func NewNode(self string, peers []string, vnodes int) *Node {
-	return &Node{
-		self:   self,
-		vnodes: vnodes,
-		ring:   NewRing(append(append([]string{}, peers...), self), vnodes),
-	}
+// peers (self is always a member, duplicates are dropped).
+func NewNode(self string, peers []string) *Node {
+	return &Node{self: self, ring: NewRing(append(append([]string{}, peers...), self))}
 }
 
 // Self returns the node's advertised endpoint.

@@ -23,12 +23,13 @@ import (
 	"strings"
 )
 
-// DefaultVNodes is the number of virtual points each member projects
-// onto the ring when the caller does not choose. 64 vnodes keep the
-// expected key movement of one membership change near the ideal 1/N
-// (the property test pins ≤ 2/N) while the ring stays small enough to
-// rebuild on every change.
-const DefaultVNodes = 64
+// vnodes is the number of virtual points each member projects onto
+// the ring. 64 vnodes keep the expected key movement of one membership
+// change near the ideal 1/N (the property test pins ≤ 2/N) while the
+// ring stays small enough to rebuild on every change. Every replica
+// and cluster-aware client of one cluster must place the same points,
+// so the count is fixed.
+const vnodes = 64
 
 // point is one virtual node: a position on the 64-bit hash circle and
 // the member it maps to.
@@ -43,18 +44,13 @@ type point struct {
 // the membership Node swaps whole rings under its lock.
 type Ring struct {
 	members []string // sorted, unique
-	vnodes  int
-	points  []point // sorted by pos
+	points  []point  // sorted by pos
 }
 
 // NewRing builds a ring over members (duplicates and empty strings are
 // dropped; order does not matter — the same member set always produces
-// the same ring). vnodes ≤ 0 means DefaultVNodes. An empty member set
-// yields a ring whose Owner is "".
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// the same ring). An empty member set yields a ring whose Owner is "".
+func NewRing(members []string) *Ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -64,7 +60,7 @@ func NewRing(members []string, vnodes int) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{members: uniq, vnodes: vnodes}
+	r := &Ring{members: uniq}
 	r.points = make([]point, 0, len(uniq)*vnodes)
 	for mi, m := range uniq {
 		for v := 0; v < vnodes; v++ {
@@ -169,7 +165,7 @@ func (r *Ring) Successors(key [sha256.Size]byte, n int) []string {
 // With derives the ring that results from member joining (the receiver
 // is unchanged; adding an existing member returns an equal ring).
 func (r *Ring) With(member string) *Ring {
-	return NewRing(append(append([]string{}, r.members...), member), r.vnodes)
+	return NewRing(append(append([]string{}, r.members...), member))
 }
 
 // Without derives the ring that results from member leaving.
@@ -180,5 +176,5 @@ func (r *Ring) Without(member string) *Ring {
 			kept = append(kept, m)
 		}
 	}
-	return NewRing(kept, r.vnodes)
+	return NewRing(kept)
 }

@@ -34,7 +34,7 @@ func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	a, b := NewRing(ms, 0), NewRing(shuffled, 0)
+	a, b := NewRing(ms), NewRing(shuffled)
 	if !reflect.DeepEqual(a.Members(), b.Members()) {
 		t.Fatalf("member sets differ: %v vs %v", a.Members(), b.Members())
 	}
@@ -44,14 +44,14 @@ func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 		}
 	}
 	// Duplicates and empty strings are dropped.
-	c := NewRing(append(append([]string{"", ms[0]}, ms...), ms[2]), 0)
+	c := NewRing(append(append([]string{"", ms[0]}, ms...), ms[2]))
 	if !reflect.DeepEqual(c.Members(), a.Members()) {
 		t.Fatalf("dedup failed: %v", c.Members())
 	}
 }
 
 func TestRingOwnerIsAMemberAndBalanced(t *testing.T) {
-	r := NewRing(members(8), 0)
+	r := NewRing(members(8))
 	counts := map[string]int{}
 	keys := randKeys(8000, 2)
 	for _, k := range keys {
@@ -81,7 +81,7 @@ func TestRingOwnerIsAMemberAndBalanced(t *testing.T) {
 func TestRingJoinMovesOnlyToTheJoiner(t *testing.T) {
 	for _, n := range []int{3, 5, 10} {
 		ms := members(n)
-		before := NewRing(ms, 0)
+		before := NewRing(ms)
 		joiner := "http://replica-new:8080"
 		after := before.With(joiner)
 		keys := randKeys(5000, int64(n))
@@ -110,7 +110,7 @@ func TestRingJoinMovesOnlyToTheJoiner(t *testing.T) {
 func TestRingLeaveMovesOnlyFromTheLeaver(t *testing.T) {
 	for _, n := range []int{3, 5, 10} {
 		ms := members(n)
-		before := NewRing(ms, 0)
+		before := NewRing(ms)
 		leaver := ms[n/2]
 		after := before.Without(leaver)
 		keys := randKeys(5000, int64(100+n))
@@ -135,7 +135,7 @@ func TestRingLeaveMovesOnlyFromTheLeaver(t *testing.T) {
 }
 
 func TestRingSuccessorsDistinctAndOwnerFirst(t *testing.T) {
-	r := NewRing(members(5), 0)
+	r := NewRing(members(5))
 	for _, k := range randKeys(200, 4) {
 		succ := r.Successors(k, 3)
 		if len(succ) != 3 {
@@ -155,13 +155,13 @@ func TestRingSuccessorsDistinctAndOwnerFirst(t *testing.T) {
 	if got := r.Successors(randKeys(1, 5)[0], 99); len(got) != 5 {
 		t.Fatalf("clamped successors = %d, want 5", len(got))
 	}
-	if NewRing(nil, 0).Owner(randKeys(1, 6)[0]) != "" {
+	if NewRing(nil).Owner(randKeys(1, 6)[0]) != "" {
 		t.Fatal("empty ring owner should be \"\"")
 	}
 }
 
 func TestNodeJoinLeave(t *testing.T) {
-	n := NewNode("http://a", []string{"http://b"}, 0)
+	n := NewNode("http://a", []string{"http://b"})
 	if got := n.Members(); len(got) != 2 {
 		t.Fatalf("members = %v", got)
 	}
@@ -190,7 +190,7 @@ func TestNodeJoinLeave(t *testing.T) {
 // TestNodeConcurrentMembership exercises ring swaps under -race:
 // readers route on consistent snapshots while joins/leaves re-shard.
 func TestNodeConcurrentMembership(t *testing.T) {
-	n := NewNode("http://a", members(3), 0)
+	n := NewNode("http://a", members(3))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

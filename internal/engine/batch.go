@@ -23,7 +23,7 @@ type BatchOptions struct {
 // sweep is a drop-in replacement for the serial loop. The first solver
 // error (lowest instance index) aborts the sweep; cancelling ctx stops
 // workers from picking up new instances and returns ctx.Err().
-func Batch(ctx context.Context, s Solver, instances []*platform.Instance, opts BatchOptions) ([]Result, error) {
+func Batch(ctx context.Context, s *Solver, instances []*platform.Instance, opts BatchOptions) ([]Result, error) {
 	results := make([]Result, len(instances))
 	err := ForEach(ctx, len(instances), opts.Workers, func(ctx context.Context, i int) error {
 		res, err := s.Solve(ctx, instances[i])

@@ -1,8 +1,9 @@
 // Package engine is the unified dispatch layer over every broadcast
 // algorithm of the paper. It exposes three things:
 //
-//   - Solver, a uniform interface (Name, Capabilities, context-aware
-//     Solve) wrapping each algorithm of internal/core;
+//   - Solver, one concrete type (Name, Capabilities, context-aware
+//     Solve) that every algorithm of internal/core is registered as,
+//     built by NewSolver or NewIncrementalSolver;
 //   - Registry, a named catalogue of solvers with capability filtering —
 //     the Default registry holds every paper algorithm, so CLIs,
 //     experiments and benchmarks resolve algorithms by name instead of
@@ -157,17 +158,6 @@ type Result struct {
 	Evals core.WorkspaceStats
 }
 
-// Solver is one broadcast algorithm behind a uniform, context-aware
-// front. Solve must be safe for concurrent use (all paper algorithms
-// are: they share no mutable state) and should honor ctx cancellation at
-// least on entry — the closed-form and near-linear algorithms finish in
-// microseconds, so finer-grained checks buy nothing.
-type Solver interface {
-	Name() string
-	Capabilities() Capability
-	Solve(ctx context.Context, ins *platform.Instance) (Result, error)
-}
-
 // wsLeased counts workspaces leased through AcquireWorkspace and not
 // yet returned. The leak tests (Session cancellation, sim mid-trace
 // abort) assert it returns to its baseline once every session is closed.
@@ -211,14 +201,15 @@ func WorkspaceGrows() int64 { return wsGrows.Load() }
 // warm start does not hold up.
 type RepairFunc func(*platform.Instance, core.Word, *core.Workspace) (core.RepairResult, error)
 
-// repairResult is the Result a repair entry point's answer stands for:
-// Repaired unless the repair fell back to a full solve.
-func repairResult(rr core.RepairResult) Result {
-	return Result{Throughput: rr.T, Scheme: rr.Scheme, Word: rr.Word, Verified: rr.Verified, Repaired: !rr.FellBack}
-}
-
-// funcSolver adapts a plain function to the Solver interface.
-type funcSolver struct {
+// Solver is one broadcast algorithm of the paper behind one
+// context-aware front: its registry name, its capabilities, its solve
+// function and, for CapIncremental solvers, its warm-start repair entry
+// point. Build one with NewSolver or NewIncrementalSolver. Solve is
+// safe for concurrent use (the paper algorithms share no mutable
+// state) and checks ctx on entry — the closed-form and near-linear
+// algorithms finish in microseconds, so finer-grained checks buy
+// nothing.
+type Solver struct {
 	name   string
 	caps   Capability
 	solve  func(*platform.Instance, *core.Workspace) (Result, error)
@@ -230,32 +221,44 @@ type funcSolver struct {
 // around fn: Solve hands fn a pooled workspace and records the
 // evaluation-counter delta in Result.Evals. fn may ignore the
 // workspace; it must not retain it past the call.
-func NewSolver(name string, caps Capability, fn func(*platform.Instance, *core.Workspace) (Result, error)) Solver {
+func NewSolver(name string, caps Capability, fn func(*platform.Instance, *core.Workspace) (Result, error)) *Solver {
 	if caps.Has(CapIncremental) {
 		panic(fmt.Sprintf("engine: solver %q declares CapIncremental without a repair function — use NewIncrementalSolver", name))
 	}
-	return &funcSolver{name: name, caps: caps, solve: fn}
+	return &Solver{name: name, caps: caps, solve: fn}
 }
 
 // NewIncrementalSolver is NewSolver for solvers that additionally
 // support Session-driven incremental re-solve: repair is the warm-start
 // entry point Sessions call between events. CapIncremental is implied.
-func NewIncrementalSolver(name string, caps Capability, fn func(*platform.Instance, *core.Workspace) (Result, error), repair RepairFunc) Solver {
+func NewIncrementalSolver(name string, caps Capability, fn func(*platform.Instance, *core.Workspace) (Result, error), repair RepairFunc) *Solver {
 	if repair == nil {
 		panic(fmt.Sprintf("engine: incremental solver %q needs a repair function", name))
 	}
-	return &funcSolver{name: name, caps: caps | CapIncremental, solve: fn, repair: repair}
+	return &Solver{name: name, caps: caps | CapIncremental, solve: fn, repair: repair}
 }
 
-func (f *funcSolver) Name() string             { return f.name }
-func (f *funcSolver) Capabilities() Capability { return f.caps }
-func (f *funcSolver) Solve(ctx context.Context, ins *platform.Instance) (Result, error) {
+// Name returns the solver's registry name.
+func (s *Solver) Name() string { return s.name }
+
+// Capabilities returns what the solver guarantees.
+func (s *Solver) Capabilities() Capability { return s.caps }
+
+// Solve runs the solver on a pooled workspace.
+func (s *Solver) Solve(ctx context.Context, ins *platform.Instance) (Result, error) {
 	ws := AcquireWorkspace()
 	defer ReleaseWorkspace(ws)
-	return f.solveWith(ctx, ins, ws)
+	return s.run(ctx, ins, nil, false, ws)
 }
 
-func (f *funcSolver) solveWith(ctx context.Context, ins *platform.Instance, ws *core.Workspace) (Result, error) {
+// run is the one solve sequence behind Solve, SolveIsolated, Execute's
+// warm start and Session.Resolve. With viaRepair set, a solver that has
+// a repair entry point answers through it (an empty prev forces the
+// full solve inside it) and the result is Repaired unless the repair
+// fell back; otherwise the solve function answers. The result is
+// stamped with the solver name, the scheme's degree statistics, the
+// evaluation-counter delta on ws and the wall clock.
+func (s *Solver) run(ctx context.Context, ins *platform.Instance, prev core.Word, viaRepair bool, ws *core.Workspace) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -265,20 +268,19 @@ func (f *funcSolver) solveWith(ctx context.Context, ins *platform.Instance, ws *
 	ws.Prealloc(ins.Total())
 	before := ws.Stats()
 	start := time.Now()
-	res, err := f.solve(ins, ws)
-	if err != nil {
-		return Result{}, fmt.Errorf("%s: %w", f.name, err)
+	var res Result
+	var err error
+	if viaRepair && s.repair != nil {
+		var rr core.RepairResult
+		rr, err = s.repair(ins, prev, ws)
+		res = Result{Throughput: rr.T, Scheme: rr.Scheme, Word: rr.Word, Verified: rr.Verified, Repaired: !rr.FellBack}
+	} else {
+		res, err = s.solve(ins, ws)
 	}
-	finishResult(&res, f.name, ws.Stats().Sub(before), start)
-	return res, nil
-}
-
-// finishResult stamps the uniform Result fields a solve path fills in
-// after the algorithm returns: solver name, scheme-derived degree
-// statistics, the workspace evaluation delta and the wall clock.
-// Shared by the registry Solve path and the Session resolve path.
-func finishResult(res *Result, name string, evals core.WorkspaceStats, start time.Time) {
-	res.Solver = name
+	if err != nil {
+		return Result{}, fmt.Errorf("%s: %w", s.name, err)
+	}
+	res.Solver = s.name
 	if res.Scheme != nil {
 		res.Edges = res.Scheme.NumEdges()
 		res.MaxOutDegree = res.Scheme.MaxOutDegree()
@@ -286,35 +288,32 @@ func finishResult(res *Result, name string, evals core.WorkspaceStats, start tim
 			_, res.MaxDegreeSlack = res.Scheme.DegreeSlack(res.Throughput)
 		}
 	}
-	res.Evals = evals
+	res.Evals = ws.Stats().Sub(before)
 	res.Wall = time.Since(start)
-	wsGrows.Add(evals.Grows)
+	wsGrows.Add(res.Evals.Grows)
+	return res, nil
 }
 
 // SolveIsolated runs s on a dedicated, never-pooled workspace — the
 // reference path the pooled path is validated against (pooled and
 // isolated solves must be byte-identical; see the equivalence tests).
-// Solvers not created by NewSolver fall back to their own Solve.
-func SolveIsolated(ctx context.Context, s Solver, ins *platform.Instance) (Result, error) {
-	if f, ok := s.(*funcSolver); ok {
-		return f.solveWith(ctx, ins, core.NewWorkspace())
-	}
-	return s.Solve(ctx, ins)
+func SolveIsolated(ctx context.Context, s *Solver, ins *platform.Instance) (Result, error) {
+	return s.run(ctx, ins, nil, false, core.NewWorkspace())
 }
 
 // Registry is a named catalogue of solvers.
 type Registry struct {
 	mu      sync.RWMutex
-	solvers map[string]Solver
+	solvers map[string]*Solver
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{solvers: make(map[string]Solver)}
+	return &Registry{solvers: make(map[string]*Solver)}
 }
 
 // Register adds a solver; empty or duplicate names are errors.
-func (r *Registry) Register(s Solver) error {
+func (r *Registry) Register(s *Solver) error {
 	if s == nil || s.Name() == "" {
 		return fmt.Errorf("engine: solver must have a name")
 	}
@@ -328,14 +327,14 @@ func (r *Registry) Register(s Solver) error {
 }
 
 // MustRegister is Register that panics on error (for init-time wiring).
-func (r *Registry) MustRegister(s Solver) {
+func (r *Registry) MustRegister(s *Solver) {
 	if err := r.Register(s); err != nil {
 		panic(err)
 	}
 }
 
 // Get resolves a solver by name; the error lists the known names.
-func (r *Registry) Get(name string) (Solver, error) {
+func (r *Registry) Get(name string) (*Solver, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if s, ok := r.solvers[name]; ok {
@@ -362,10 +361,10 @@ func (r *Registry) names() []string {
 
 // Select returns the solvers whose capabilities include every bit of
 // need, sorted by name.
-func (r *Registry) Select(need Capability) []Solver {
+func (r *Registry) Select(need Capability) []*Solver {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []Solver
+	var out []*Solver
 	for _, s := range r.solvers {
 		if s.Capabilities().Has(need) {
 			out = append(out, s)
@@ -380,10 +379,10 @@ func (r *Registry) Select(need Capability) []Solver {
 var Default = NewRegistry()
 
 // Get resolves a name against the Default registry.
-func Get(name string) (Solver, error) { return Default.Get(name) }
+func Get(name string) (*Solver, error) { return Default.Get(name) }
 
 // Names lists the Default registry, sorted.
 func Names() []string { return Default.Names() }
 
 // Select filters the Default registry by capability.
-func Select(need Capability) []Solver { return Default.Select(need) }
+func Select(need Capability) []*Solver { return Default.Select(need) }

@@ -75,7 +75,7 @@ func TestSelectCapabilityFiltering(t *testing.T) {
 			t.Fatalf("solver %s selected without required caps (%s)", s.Name(), caps)
 		}
 	}
-	names := func(ss []Solver) []string {
+	names := func(ss []*Solver) []string {
 		var ns []string
 		for _, s := range ss {
 			ns = append(ns, s.Name())

@@ -138,7 +138,7 @@ func TestResultEvalsCounters(t *testing.T) {
 	ws := core.NewWorkspace()
 	var last Result
 	for i := 0; i < 3; i++ {
-		last, err = s.(*funcSolver).solveWith(context.Background(), ins, ws)
+		last, err = s.run(context.Background(), ins, nil, false, ws)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -225,7 +225,7 @@ func (r *Registry) executeUncached(ctx context.Context, req Request) (*Plan, err
 
 // resolve picks the request's solver: by name, by capability selector,
 // or the default algorithm.
-func (r *Registry) resolve(req Request) (Solver, error) {
+func (r *Registry) resolve(req Request) (*Solver, error) {
 	if req.Solver != "" {
 		return r.Get(req.Solver)
 	}
@@ -242,28 +242,12 @@ func (r *Registry) resolve(req Request) (Solver, error) {
 	return nil, fmt.Errorf("%w: no registered solver provides %s", ErrUnknownSolver, need)
 }
 
-// solveRequest runs the solver, routing through its repair entry point
-// when the request carries a warm-start word and the solver supports
-// incremental re-solve.
-func solveRequest(ctx context.Context, s Solver, req Request) (Result, error) {
-	fn, _ := s.(*funcSolver)
-	if len(req.PrevWord) == 0 || fn == nil || fn.repair == nil {
-		return s.Solve(ctx, req.Instance)
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, canceledErr(err)
-	}
+// solveRequest runs the solver on a pooled workspace, through its
+// repair entry point when the request carries a warm-start word.
+func solveRequest(ctx context.Context, s *Solver, req Request) (Result, error) {
 	ws := AcquireWorkspace()
 	defer ReleaseWorkspace(ws)
-	before := ws.Stats()
-	start := time.Now()
-	rr, err := fn.repair(req.Instance, req.PrevWord, ws)
-	if err != nil {
-		return Result{}, fmt.Errorf("%s: %w", fn.name, err)
-	}
-	res := repairResult(rr)
-	finishResult(&res, fn.name, ws.Stats().Sub(before), start)
-	return res, nil
+	return s.run(ctx, req.Instance, req.PrevWord, len(req.PrevWord) > 0, ws)
 }
 
 // ExecuteBatch runs one request per instance-shaped entry on the

@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/platform"
@@ -31,8 +29,7 @@ import (
 // context cancellation holds no goroutines, so Close is the only
 // cleanup needed.
 type Session struct {
-	solver Solver
-	fn     *funcSolver // non-nil when the solver can run on the session workspace
+	solver *Solver
 	ws     *core.Workspace
 	repair bool
 	word   core.Word // previous event's encoding word (warm start)
@@ -68,8 +65,7 @@ func NewSessionFor(r *Registry, solverName string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	fn, _ := s.(*funcSolver)
-	return &Session{solver: s, fn: fn, ws: AcquireWorkspace(), repair: true}, nil
+	return &Session{solver: s, ws: AcquireWorkspace(), repair: true}, nil
 }
 
 // SetRepair toggles the incremental-repair path (on by default). With
@@ -102,58 +98,27 @@ func (s *Session) Resolve(ctx context.Context, ins *platform.Instance) (Result, 
 	if s.ws == nil {
 		return Result{}, errors.New("engine: Resolve on a closed Session")
 	}
-	if err := ctx.Err(); err != nil {
+	// Incremental solvers always resolve through their repair entry
+	// point — with repair disabled (or on the first event) the previous
+	// word is withheld, which forces the full-solve path inside it. Both
+	// modes therefore pay the same contract verification and report
+	// comparable eval counters.
+	prev := s.word
+	if !s.repair {
+		prev = nil
+	}
+	res, err := s.solver.run(ctx, ins, prev, true, s.ws)
+	if err != nil {
 		return Result{}, err
 	}
-	name := s.solver.Name()
-	before := s.ws.Stats()
-	start := time.Now()
-
-	var res Result
-	repaired := false
-	switch {
-	case s.fn != nil && s.fn.repair != nil:
-		// Incremental solvers always resolve through their repair entry
-		// point — with repair disabled (or on the first event) the
-		// previous word is withheld, which forces the full-solve path
-		// inside it. Both modes therefore pay the same contract
-		// verification and report comparable eval counters.
-		prev := s.word
-		if !s.repair {
-			prev = nil
-		}
-		hadWord := len(prev) > 0
-		rr, err := s.fn.repair(ins, prev, s.ws)
-		if err != nil {
-			return Result{}, fmt.Errorf("%s: %w", name, err)
-		}
-		res = repairResult(rr)
-		repaired = res.Repaired
-		if rr.FellBack && hadWord {
-			s.stats.Fallbacks++
-		}
-	case s.fn != nil:
-		var err error
-		if res, err = s.fn.solve(ins, s.ws); err != nil {
-			return Result{}, fmt.Errorf("%s: %w", name, err)
-		}
-	default:
-		// Foreign Solver implementation: no workspace plumbing, run its
-		// own Solve (its eval counters land in its own workspace).
-		var err error
-		if res, err = s.solver.Solve(ctx, ins); err != nil {
-			return Result{}, err
-		}
-	}
-
-	finishResult(&res, name, s.ws.Stats().Sub(before), start)
-	res.Repaired = repaired
-
 	s.stats.Events++
-	if repaired {
+	if res.Repaired {
 		s.stats.Repairs++
 	} else {
 		s.stats.FullSolves++
+		if s.solver.repair != nil && len(prev) > 0 {
+			s.stats.Fallbacks++ // the warm start did not hold
+		}
 	}
 	s.stats.Evals = s.stats.Evals.Add(res.Evals)
 	if len(res.Word) > 0 {

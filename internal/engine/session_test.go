@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/distribution"
 	"repro/internal/generator"
 	"repro/internal/platform"
@@ -123,6 +124,61 @@ func TestSessionRepairDisabled(t *testing.T) {
 	}
 	if st := ses.Stats(); st.Repairs != 0 || st.FullSolves != 6 {
 		t.Fatalf("stats with repair disabled: %+v", st)
+	}
+}
+
+// TestSessionRepairAccounting pins how a session books the resolves of
+// an incremental solver: a warm start that held is a repair; one that
+// fell back from a previous word is a fallback and a full solve; a
+// resolve with no word to start from is a full solve only.
+func TestSessionRepairAccounting(t *testing.T) {
+	ins := generator.Figure1()
+	for _, c := range []struct {
+		repair       bool
+		wantRepaired []bool
+		want         SessionStats
+	}{
+		{true, []bool{false, true, false, true}, SessionStats{Events: 4, Repairs: 2, FullSolves: 2, Fallbacks: 1}},
+		{false, []bool{false, false, false, false}, SessionStats{Events: 4, FullSolves: 4}},
+	} {
+		calls := 0
+		repair := func(ins *platform.Instance, prev core.Word, ws *core.Workspace) (core.RepairResult, error) {
+			calls++
+			core.FeasibleAcyclicWithWorkspace(ins, 1, ws) // one eval per call
+			return core.RepairResult{T: 1, Word: core.Word{platform.Open}, Verified: 1,
+				FellBack: len(prev) == 0 || calls == 3}, nil
+		}
+		solve := func(*platform.Instance, *core.Workspace) (Result, error) {
+			t.Fatal("session resolved without the repair entry point")
+			return Result{}, nil
+		}
+		r := NewRegistry()
+		r.MustRegister(NewIncrementalSolver("stub", 0, solve, repair))
+		ses, err := NewSessionFor(r, "stub")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ses.SetRepair(c.repair)
+		var sum core.WorkspaceStats
+		for i, want := range c.wantRepaired {
+			res, err := ses.Resolve(context.Background(), ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Repaired != want {
+				t.Fatalf("repair=%v event %d: Repaired = %v, want %v", c.repair, i, res.Repaired, want)
+			}
+			sum = sum.Add(res.Evals)
+		}
+		st := ses.Stats()
+		ses.Close()
+		if st.Evals != sum || st.Evals.GreedyTests != 4 {
+			t.Fatalf("repair=%v: session evals %+v, results sum to %+v, want 4 greedy tests", c.repair, st.Evals, sum)
+		}
+		st.Evals = core.WorkspaceStats{}
+		if st != c.want {
+			t.Fatalf("repair=%v: stats %+v, want %+v", c.repair, st, c.want)
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func canonicalFig1(t *testing.T) []byte {
 // over urls — the same ring every replica and client builds.
 func ownerIndex(t *testing.T, urls []string, canonical []byte) int {
 	t.Helper()
-	owner := cluster.NewRing(urls, 0).Owner(cluster.Key(canonical))
+	owner := cluster.NewRing(urls).Owner(cluster.Key(canonical))
 	for i, u := range urls {
 		if u == owner {
 			return i
@@ -300,7 +300,7 @@ func TestClusterClientHedgesToHealthyReplica(t *testing.T) {
 			if r.URL.Path == "/v1/solve" {
 				canonical := <-canonicalCh
 				canonicalCh <- canonical
-				if urls[i] == cluster.NewRing(urls, 0).Owner(cluster.Key(canonical)) {
+				if urls[i] == cluster.NewRing(urls).Owner(cluster.Key(canonical)) {
 					drainBody(r)
 					select {
 					case <-time.After(10 * time.Second):

@@ -34,13 +34,6 @@ import (
 // claimed finish (a canceled solve records a canceled line) and every
 // item no worker claimed gets a canceled line.
 
-// jobStatus values.
-const (
-	jobRunning  = "running"
-	jobDone     = "done"
-	jobCanceled = "canceled" // server shut down mid-job
-)
-
 // job is one asynchronous batch: per-item NDJSON lines filled in as
 // solves complete, plus a broadcast channel stream readers wait on.
 type job struct {
@@ -52,25 +45,6 @@ type job struct {
 	errs      int
 	status    string
 	update    chan struct{} // closed and replaced on every state change
-}
-
-// jobItemDoc is one NDJSON stream line: the item's plan, or its error.
-type jobItemDoc struct {
-	V     int        `json:"v"`
-	Index int        `json:"index"`
-	Plan  *wire.Plan `json:"plan,omitempty"`
-	Code  string     `json:"code,omitempty"`
-	Error string     `json:"error,omitempty"`
-}
-
-// jobStatusDoc answers POST /v1/jobs and GET /v1/jobs/{id}.
-type jobStatusDoc struct {
-	V         int    `json:"v"`
-	Job       string `json:"job"`
-	Status    string `json:"status"`
-	Items     int    `json:"items"`
-	Completed int    `json:"completed"`
-	Errors    int    `json:"errors"`
 }
 
 // finishItem records item i's line and wakes every stream reader. The
@@ -86,7 +60,7 @@ func (j *job) finishItem(i int, line []byte, failed, canceling bool) {
 			j.errs++
 		}
 		if j.completed == len(j.lines) && !canceling {
-			j.status = jobDone
+			j.status = wire.JobDone
 		}
 	}
 	j.wakeLocked()
@@ -99,7 +73,7 @@ func (j *job) finishItem(i int, line []byte, failed, canceling bool) {
 func (j *job) cancel(err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != jobRunning {
+	if j.status != wire.JobRunning {
 		return // every line landed before the cancellation
 	}
 	for i, line := range j.lines {
@@ -109,7 +83,7 @@ func (j *job) cancel(err error) {
 			j.errs++
 		}
 	}
-	j.status = jobCanceled
+	j.status = wire.JobCanceled
 	j.wakeLocked()
 }
 
@@ -120,10 +94,10 @@ func (j *job) wakeLocked() {
 }
 
 // statusDoc snapshots the job for its status document.
-func (j *job) statusDoc() jobStatusDoc {
+func (j *job) statusDoc() wire.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return jobStatusDoc{
+	return wire.JobStatus{
 		V: wire.Version, Job: j.id, Status: j.status,
 		Items: len(j.lines), Completed: j.completed, Errors: j.errs,
 	}
@@ -161,7 +135,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &job{
 		id:     id,
 		lines:  make([][]byte, len(reqs)),
-		status: jobRunning,
+		status: wire.JobRunning,
 		update: make(chan struct{}),
 	}
 	s.jobs[j.id] = j
@@ -198,7 +172,7 @@ func (s *Server) evictFinishedJobsLocked() {
 			continue
 		}
 		j.mu.Lock()
-		terminal := j.status != jobRunning
+		terminal := j.status != wire.JobRunning
 		j.mu.Unlock()
 		if excess > 0 && terminal {
 			delete(s.jobs, id)
@@ -226,7 +200,7 @@ func (s *Server) runJob(j *job, reqs []engine.Request) {
 
 // jobLine renders one item's NDJSON line.
 func jobLine(i int, plan *engine.Plan, err error) []byte {
-	doc := jobItemDoc{V: wire.Version, Index: i}
+	doc := wire.JobItem{V: wire.Version, Index: i}
 	if err != nil {
 		ed := wire.NewErrorDoc(err)
 		doc.Code, doc.Error = ed.Code, ed.Error
@@ -238,7 +212,7 @@ func jobLine(i int, plan *engine.Plan, err error) []byte {
 	if mErr != nil {
 		// Marshaling a plan cannot fail for real documents; keep the
 		// stream well-formed regardless.
-		line, _ = wire.MarshalCompact(jobItemDoc{
+		line, _ = wire.MarshalCompact(wire.JobItem{
 			V: wire.Version, Index: i, Code: wire.CodeInternal, Error: mErr.Error(),
 		})
 	}
@@ -341,7 +315,7 @@ func (s *Server) jobCounts() (submitted int64, running int) {
 	defer s.mu.Unlock()
 	for _, j := range s.jobs {
 		j.mu.Lock()
-		if j.status == jobRunning {
+		if j.status == wire.JobRunning {
 			running++
 		}
 		j.mu.Unlock()

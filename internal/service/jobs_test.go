@@ -77,7 +77,7 @@ func waitJobDone(t *testing.T, url, id string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if status, _, _ := jobStatus(t, url, id); status != jobRunning {
+		if status, _, _ := jobStatus(t, url, id); status != wire.JobRunning {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -141,7 +141,7 @@ func TestJobLifecycleAndStreamOrder(t *testing.T) {
 	}
 
 	status, completed, errs := jobStatus(t, ts.URL, id)
-	if status != jobDone || completed != items || errs != 0 {
+	if status != wire.JobDone || completed != items || errs != 0 {
 		t.Fatalf("status = %s/%d/%d, want done/%d/0", status, completed, errs, items)
 	}
 
@@ -190,7 +190,7 @@ func TestJobStreamFollowsLiveJob(t *testing.T) {
 
 	const items = 3
 	id := submitJob(t, ts.URL, slowBatchBody(items))
-	if status, completed, _ := jobStatus(t, ts.URL, id); status != jobRunning || completed != 0 {
+	if status, completed, _ := jobStatus(t, ts.URL, id); status != wire.JobRunning || completed != 0 {
 		t.Fatalf("fresh job: %s/%d, want running/0", status, completed)
 	}
 
@@ -282,7 +282,7 @@ func TestJobItemErrorsInline(t *testing.T) {
 	waitJobDone(t, ts.URL, id)
 
 	status, completed, errs := jobStatus(t, ts.URL, id)
-	if status != jobDone || completed != 3 || errs != 1 {
+	if status != wire.JobDone || completed != 3 || errs != 1 {
 		t.Fatalf("status = %s/%d/%d, want done/3/1", status, completed, errs)
 	}
 	lines := readStream(t, ts.URL, id, 0)
@@ -372,7 +372,7 @@ func TestFinishedJobEviction(t *testing.T) {
 		t.Errorf("evicted job still resolvable: status %d", resp.StatusCode)
 	}
 	for _, id := range ids[1:] {
-		if status, _, _ := jobStatus(t, ts.URL, id); status != jobDone {
+		if status, _, _ := jobStatus(t, ts.URL, id); status != wire.JobDone {
 			t.Errorf("job %s: status %s, want done", id, status)
 		}
 	}
@@ -536,8 +536,8 @@ func TestJobCloseCancelsUnclaimedItems(t *testing.T) {
 		t.Fatalf("%d worker-gate permits stranded after Close", n)
 	}
 	status, completed, errs := jobStatus(t, ts.URL, id)
-	if status != jobCanceled || completed != items {
-		t.Fatalf("status = %s/%d/%d, want %s/%d", status, completed, errs, jobCanceled, items)
+	if status != wire.JobCanceled || completed != items {
+		t.Fatalf("status = %s/%d/%d, want %s/%d", status, completed, errs, wire.JobCanceled, items)
 	}
 	lines := readStream(t, ts.URL, id, 0)
 	if len(lines) != items {

@@ -84,8 +84,6 @@ type Config struct {
 	Workers int
 	// Registry resolves solver names; nil means engine.Default.
 	Registry *engine.Registry
-	// MaxBodyBytes bounds request bodies; ≤ 0 means 8 MiB.
-	MaxBodyBytes int64
 	// CacheSize bounds the content-addressed plan cache (entries). 0
 	// means engine.DefaultCacheEntries; negative disables caching.
 	CacheSize int
@@ -106,10 +104,6 @@ type Config struct {
 	// negative disables the timer (the local fallback then runs only
 	// when the owner fails outright).
 	HedgeAfter time.Duration
-	// VNodes overrides the ring's virtual-node count (0 means
-	// cluster.DefaultVNodes). All replicas and cluster-aware clients
-	// must agree on it.
-	VNodes int
 	// StoreDir, when non-empty, persists the plan cache to an
 	// append-only store in this directory (created if absent): solved
 	// plans spill to disk as canonical wire documents, identical
@@ -134,6 +128,9 @@ type Config struct {
 // DefaultSessionTTL is how long an untouched session survives before
 // the reaper returns its workspace to the engine pool.
 const DefaultSessionTTL = 15 * time.Minute
+
+// maxBodyBytes bounds request bodies.
+const maxBodyBytes = 8 << 20
 
 // Server is the broadcast-planning HTTP service. Create with New; it
 // implements http.Handler. Close releases all open sessions, cancels
@@ -205,9 +202,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = engine.Default
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
-	}
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 64
 	}
@@ -225,7 +219,7 @@ func NewServer(cfg Config) (*Server, error) {
 		requests: make(map[string]*atomic.Int64),
 	}
 	if cfg.Self != "" {
-		s.node = cluster.NewNode(cfg.Self, cfg.Peers, cfg.VNodes)
+		s.node = cluster.NewNode(cfg.Self, cfg.Peers)
 	}
 	if cfg.CacheSize >= 0 {
 		s.cache = engine.NewCache(cfg.CacheSize, wire.EncodeRequest)
@@ -389,7 +383,7 @@ func (s *Server) reply(w http.ResponseWriter, body []byte) {
 
 // readBody drains the (size-capped) request body.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading body: %v", wire.ErrMalformed, err)
 	}
@@ -507,42 +501,14 @@ func engineCanceled(err error) error {
 // ---------------------------------------------------------------------------
 // /v1/batch and the item fan-out it shares with /v1/jobs
 
-// batchRequest is the wire form of a batch call; a job submission posts
-// the same document.
-type batchRequest struct {
-	V        int            `json:"v"`
-	Requests []wire.Request `json:"requests"`
-}
-
-// batchResponse is the wire form of a batch answer; plans[i] answers
-// requests[i].
-type batchResponse struct {
-	V     int         `json:"v"`
-	Plans []wire.Plan `json:"plans"`
-}
-
 // readBatch reads and decodes a batch document for /v1/batch and
-// /v1/jobs alike: version checked, every item validated before anything
-// solves. what names the document in error messages.
+// /v1/jobs alike. what names the document in error messages.
 func (s *Server) readBatch(w http.ResponseWriter, r *http.Request, what string) ([]engine.Request, error) {
 	body, err := s.readBody(w, r)
 	if err != nil {
 		return nil, err
 	}
-	var doc batchRequest
-	if err := wire.Unmarshal(body, &doc, what); err != nil {
-		return nil, err
-	}
-	if doc.V != wire.Version {
-		return nil, fmt.Errorf("%w: %s has v=%d", wire.ErrVersion, what, doc.V)
-	}
-	reqs := make([]engine.Request, len(doc.Requests))
-	for i, wr := range doc.Requests {
-		if reqs[i], err = wr.Request(); err != nil {
-			return nil, fmt.Errorf("request %d: %w", i, err)
-		}
-	}
-	return reqs, nil
+	return wire.DecodeBatch(body, what)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -552,7 +518,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	resp := batchResponse{V: wire.Version, Plans: make([]wire.Plan, len(reqs))}
+	resp := wire.BatchPlans{V: wire.Version, Plans: make([]wire.Plan, len(reqs))}
 	err = s.solveItems(r.Context(), reqs, func(i int, plan *engine.Plan, err error) error {
 		if err != nil {
 			return fmt.Errorf("request %d: %w", i, err)
@@ -595,55 +561,6 @@ func (s *Server) solveItems(ctx context.Context, reqs []engine.Request, done fun
 // ---------------------------------------------------------------------------
 // /v1/session
 
-// sessionRequest is the wire form of a session call.
-type sessionRequest struct {
-	V       int    `json:"v"`
-	Op      string `json:"op"` // open | resolve | close
-	Session string `json:"session,omitempty"`
-	// Solver names the engine solver for "open" (default "acyclic").
-	Solver string `json:"solver,omitempty"`
-	// NoRepair disables the incremental-repair path for "open".
-	NoRepair bool `json:"no_repair,omitempty"`
-	// Instance is the platform state to re-solve for "resolve".
-	Instance wire.Instance `json:"instance"`
-}
-
-// sessionStats is the deterministic projection of engine.SessionStats.
-type sessionStats struct {
-	Events     int             `json:"events"`
-	Repairs    int             `json:"repairs"`
-	FullSolves int             `json:"full_solves"`
-	Fallbacks  int             `json:"fallbacks"`
-	Evals      wire.EvalCounts `json:"evals"`
-}
-
-// sessionResponse answers every session op: open returns the id,
-// resolve returns the plan (and running stats), close returns the
-// final stats.
-type sessionResponse struct {
-	V       int           `json:"v"`
-	Session string        `json:"session"`
-	Solver  string        `json:"solver,omitempty"`
-	Plan    *wire.Plan    `json:"plan,omitempty"`
-	Stats   *sessionStats `json:"stats,omitempty"`
-}
-
-func statsOf(ses *engine.Session) *sessionStats {
-	st := ses.Stats()
-	return &sessionStats{
-		Events:     st.Events,
-		Repairs:    st.Repairs,
-		FullSolves: st.FullSolves,
-		Fallbacks:  st.Fallbacks,
-		Evals: wire.EvalCounts{
-			FlowEvals:   st.Evals.FlowEvals,
-			GreedyTests: st.Evals.GreedyTests,
-			WordEvals:   st.Evals.WordEvals,
-			Builds:      st.Evals.Builds,
-		},
-	}
-}
-
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	defer s.track("session")()
 	body, err := s.readBody(w, r)
@@ -651,7 +568,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	var sreq sessionRequest
+	var sreq wire.SessionRequest
 	if err := wire.Unmarshal(body, &sreq, "session request"); err != nil {
 		s.fail(w, err)
 		return
@@ -672,7 +589,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) sessionOpen(w http.ResponseWriter, sreq sessionRequest) {
+func (s *Server) sessionOpen(w http.ResponseWriter, sreq wire.SessionRequest) {
 	solver := sreq.Solver
 	if solver == "" {
 		solver = "acyclic"
@@ -698,7 +615,7 @@ func (s *Server) sessionOpen(w http.ResponseWriter, sreq sessionRequest) {
 	ss.touch()
 	s.sessions[id] = ss
 	s.mu.Unlock()
-	s.replyDoc(w, sessionResponse{V: wire.Version, Session: id, Solver: ses.Solver()})
+	s.replyDoc(w, wire.SessionReply{V: wire.Version, Session: id, Solver: ses.Solver()})
 }
 
 func (s *Server) lookup(id string) (*session, error) {
@@ -712,7 +629,7 @@ func (s *Server) lookup(id string) (*session, error) {
 	return ss, nil
 }
 
-func (s *Server) sessionResolve(w http.ResponseWriter, r *http.Request, sreq sessionRequest) {
+func (s *Server) sessionResolve(w http.ResponseWriter, r *http.Request, sreq wire.SessionRequest) {
 	ss, err := s.lookup(sreq.Session)
 	if err != nil {
 		s.fail(w, err)
@@ -734,7 +651,7 @@ func (s *Server) sessionResolve(w http.ResponseWriter, r *http.Request, sreq ses
 	}
 	res, err := ss.ses.Resolve(r.Context(), ins)
 	s.release()
-	stats := statsOf(ss.ses)
+	stats := wire.FromSessionStats(ss.ses.Stats())
 	solver := ss.ses.Solver()
 	ss.mu.Unlock()
 	if err != nil {
@@ -747,12 +664,12 @@ func (s *Server) sessionResolve(w http.ResponseWriter, r *http.Request, sreq ses
 		return
 	}
 	plan := wire.FromPlan(&engine.Plan{Result: res, TStar: core.OptimalCyclicThroughput(ins)})
-	s.replyDoc(w, sessionResponse{
+	s.replyDoc(w, wire.SessionReply{
 		V: wire.Version, Session: sreq.Session, Solver: solver, Plan: &plan, Stats: stats,
 	})
 }
 
-func (s *Server) sessionClose(w http.ResponseWriter, sreq sessionRequest) {
+func (s *Server) sessionClose(w http.ResponseWriter, sreq wire.SessionRequest) {
 	s.mu.Lock()
 	ss := s.sessions[sreq.Session]
 	delete(s.sessions, sreq.Session)
@@ -762,11 +679,11 @@ func (s *Server) sessionClose(w http.ResponseWriter, sreq sessionRequest) {
 		return
 	}
 	ss.mu.Lock()
-	stats := statsOf(ss.ses)
+	stats := wire.FromSessionStats(ss.ses.Stats())
 	solver := ss.ses.Solver()
 	ss.ses.Close()
 	ss.mu.Unlock()
-	s.replyDoc(w, sessionResponse{V: wire.Version, Session: sreq.Session, Solver: solver, Stats: stats})
+	s.replyDoc(w, wire.SessionReply{V: wire.Version, Session: sreq.Session, Solver: solver, Stats: stats})
 }
 
 func (s *Server) replyDoc(w http.ResponseWriter, doc any) {

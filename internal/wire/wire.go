@@ -1,7 +1,8 @@
 // Package wire is the versioned JSON codec of the Request/Plan API:
-// the stable serialization of Instance, Request, Plan and the churn
-// simulator's Timeline that clients, the HTTP service
-// (internal/service) and the CLIs exchange.
+// the stable serialization of Instance, Request, Plan, the churn
+// simulator's Timeline, and the batch, job, session and cluster
+// documents that clients, the HTTP service (internal/service) and the
+// CLIs exchange.
 //
 // Every document carries an explicit schema version field ("v": 1).
 // Encoding is deterministic — two-space indented, struct-ordered
@@ -280,6 +281,11 @@ type EvalCounts struct {
 	Builds      int64 `json:"builds"`
 }
 
+// evalCounts projects workspace counters onto their wire form.
+func evalCounts(st core.WorkspaceStats) EvalCounts {
+	return EvalCounts{FlowEvals: st.FlowEvals, GreedyTests: st.GreedyTests, WordEvals: st.WordEvals, Builds: st.Builds}
+}
+
 // Plan is the wire form of an engine.Plan. Wall-clock time is
 // deliberately absent: plan documents are byte-stable for identical
 // requests, which the service golden tests rely on.
@@ -321,12 +327,7 @@ func FromPlan(p *engine.Plan) Plan {
 		Verified:         p.Verified,
 		WarmStarted:      p.WarmStarted,
 		NeighborDistance: p.NeighborDistance,
-		Evals: EvalCounts{
-			FlowEvals:   p.Evals.FlowEvals,
-			GreedyTests: p.Evals.GreedyTests,
-			WordEvals:   p.Evals.WordEvals,
-			Builds:      p.Evals.Builds,
-		},
+		Evals:            evalCounts(p.Evals),
 	}
 	if p.Scheme != nil {
 		w.MaxOutDegree = p.MaxOutDegree

@@ -317,6 +317,40 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
+// FuzzDecodeBatch asserts malformed batch documents (the bodies of
+// /v1/batch and /v1/jobs) error with a typed decode error instead of
+// panicking, and that an accepted batch re-encodes to a batch of the
+// same length.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add([]byte(`{"v":1,"requests":[{"v":1,"instance":{"v":1,"b0":6,"open":[5,5],"guarded":[4,1,1]},"solver":"acyclic"},{"v":1,"instance":{"v":1,"b0":5},"want_scheme":true}]}`))
+	f.Add([]byte(`{"v":2,"requests":[]}`))
+	f.Add([]byte(`{"v":1,"requests":[]}`))
+	f.Add([]byte(`{"v":1,"requests":[{"v":1,"instance":{"v":1,"b0":5},"prev_word":"oxo"}]}`))
+	f.Add([]byte(`[{"v":1}]`))
+	f.Add([]byte(`"batch"`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs, err := DecodeBatch(data, "batch")
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("rejection is not a typed decode error: %v", err)
+			}
+			return
+		}
+		enc, err := EncodeBatch(reqs)
+		if err != nil {
+			t.Fatalf("accepted batch fails to encode: %v", err)
+		}
+		back, err := DecodeBatch(enc, "batch")
+		if err != nil {
+			t.Fatalf("canonical re-encoding does not decode: %v", err)
+		}
+		if len(back) != len(reqs) {
+			t.Fatalf("re-encoded batch has %d requests, want %d", len(back), len(reqs))
+		}
+	})
+}
+
 // FuzzDecodePlan asserts malformed plan documents error cleanly
 // instead of panicking, and accepted ones re-marshal canonically and
 // byte-stably.

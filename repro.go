@@ -136,8 +136,8 @@ var (
 // ---------------------------------------------------------------------------
 // Solver engine: registry and parallel batch runner
 
-// Solver is one broadcast algorithm behind the engine's uniform,
-// context-aware front (Name, Capabilities, Solve).
+// Solver is one broadcast algorithm of the engine's registry: a
+// concrete type with a name, capabilities and a context-aware Solve.
 type Solver = engine.Solver
 
 // SolveResult is the uniform outcome of one Solver call: throughput,
@@ -165,11 +165,11 @@ func SolverNames() []string { return engine.Names() }
 
 // GetSolver resolves a solver by registry name ("acyclic",
 // "cyclic-bound", "greedy", "exhaustive", ...).
-func GetSolver(name string) (Solver, error) { return engine.Get(name) }
+func GetSolver(name string) (*Solver, error) { return engine.Get(name) }
 
 // SelectSolvers returns the registered solvers providing every requested
 // capability bit.
-func SelectSolvers(need Capability) []Solver { return engine.Select(need) }
+func SelectSolvers(need Capability) []*Solver { return engine.Select(need) }
 
 // Solve resolves a solver by name and runs it on one instance.
 func Solve(ctx context.Context, solver string, ins *Instance) (SolveResult, error) {
