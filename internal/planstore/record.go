@@ -1,8 +1,11 @@
 // Package planstore persists solved plans as canonical wire documents
 // and serves them back two ways: byte-identical under the exact
 // content address (the cache's disk tier, surviving daemon restarts),
-// and as warm starts for *similar* instances found by a node-multiset
-// similarity index (the repair tier — verified, never approximate).
+// and as warm starts for *similar* instances (the repair tier —
+// verified, never approximate). The nearest stored instance within the
+// node-multiset edit budget is found by an exact scan of in-memory
+// signatures that drops each record as soon as it cannot beat the best
+// so far; the signatures are rebuilt when the log is replayed on open.
 //
 // On-disk layout, one directory per store:
 //

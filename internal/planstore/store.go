@@ -72,11 +72,11 @@ type recordRef struct {
 	planLen int
 }
 
-// sig is one entry of the in-memory similarity index: the instance's
-// node-multiset signature plus the stored solution's word.
+// sig is one stored similarity signature: the instance's node
+// multiset, copied so that the store owns it, its interned option set
+// and the stored solution's word.
 type sig struct {
-	key     [sha256.Size]byte
-	opts    string // request fingerprint minus the instance
+	opts    int32 // interned optsKey
 	b0      float64
 	open    []float64 // non-increasing, the platform invariant
 	guarded []float64
@@ -96,6 +96,8 @@ type Store struct {
 	refs  map[[sha256.Size]byte]recordRef
 	order [][sha256.Size]byte // insertion order, for Compact
 	sigs  []sig
+	// optIDs interns optsKey, so a Neighbor scan compares integers.
+	optIDs map[string]int32
 
 	truncated  int
 	skipped    int
@@ -137,6 +139,7 @@ func Open(cfg Config) (*Store, error) {
 		budget: budget,
 		f:      f,
 		refs:   make(map[[sha256.Size]byte]recordRef),
+		optIDs: make(map[string]int32),
 	}
 	var off int64
 	for int(off) < len(data) {
@@ -213,14 +216,20 @@ func (s *Store) addLocked(key [sha256.Size]byte, ref recordRef, reqDoc, planDoc 
 	if len(word) == 0 || req.Instance == nil {
 		return // valid record, but wordless plans cannot seed a repair
 	}
-	s.sigs = append(s.sigs, sig{
-		key:     key,
-		opts:    optsKey(req),
-		b0:      req.Instance.B0,
-		open:    req.Instance.OpenBW,
-		guarded: req.Instance.GuardedBW,
-		word:    word,
-	})
+	opts := optsKey(req)
+	id, ok := s.optIDs[opts]
+	if !ok {
+		id = int32(len(s.optIDs))
+		s.optIDs[opts] = id
+	}
+	// Copy the bandwidths: the caller may go on mutating its instance,
+	// and platform.Instance's mutators edit in place.
+	ins := req.Instance
+	n := len(ins.OpenBW)
+	bw := make([]float64, n+len(ins.GuardedBW))
+	copy(bw, ins.OpenBW)
+	copy(bw[n:], ins.GuardedBW)
+	s.sigs = append(s.sigs, sig{opts: id, b0: ins.B0, open: bw[:n:n], guarded: bw[n:], word: word})
 }
 
 // Rendered implements engine.PlanStore: the stored canonical plan
@@ -246,22 +255,28 @@ func (s *Store) Rendered(key [sha256.Size]byte) ([]byte, bool) {
 // Neighbor implements engine.PlanStore: the closest stored instance
 // with the same solver and request options, within the edit budget.
 // Ties break toward the earliest stored record, so a given store
-// answers deterministically.
+// answers deterministically. The scan visits every record of the
+// option set, but distance gives up on a record as soon as it cannot
+// beat the best so far, so most records cost a length comparison or
+// the first few steps of a merge.
 func (s *Store) Neighbor(req engine.Request) (engine.NeighborPlan, bool) {
 	if req.Instance == nil {
 		return engine.NeighborPlan{}, false
 	}
 	opts := optsKey(req)
 	s.mu.Lock()
+	id, ok := s.optIDs[opts]
 	sigs := s.sigs // entries are immutable; append replaces the slice
 	s.mu.Unlock()
+	if !ok {
+		return engine.NeighborPlan{}, false // an option set never stored
+	}
 	best, bestDist := -1, s.budget+1
 	for i := range sigs {
-		if sigs[i].opts != opts {
+		if sigs[i].opts != id {
 			continue
 		}
-		d := distance(&sigs[i], req, bestDist)
-		if d < bestDist {
+		if d := distance(&sigs[i], req, bestDist); d < bestDist {
 			best, bestDist = i, d
 		}
 	}
@@ -276,29 +291,38 @@ func (s *Store) Neighbor(req engine.Request) (engine.NeighborPlan, bool) {
 // distance is the node-multiset edit distance between a stored
 // signature and the query instance, cut off at limit (the caller's
 // current best): per node class, the larger of deletions and additions
-// (a rescale is one edit, not two), plus one for a source retune.
+// (a rescale is one edit, not two), plus one for a source retune. Each
+// class costs at least its length difference, a bound checked before
+// any merge.
 func distance(sg *sig, req engine.Request, limit int) int {
+	ins := req.Instance
 	d := 0
-	if sg.b0 != req.Instance.B0 {
+	if sg.b0 != ins.B0 {
 		d++
 	}
-	if d >= limit {
+	dOpen := absDiff(len(sg.open), len(ins.OpenBW))
+	dGuarded := absDiff(len(sg.guarded), len(ins.GuardedBW))
+	if d+dOpen+dGuarded >= limit {
 		return limit
 	}
-	d += multisetDist(sg.open, req.Instance.OpenBW)
-	if d >= limit {
+	d += multisetDist(sg.open, ins.OpenBW, limit-d-dGuarded)
+	if d+dGuarded >= limit {
 		return limit
 	}
-	d += multisetDist(sg.guarded, req.Instance.GuardedBW)
-	if d >= limit {
-		return limit
+	return d + multisetDist(sg.guarded, ins.GuardedBW, limit-d)
+}
+
+func absDiff(a, b int) int {
+	if a > b {
+		return a - b
 	}
-	return d
+	return b - a
 }
 
 // multisetDist compares two bandwidth multisets (both sorted
-// non-increasing, the platform invariant): max(#only-in-a, #only-in-b).
-func multisetDist(a, b []float64) int {
+// non-increasing, the platform invariant): max(#only-in-a, #only-in-b),
+// or budget as soon as either count reaches it.
+func multisetDist(a, b []float64, budget int) int {
 	onlyA, onlyB := 0, 0
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -308,29 +332,29 @@ func multisetDist(a, b []float64) int {
 			j++
 		case a[i] > b[j]:
 			onlyA++
+			if onlyA >= budget {
+				return budget
+			}
 			i++
 		default:
 			onlyB++
+			if onlyB >= budget {
+				return budget
+			}
 			j++
 		}
 	}
-	onlyA += len(a) - i
-	onlyB += len(b) - j
-	if onlyA > onlyB {
-		return onlyA
-	}
-	return onlyB
+	return min(max(onlyA+len(a)-i, onlyB+len(b)-j), budget)
 }
 
 // optsKey fingerprints everything about a request except its instance:
 // solver, tolerance, artifacts, capabilities. Warm starts only cross
 // instances, never option sets — a plan solved under a different
 // solver or tolerance is not a neighbor. Built by hand rather than by
-// marshaling the wire form: this runs on the similarity hot path (once
-// per Neighbor query, once per Persist) where a JSON encode is ~10×
-// the cost of the whole multiset scan. The key only ever compares
-// against other keys from this function, so the format is free to be
-// internal.
+// marshaling the wire form, which would encode the whole instance too:
+// it runs once per Neighbor query and once per Persist, on the solve
+// path. The key only ever compares against other keys from this
+// function, so the format is free to be internal.
 func optsKey(req engine.Request) string {
 	var b strings.Builder
 	b.Grow(64)

@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/distribution"
 	"repro/internal/engine"
+	"repro/internal/generator"
 	"repro/internal/platform"
 	"repro/internal/wire"
 )
@@ -298,6 +304,8 @@ func TestStoreVerifyFlagsCorruption(t *testing.T) {
 	}
 }
 
+// TestMultisetDist checks the exact distance below the budget and the
+// cut-off at or above it, in both argument orders.
 func TestMultisetDist(t *testing.T) {
 	cases := []struct {
 		a, b []float64
@@ -310,26 +318,31 @@ func TestMultisetDist(t *testing.T) {
 		{[]float64{5, 5, 3}, []float64{5, 5}, 1}, // remove
 		{[]float64{9, 5, 2}, []float64{8, 4, 1}, 3},
 		{[]float64{5}, []float64{7, 6, 5}, 2},
+		{[]float64{3, 0}, []float64{3, math.Copysign(0, -1)}, 0}, // +0 == −0
+		{[]float64{9, 8, 7, 6, 5}, []float64{4, 3, 2, 1}, 5},
+		{[]float64{9, 7, 5, 3, 1}, []float64{8, 6, 4, 2}, 5},
+		{[]float64{9, 7, 5, 3}, []float64{9}, 3}, // a tail past the budget
 	}
 	for _, c := range cases {
-		if got := multisetDist(c.a, c.b); got != c.want {
-			t.Errorf("multisetDist(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
-		}
-		if got := multisetDist(c.b, c.a); got != c.want {
-			t.Errorf("multisetDist(%v, %v) = %d, want %d (asymmetric)", c.b, c.a, got, c.want)
+		for budget := 1; budget <= c.want+2; budget++ {
+			want := min(c.want, budget)
+			if got := multisetDist(c.a, c.b, budget); got != want {
+				t.Errorf("multisetDist(%v, %v, %d) = %d, want %d", c.a, c.b, budget, got, want)
+			}
+			if got := multisetDist(c.b, c.a, budget); got != want {
+				t.Errorf("multisetDist(%v, %v, %d) = %d, want %d (asymmetric)", c.b, c.a, budget, got, want)
+			}
 		}
 	}
 }
 
 // TestStoreNeighborDeterministic pins the tie-break: equal-distance
-// candidates resolve to the earliest stored record, every time.
+// candidates resolve to the earliest stored record, every time, in
+// either insertion order.
 func TestStoreNeighborDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir)
-	defer s.Close()
-
 	base := fig1Request(6)
-	// Two stored instances both at distance 1 from the query.
+	// Two stored instances both at distance 1 from the query, each
+	// persisted with a word of its own through Persist's trusted word.
 	left := base.Instance.Clone()
 	if _, err := left.RescaleOpen(0, 0.8); err != nil {
 		t.Fatal(err)
@@ -338,17 +351,116 @@ func TestStoreNeighborDeterministic(t *testing.T) {
 	if _, err := right.RescaleOpen(0, 1.2); err != nil {
 		t.Fatal(err)
 	}
-	for _, ins := range []*platform.Instance{left, right} {
-		persistDocs(t, s, engine.NewRequest(ins, engine.WithSolver("acyclic"), engine.WithTolerance(1e-9)))
+	word := func(letters string) core.Word {
+		w, err := core.ParseWord(letters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
 	}
-	want, ok := s.Neighbor(base)
-	if !ok || want.Distance != 1 {
-		t.Fatalf("neighbor: %+v ok=%v", want, ok)
+	recs := []struct {
+		req  engine.Request
+		word core.Word
+	}{
+		{engine.NewRequest(left, engine.WithSolver("acyclic"), engine.WithTolerance(1e-9)), word("ooggg")},
+		{engine.NewRequest(right, engine.WithSolver("acyclic"), engine.WithTolerance(1e-9)), word("ogogg")},
 	}
-	for i := 0; i < 10; i++ {
-		got, ok := s.Neighbor(base)
-		if !ok || got.Distance != want.Distance || got.Word.String() != want.Word.String() {
-			t.Fatalf("iteration %d: neighbor drifted: %+v vs %+v", i, got, want)
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		s := openStore(t, t.TempDir())
+		for _, i := range order {
+			reqDoc, planDoc := solveDocs(t, recs[i].req)
+			s.Persist(recs[i].req, reqDoc, planDoc, recs[i].word)
+		}
+		want := recs[order[0]].word.String()
+		for i := 0; i < 10; i++ {
+			got, ok := s.Neighbor(base)
+			if !ok || got.Distance != 1 || got.Word.String() != want {
+				t.Fatalf("order %v, call %d: neighbor %v at %d (ok=%v), want the earlier record's %v at 1",
+					order, i, got.Word, got.Distance, ok, want)
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestStoreOwnsSignatures: a caller that persists a request and then
+// mutates its instance in place must not move the stored signature.
+func TestStoreOwnsSignatures(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	defer s.Close()
+	req := fig1Request(6)
+	orig := req.Instance.Clone()
+	persistDocs(t, s, req)
+	if _, err := req.Instance.RescaleOpen(0, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	nb, ok := s.Neighbor(engine.NewRequest(orig, engine.WithSolver("acyclic"), engine.WithTolerance(1e-9)))
+	if !ok || nb.Distance != 0 {
+		t.Fatalf("neighbor of the persisted instance: %+v ok=%v, want distance 0", nb, ok)
+	}
+}
+
+// TestStoreNeighborConcurrentPersist runs queries against the shared
+// signatures and option-set table while other goroutines persist into
+// them (run under -race in CI); afterwards every persisted instance is
+// found at distance 0.
+func TestStoreNeighborConcurrentPersist(t *testing.T) {
+	const writers, perWriter, readers = 4, 8, 4
+	rng := rand.New(rand.NewSource(3))
+	type doc struct {
+		req             engine.Request
+		reqDoc, planDoc []byte
+	}
+	docs := make([]doc, writers*perWriter)
+	for i := range docs {
+		ins, err := generator.Random(distribution.Unif100(), 10+rng.Intn(20), 0.6, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := engine.NewRequest(ins, engine.WithSolver("acyclic"), engine.WithTolerance(1e-9))
+		reqDoc, planDoc := solveDocs(t, req)
+		docs[i] = doc{req, reqDoc, planDoc}
+	}
+	s := openStore(t, t.TempDir())
+	defer s.Close()
+
+	var readWG, writeWG sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < readers; w++ {
+		readWG.Add(1)
+		go func(w int) {
+			defer readWG.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if nb, ok := s.Neighbor(docs[i%len(docs)].req); ok && (nb.Distance > DefaultEditBudget || len(nb.Word) == 0) {
+					t.Errorf("neighbor %+v out of contract", nb)
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < writers; w++ {
+		writeWG.Add(1)
+		go func(w int) {
+			defer writeWG.Done()
+			for _, d := range docs[w*perWriter : (w+1)*perWriter] {
+				s.Persist(d.req, d.reqDoc, d.planDoc, nil)
+			}
+		}(w)
+	}
+	writeWG.Wait()
+	close(stop)
+	readWG.Wait()
+
+	if st := s.Stats(); st.Entries != len(docs) {
+		t.Fatalf("%d entries after concurrent persists, want %d", st.Entries, len(docs))
+	}
+	for i, d := range docs {
+		if nb, ok := s.Neighbor(d.req); !ok || nb.Distance != 0 {
+			t.Fatalf("record %d: neighbor %+v ok=%v, want distance 0", i, nb, ok)
 		}
 	}
 }
