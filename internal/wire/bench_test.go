@@ -1,0 +1,105 @@
+package wire_test
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"repro/internal/distribution"
+	"repro/internal/engine"
+	"repro/internal/generator"
+	"repro/internal/wire"
+)
+
+// The codec layer on benchmark-shaped documents. These benchmarks call
+// exported functions only, so the file also runs against an older wire
+// package for a before row:
+//
+//	go test -run '^$' -benchmem -benchtime 20x -count 3 -cpu 1 -bench 'BenchmarkEncodePlan|BenchmarkDecode' ./internal/wire
+
+// solved draws an acyclic, tolerance-checked request of n receivers, as
+// the cold and repeat workloads send them, and solves it.
+func solved(b *testing.B, seed int64, n int) (engine.Request, *engine.Plan) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	ins, err := generator.Random(distribution.PlanetLab(), n, 0.55, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := engine.NewRequest(ins, engine.WithSolver("acyclic"), engine.WithTolerance(1e-9))
+	plan, err := engine.Execute(context.Background(), req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return req, plan
+}
+
+// BenchmarkEncodePlan renders a cold-shaped plan (500 receivers).
+func BenchmarkEncodePlan(b *testing.B) {
+	_, plan := solved(b, 1, 500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wire.EncodePlan(plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeRequest decodes the request of BenchmarkEncodePlan.
+func BenchmarkDecodeRequest(b *testing.B) {
+	req, _ := solved(b, 1, 500)
+	doc, err := wire.EncodeRequest(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wire.DecodeRequest(doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeBatch decodes a sweep-shaped batch: 36 acyclic-search
+// items of 10–50 receivers.
+func BenchmarkDecodeBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	reqs := make([]engine.Request, 36)
+	for i := range reqs {
+		ins, err := generator.Random(distribution.Unif100(), 10+rng.Intn(41), 0.2+0.7*rng.Float64(), rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs[i] = engine.NewRequest(ins, engine.WithSolver("acyclic-search"))
+	}
+	doc, err := wire.EncodeBatch(reqs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wire.DecodeBatch(doc, "batch"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodePlan decodes a repeat-shaped plan (100 receivers), as
+// the plan store's replay does for every record.
+func BenchmarkDecodePlan(b *testing.B) {
+	_, plan := solved(b, 3, 100)
+	doc, err := wire.EncodePlan(plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wire.DecodePlan(doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

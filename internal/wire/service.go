@@ -30,8 +30,8 @@ func EncodeBatch(reqs []engine.Request) ([]byte, error) {
 // every item is validated before any request is returned. what names
 // the document in error messages.
 func DecodeBatch(data []byte, what string) ([]engine.Request, error) {
-	var doc Batch
-	if err := Unmarshal(data, &doc, what); err != nil {
+	doc, err := decode(data, what, (*scanner).batch)
+	if err != nil {
 		return nil, err
 	}
 	if doc.V != Version {

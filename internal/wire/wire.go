@@ -14,6 +14,19 @@
 // fields); malformed input returns an error wrapping ErrMalformed and
 // never panics (fuzz-tested).
 //
+// The documents the daemon serves and keys on (Request, Plan,
+// BatchPlans, JobItem) render through an append writer (writer.go), and
+// Request, Instance, Batch and Plan documents decode through a one-pass
+// scanner (scanner.go); neither uses reflection. Each handles only the
+// plain shape this package writes and hands anything else to
+// encoding/json — the writer a string that needs an escape or a
+// non-finite float, the scanner any other input — so bytes, accepted
+// inputs, values and errors are encoding/json's by construction. The
+// other documents (errors, job status, timelines, cluster and soak
+// documents, and a top-level Instance, Batch or SessionReply) are small
+// or rare and stay on encoding/json. Differential tests and fuzzers (codec_test.go)
+// hold both halves to encoding/json.
+//
 // Versioning policy (see DESIGN.md, "API v2 and the service layer"):
 // adding optional fields keeps "v": 1; renaming, removing or changing
 // the meaning of a field bumps the version, and decoders keep
@@ -21,10 +34,10 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -50,33 +63,18 @@ var (
 
 // Marshal renders any wire document in the canonical byte-stable form:
 // two-space indent, struct field order, no HTML escaping, trailing
-// newline. Every encoder in this package (and the service layer) goes
+// newline — the bytes of an encoding/json Encoder set up that way,
+// written without reflection for the documents the daemon serves and
+// keys on. Every encoder in this package (and the service layer) goes
 // through it, so identical values always serialize identically.
-func Marshal(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func Marshal(v any) ([]byte, error) { return marshal(v, true) }
 
 // MarshalCompact renders a wire document as a single line of JSON plus
 // a trailing newline — one NDJSON record, as streamed by the service's
 // GET /v1/jobs/{id}/stream endpoint. Like Marshal it is deterministic
 // (struct field order, no HTML escaping), so identical values always
 // produce identical lines.
-func MarshalCompact(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func MarshalCompact(v any) ([]byte, error) { return marshal(v, false) }
 
 // Unmarshal decodes data into v, wrapping syntax errors in
 // ErrMalformed ("what" names the document in the message).
@@ -129,8 +127,8 @@ func EncodeInstance(ins *platform.Instance) ([]byte, error) { return Marshal(Fro
 
 // DecodeInstance parses and validates a wire instance document.
 func DecodeInstance(data []byte) (*platform.Instance, error) {
-	var w Instance
-	if err := Unmarshal(data, &w, "instance"); err != nil {
+	w, err := decode(data, "instance", (*scanner).instance)
+	if err != nil {
 		return nil, err
 	}
 	return w.Instance()
@@ -199,6 +197,13 @@ func (w Request) Request() (engine.Request, error) {
 	if err != nil {
 		return engine.Request{}, err
 	}
+	// Go leaves a float-to-int conversion out of range to the
+	// implementation (amd64 gives MinInt64, arm64 saturates), so a
+	// deadline that does not fit in int64 nanoseconds is refused here.
+	deadline := w.DeadlineMS * float64(time.Millisecond)
+	if !(math.Abs(deadline) < 1<<63) {
+		return engine.Request{}, fmt.Errorf("%w: deadline_ms %v does not fit in a time.Duration", ErrMalformed, w.DeadlineMS)
+	}
 	req := engine.Request{
 		Instance:       ins,
 		Solver:         w.Solver,
@@ -206,7 +211,7 @@ func (w Request) Request() (engine.Request, error) {
 		WantScheme:     w.WantScheme,
 		WantTrees:      w.WantTrees,
 		ScheduleBlocks: w.ScheduleBlocks,
-		Deadline:       time.Duration(w.DeadlineMS * float64(time.Millisecond)),
+		Deadline:       time.Duration(deadline),
 	}
 	for _, name := range w.Need {
 		c, err := engine.ParseCapability(name)
@@ -231,8 +236,8 @@ func EncodeRequest(req engine.Request) ([]byte, error) { return Marshal(FromRequ
 
 // DecodeRequest parses and validates a wire request document.
 func DecodeRequest(data []byte) (engine.Request, error) {
-	var w Request
-	if err := Unmarshal(data, &w, "request"); err != nil {
+	w, err := decode(data, "request", (*scanner).request)
+	if err != nil {
 		return engine.Request{}, err
 	}
 	return w.Request()
@@ -333,8 +338,11 @@ func FromPlan(p *engine.Plan) Plan {
 		w.MaxOutDegree = p.MaxOutDegree
 		w.DegreeSlack = p.MaxDegreeSlack
 		w.Acyclic = p.Scheme.IsAcyclic()
-		for _, e := range p.Scheme.Edges() {
-			w.Edges = append(w.Edges, Edge{From: e.From, To: e.To, Rate: e.Weight})
+		if es := p.Scheme.Edges(); len(es) > 0 {
+			w.Edges = make([]Edge, len(es))
+			for i, e := range es {
+				w.Edges[i] = Edge{From: e.From, To: e.To, Rate: e.Weight}
+			}
 		}
 	}
 	for _, t := range p.Trees {
@@ -364,8 +372,8 @@ func EncodePlan(p *engine.Plan) ([]byte, error) { return Marshal(FromPlan(p)) }
 // objects; the word and edge list carry everything a client needs to
 // rebuild the overlay).
 func DecodePlan(data []byte) (Plan, error) {
-	var w Plan
-	if err := Unmarshal(data, &w, "plan"); err != nil {
+	w, err := decode(data, "plan", (*scanner).plan)
+	if err != nil {
 		return Plan{}, err
 	}
 	if err := checkVersion(w.V, "plan"); err != nil {

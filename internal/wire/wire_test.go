@@ -227,6 +227,23 @@ func TestDecodeMalformed(t *testing.T) {
 	}
 }
 
+// TestDecodeDeadlineRange: a deadline_ms whose nanoseconds do not fit
+// in an int64 is malformed. Go leaves that float-to-int conversion to
+// the platform, so without the check amd64 would report such a deadline
+// as negative and arm64 would accept it as about 292 years.
+func TestDecodeDeadlineRange(t *testing.T) {
+	const doc = `{"v":1,"instance":{"v":1,"b0":5},"deadline_ms":%s}`
+	req, err := DecodeRequest([]byte(fmt.Sprintf(doc, "9.2e12")))
+	if err != nil || req.Deadline != time.Duration(9.2e18) {
+		t.Fatalf("9.2e12 ms: deadline %v, err %v", req.Deadline, err)
+	}
+	for _, ms := range []string{"9.3e12", "1e300", "-9.3e12", "-1e300"} {
+		if _, err := DecodeRequest([]byte(fmt.Sprintf(doc, ms))); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s ms: err = %v, want ErrMalformed", ms, err)
+		}
+	}
+}
+
 // FuzzDecodeInstance asserts malformed instance documents error
 // cleanly instead of panicking, and that every accepted document
 // re-encodes canonically.
