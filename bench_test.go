@@ -14,7 +14,7 @@
 //
 //	BenchmarkGreedyTest      — linear-time feasibility at three scales
 //	BenchmarkDichotomicSearch— full T*_ac search
-//	BenchmarkWordThroughput  — closed-form per-word evaluation (O(L²))
+//	BenchmarkWordThroughput  — per-word optimum, one lower-hull pass
 //	BenchmarkExactVsFloat    — big.Rat reference vs float64 fast path
 //	BenchmarkAlgorithm1 / BenchmarkCyclicOpen / BenchmarkBuildScheme
 //	BenchmarkThroughputMaxflow — max-flow verification cost

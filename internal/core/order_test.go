@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/distribution"
+	"repro/internal/generator"
 	"repro/internal/platform"
 )
 
@@ -35,25 +39,70 @@ func TestLemma42IncreasingOrdersDominate(t *testing.T) {
 }
 
 // TestOrderThroughputMatchesWordOnIncreasingOrders: an increasing order
-// evaluated through the generic path equals the word evaluation.
+// evaluated through the generic path, which divides on every Lemma 4.4
+// candidate, equals the word evaluation's one hull pass bit for bit.
+// Words run from a few letters to 1,000, either side of 300: shuffled,
+// built by GreedyTest at and below T*, and the canonical ω1/ω2, on every
+// bandwidth law and on homogeneous instances whose candidates tie.
 func TestOrderThroughputMatchesWordOnIncreasingOrders(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
+	check := func(what string, ins *platform.Instance, w Word) {
+		t.Helper()
+		got := WordThroughput(ins, w)
+		want := OrderThroughput(ins, w.Order(ins))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: word eval %v ≠ order eval %v (%d letters: %s)", what, got, want, len(w), w)
+		}
+	}
+	shuffled := func(nn, mm int) Word {
+		w := append(AllOpenWord(nn), make(Word, mm)...)
+		for i := nn; i < nn+mm; i++ {
+			w[i] = platform.Guarded
+		}
+		rng.Shuffle(len(w), func(i, j int) { w[i], w[j] = w[j], w[i] })
+		return w
+	}
 	for trial := 0; trial < 100; trial++ {
 		nn := rng.Intn(5)
 		mm := rng.Intn(5)
 		if nn+mm == 0 {
 			mm = 2
 		}
-		ins := randomMixedInstance(rng, nn, mm)
-		word := append(AllOpenWord(nn), make(Word, mm)...)
-		for i := nn; i < nn+mm; i++ {
-			word[i] = platform.Guarded
+		check("small", randomMixedInstance(rng, nn, mm), shuffled(nn, mm))
+	}
+
+	laws := distribution.All()
+	for _, bw := range []float64{1, 0.1, 1.0 / 3} {
+		laws = append(laws, distribution.Homogeneous{Value: bw})
+	}
+	for _, law := range laws {
+		for _, size := range []int{40, 299, 302, 650, 1000} {
+			ins, err := generator.Random(law, size, 0.2+0.7*rng.Float64(), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%s, %d receivers", law.Name(), size)
+			check(what+", shuffled", ins, shuffled(ins.N(), ins.M()))
+			for _, w := range CanonicalWords(ins) {
+				check(what+", canonical", ins, w)
+			}
+			tStar := OptimalCyclicThroughput(ins)
+			for _, f := range []float64{1, 1 - 1e-9, 0.999, 0.9, WorstCaseRatio} {
+				if w, ok := GreedyTest(ins, f*tStar); ok {
+					check(fmt.Sprintf("%s, greedy at %v·T*", what, f), ins, w)
+				}
+			}
 		}
-		rng.Shuffle(len(word), func(i, j int) { word[i], word[j] = word[j], word[i] })
-		got := OrderThroughput(ins, word.Order(ins))
-		want := WordThroughput(ins, word)
-		if !almostEq(got, want) {
-			t.Fatalf("trial %d: order eval %v ≠ word eval %v (word %s)", trial, got, want, word)
+	}
+	for _, nm := range [][2]int{{1, 999}, {999, 1}, {300, 700}, {500, 500}} {
+		ins, err := generator.TightHomogeneous(nm[0], nm[1], 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("tight homogeneous n=%d m=%d", nm[0], nm[1])
+		check(what+", shuffled", ins, shuffled(nm[0], nm[1]))
+		for _, w := range CanonicalWords(ins) {
+			check(what+", canonical", ins, w)
 		}
 	}
 }

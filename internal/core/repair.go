@@ -109,7 +109,7 @@ func RepairAcyclicWithWorkspace(ins *platform.Instance, prev Word, ws *Workspace
 	if probed, ok := ws.probeWord(ins, hi); ok {
 		// The cyclic optimum itself is acyclically feasible: done.
 		bestWord = ws.keepWord(probed)
-		best = refineWord(ins, bestWord, hi, ws)
+		best = claimAtTStar(ins, bestWord, hi, ws)
 	} else if cand := T0 + 3*tol(T0); cand < hi {
 		// One confirmation probe just above the greedy decision fuzz:
 		// churn events usually leave the optimum within tolerance of

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -160,23 +161,23 @@ func TestQuickWordThroughputDominatedByOptimum(t *testing.T) {
 	}
 }
 
-// TestWordThroughputBisectionAgreesWithExact: the long-word bisection
-// fast path agrees with the exact O(L²) enumeration (exercised via
-// WordThroughputExact) on mid-sized words.
-func TestWordThroughputBisectionAgreesWithExact(t *testing.T) {
+// TestWordThroughputAgreesWithExact: the float hull pass agrees with the
+// exact-rational enumeration (WordThroughputExact) to a few ulps on ω2
+// words of 20 to 500 letters.
+func TestWordThroughputAgreesWithExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 20; trial++ {
-		nn := 150 + rng.Intn(100)
-		mm := 160 + rng.Intn(100)
+		nn := 10 + rng.Intn(240)
+		mm := 10 + rng.Intn(250)
 		ins := randomMixedInstance(rng, nn, mm)
 		w, err := Omega2(nn, mm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := WordThroughput(ins, w) // len > cutoff → bisection
+		got := WordThroughput(ins, w)
 		exact, _ := WordThroughputExact(ins, w).Float64()
-		if diff := got - exact; diff > 1e-7*(1+exact) || diff < -1e-7*(1+exact) {
-			t.Fatalf("trial %d: bisection %v vs exact %v", trial, got, exact)
+		if rel := math.Abs(got-exact) / exact; rel > 1e-14 {
+			t.Fatalf("trial %d (%d letters): hull %v vs exact %v, %.3g relative", trial, len(w), got, exact, rel)
 		}
 	}
 }

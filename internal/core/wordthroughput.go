@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/big"
+	"sort"
 
 	"repro/internal/platform"
 )
@@ -14,26 +15,15 @@ import (
 //
 //   - before every ■ letter, O(π) ≥ T (guarded nodes eat open capacity),
 //   - before every ○ letter, O(π) + G(π) ≥ T.
+//
+// Both are decided with the tol(T) slack of GreedyTest. The branchy
+// clamps are bit-identical to math.Max on these never-NaN operands.
 func WordFeasible(ins *platform.Instance, w Word, T float64) bool {
 	if w.Validate(ins) != nil || T <= 0 {
 		return false
 	}
-	return wordFeasibleKernel(ins, w, T)
-}
-
-// wordFeasibleKernel is WordFeasible minus the O(L) word validation, for
-// loops that probe one already-validated word at many throughputs (the
-// long-word bisection runs it ~dozens of times per refinement, which at
-// n=100k made redundant validation and the non-intrinsified NaN-aware
-// math.Max the hottest region of the whole large-n solve). The branchy
-// clamps are bit-identical to math.Max on these never-NaN operands.
-func wordFeasibleKernel(ins *platform.Instance, w Word, T float64) bool {
-	if T <= 0 {
-		return false
-	}
-	eps := tol(T)
 	bO, bG := ins.OpenBW, ins.GuardedBW
-	Tme := T - eps
+	Tme := T - tol(T)
 	O := ins.B0
 	G := 0.0
 	i, j := 0, 0
@@ -71,94 +61,73 @@ func wordFeasibleKernel(ins *platform.Instance, w Word, T float64) bool {
 //	W(π) = max(0, max over ○-prefixes π'○ of (i'·T − S^G_{j'})),
 //
 // each validity condition expands into linear inequalities k·T ≤ B, so
-// the per-word optimum is a minimum of B/k ratios — O(L²) of them.
+// the per-word optimum is a minimum of B/k ratios: one per ○ letter, and
+// one per earlier ○ letter (plus W = 0) before each ■ letter.
 //
-// For long words (beyond wordExactCutoff letters) the quadratic
-// enumeration is replaced by bisection over the O(L) feasibility check,
-// which is indistinguishable at float64 resolution and keeps the
-// average-case experiments (n = 1000, thousands of repetitions) fast.
+// Those last ratios are slopes. Before a ■ letter at counts (i, j), the
+// candidate (S^O_i + g)/(j+1+i') is the slope from (−(j+1), −S^O_i) to
+// the point (i', g): either (0, 0) or the counts (i', S^G_{j'}) after an
+// earlier ○ letter. The least of them therefore lies on the lower convex
+// hull of those points. Their x grows by one per ○ letter, so a monotone
+// chain keeps the hull, and each ■ letter finds its tangent by binary
+// search and divides on that one candidate — the same float operations
+// the full enumeration (OrderThroughput, WordThroughputExact) performs
+// on it. One pass, O(L log L), at every word length.
 func WordThroughput(ins *platform.Instance, w Word) float64 {
-	return WordThroughputWithWorkspace(ins, w, nil)
+	ws := AcquireWorkspace()
+	defer ReleaseWorkspace(ws)
+	return WordThroughputWithWorkspace(ins, w, ws)
 }
 
-// WordThroughputWithWorkspace is WordThroughput with the W(π)-candidate
-// scratch taken from ws, so per-word evaluation inside search and
-// enumeration loops stops allocating.
+// WordThroughputWithWorkspace is WordThroughput with the hull stack taken
+// from ws, so per-word evaluation inside search and repair loops stops
+// allocating.
 func WordThroughputWithWorkspace(ins *platform.Instance, w Word, ws *Workspace) float64 {
 	if err := w.Validate(ins); err != nil {
 		panic(err)
 	}
 	ws = ws.ensure()
 	ws.stats.WordEvals++
-	if len(w) > wordExactCutoff {
-		return wordThroughputBisect(ins, w)
-	}
 	best := math.Inf(1)
-	consider := func(bound float64, coeff int) {
-		if v := bound / float64(coeff); v < best {
-			best = v
-		}
-	}
-	// cands: counts after each ○ position (W candidates of Lemma 4.4).
-	cands := ws.cands[:0]
-	defer func() { ws.cands = cands[:0] }()
 	oSum := ins.B0 // S^O_i = b0 + b1 + ... + bi
 	gSum := 0.0    // S^G_j
 	i, j := 0, 0
+	hull := append(ws.cands[:0], wCand{}) // W = 0 sits at (0, 0)
 	for _, l := range w {
 		if l == platform.Guarded {
-			// Constraint: O(prefix) ≥ T, prefix has counts (i, j).
-			consider(oSum, j+1)
-			for _, c := range cands {
-				// O with W-candidate c: S^O_i − jT − (iS·T − gSumS) ≥ T.
-				consider(oSum+c.gSum, j+1+c.iS)
-			}
+			// Constraint: O(prefix) ≥ T at counts (i, j). Along the
+			// hull the slopes fall to the tangent, then rise: it is the
+			// first point whose successor's ratio is no smaller.
+			c := hull[sort.Search(len(hull)-1, func(k int) bool {
+				a, b := hull[k], hull[k+1]
+				return (oSum+b.gSum)*float64(j+1+a.iS) >= (oSum+a.gSum)*float64(j+1+b.iS)
+			})]
+			best = min(best, (oSum+c.gSum)/float64(j+1+c.iS))
 			gSum += ins.GuardedBW[j]
 			j++
 		} else {
 			// Constraint: O+G ≥ T with counts (i, j).
-			consider(oSum+gSum, i+j+1)
+			best = min(best, (oSum+gSum)/float64(i+j+1))
 			oSum += ins.OpenBW[i]
 			i++
-			cands = append(cands, wCand{iS: i, gSum: gSum})
+			// Pop every point on or above the chord to the new one.
+			p := wCand{iS: i, gSum: gSum}
+			for k := len(hull) - 1; k > 0; k-- {
+				a, b := hull[k-1], hull[k]
+				if float64(b.iS-a.iS)*(p.gSum-a.gSum) > (b.gSum-a.gSum)*float64(p.iS-a.iS) {
+					break
+				}
+				hull = hull[:k]
+			}
+			hull = append(hull, p)
 		}
 	}
+	ws.cands = hull[:0]
 	if math.IsInf(best, 1) {
 		// Empty word: no receivers; throughput is capped by the source.
 		return ins.B0
 	}
 	return best
-}
-
-// wordExactCutoff separates the exact O(L²) evaluation from the O(L·log)
-// bisection fast path.
-const wordExactCutoff = 300
-
-// wordThroughputBisect brackets T*_ac(w) with WordFeasible. 80 halvings
-// of [0, T*] push the bracket below 2^-80·T*, far below float64 noise on
-// the ratios the experiments report.
-func wordThroughputBisect(ins *platform.Instance, w Word) float64 {
-	hi := OptimalCyclicThroughput(ins)
-	// The caller (WordThroughputWithWorkspace) already validated w, so the
-	// probes go straight to the kernel instead of re-validating 80 times.
-	if wordFeasibleKernel(ins, w, hi) {
-		return hi
-	}
-	lo := 0.0
-	for iter := 0; iter < 80; iter++ {
-		mid := lo + (hi-lo)/2
-		if mid <= lo || mid >= hi {
-			// Bracket exhausted at float64 resolution; further halvings
-			// cannot move lo.
-			break
-		}
-		if wordFeasibleKernel(ins, w, mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // WordThroughputExact is the exact-rational twin of WordThroughput.

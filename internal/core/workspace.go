@@ -47,8 +47,9 @@ type pendingRate struct {
 	r        float64
 }
 
-// wCand is one W(π)-candidate prefix of the Lemma 4.4 closed forms
-// (shared by WordThroughput and its workspace variant).
+// wCand is one W(π) candidate of the Lemma 4.4 closed forms, the counts
+// (i', S^G_{j'}) after a ○ letter: a point of the lower hull that
+// WordThroughputWithWorkspace keeps.
 type wCand struct {
 	iS   int
 	gSum float64

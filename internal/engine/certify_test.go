@@ -18,11 +18,60 @@ import (
 	"repro/internal/wire"
 )
 
-// TestColdToleranceFixturesCertify solves three cold-benchmark requests
-// (acyclic, tolerance 1e-9) whose schemes reach claimed·(1−tol) in
-// exact arithmetic but fall short of it under float max-flow. Each must
-// return a plan.
+// TestColdToleranceFixturesCertify holds a request with a tolerance to
+// Certify's exact decision. Its first case is a stub solver on a fresh
+// registry that returns a hand-built acyclic scheme, like the rows of
+// core's TestCertifyRoundingTable: its float max-flow falls short of
+// claimed·(1−tol) while its exact throughput meets it, so Execute must
+// serve it. The other three are cold-benchmark requests (acyclic,
+// tolerance 1e-9) that the float check refused while long words were
+// over-claimed; each must return a plan that meets its claim exactly.
 func TestColdToleranceFixturesCertify(t *testing.T) {
+	check := func(t *testing.T, reg *engine.Registry, req engine.Request, floatShort bool) {
+		t.Helper()
+		plan, err := reg.Execute(context.Background(), req)
+		if err != nil {
+			t.Fatalf("refused: %v", err)
+		}
+		thr := plan.Throughput * (1 - req.Tolerance)
+		if dinic := plan.Scheme.Throughput(); floatShort && !(dinic < thr) {
+			t.Fatalf("float max-flow %v meets the threshold %v: the case no longer tests the exact path", dinic, thr)
+		}
+		exactThr := new(big.Rat).Sub(big.NewRat(1, 1), new(big.Rat).SetFloat64(req.Tolerance))
+		exactThr.Mul(exactThr, new(big.Rat).SetFloat64(plan.Throughput))
+		if plan.Scheme.ThroughputExact().Cmp(exactThr) < 0 {
+			t.Fatal("exact throughput is below the threshold, yet the plan was served")
+		}
+		if plan.Verified <= 0 || plan.Verified > plan.Throughput {
+			t.Fatalf("Verified = %v, claimed %v", plan.Verified, plan.Throughput)
+		}
+	}
+
+	t.Run("float short, exact met", func(t *testing.T) {
+		// Receiver 1 hears 2^53 from the source and 1 from each of the
+		// open receivers 2 and 3, which the source feeds at the claim.
+		// The rates sum exactly to the claim 2^53+2, but max-flow adds
+		// the direct 2^53 first and each 1 then rounds away (ties to
+		// even). A tolerance of 2^-60 leaves claimed·(1−tol) equal to
+		// the claim in floats and puts it just below it exactly.
+		const big53 = 1 << 53
+		claimed := float64(big53 + 2)
+		ins := platform.MustInstance(big53+2*claimed, []float64{0, 1, 1}, nil)
+		s := core.NewScheme(ins)
+		s.Add(0, 1, big53)
+		for v := 2; v <= 3; v++ {
+			s.Add(0, v, claimed)
+			s.Add(v, 1, 1)
+		}
+		reg := engine.NewRegistry()
+		solve := func(*platform.Instance, *core.Workspace) (engine.Result, error) {
+			return engine.Result{Throughput: claimed, Scheme: s}, nil
+		}
+		if err := reg.Register(engine.NewSolver("stub", engine.CapBuildsScheme, solve)); err != nil {
+			t.Fatal(err)
+		}
+		check(t, reg, engine.NewRequest(ins, engine.WithSolver("stub"), engine.WithTolerance(0x1p-60)), true)
+	})
 	for _, name := range []string{
 		"cold_seed1_op234.json",    // 335 receivers
 		"cold_seed101_op2059.json", // 523 receivers
@@ -37,35 +86,28 @@ func TestColdToleranceFixturesCertify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := engine.Execute(context.Background(), req)
-			if err != nil {
-				t.Fatalf("refused: %v", err)
-			}
-			thr := plan.Throughput * (1 - req.Tolerance)
-			if dinic := plan.Scheme.Throughput(); !(dinic < thr) {
-				t.Fatalf("float max-flow %v meets the threshold %v: the fixture no longer tests the exact path", dinic, thr)
-			}
-			exactThr := new(big.Rat).Sub(big.NewRat(1, 1), new(big.Rat).SetFloat64(req.Tolerance))
-			exactThr.Mul(exactThr, new(big.Rat).SetFloat64(plan.Throughput))
-			if plan.Scheme.ThroughputExact().Cmp(exactThr) < 0 {
-				t.Fatal("exact throughput is below the threshold, yet the plan was served")
-			}
-			if plan.Verified <= 0 || plan.Verified > plan.Throughput {
-				t.Fatalf("Verified = %v, claimed %v", plan.Verified, plan.Throughput)
-			}
+			check(t, engine.Default, req, false)
 		})
 	}
 }
 
 // TestAcyclicShortfallWithinTwoEps bounds how far an acyclic plan may
-// carry less than it claims. core.BuildSchemeWithWorkspace's draw stops
-// once a receiver's unmet need is at most core.Eps·T, so a receiver can
-// be left that much short, and summation rounding adds a few ulps.
-// Cold seed 63's op 982 (539 PlanetLab receivers, tolerance 1e-9) is
-// refused with a 422 for exactly that: its exact in-rate minimum is
-// 1.0000002·10⁻⁹ short of the claim, relative. Certify at 2·core.Eps must pass on
-// that request and on every plan of generated cold-shaped instances,
-// today and after the draw's residual is served or no longer claimed.
+// carry less than it claims. A claim is the larger of the winning
+// word's exact optimum and the search's feasible bound, which GreedyTest
+// accepts with the tol slack, so it may sit up to core.Eps·T above what
+// the word carries; core.BuildSchemeWithWorkspace's draw stops once a
+// receiver's unmet need is at most core.Eps·T, so the build accepts that
+// much. Summation rounding adds a few ulps.
+//
+// Cold seed 63's op 982 (539 PlanetLab receivers, tolerance 1e-9) was
+// refused with a 422 while words of more than 300 letters were bisected:
+// the bisection claimed 1.86·10⁻¹² above the word's exact optimum, the
+// build spread that excess over the ~538 receivers of one Lemma 4.4
+// prefix constraint, and one receiver ended up about 1.0·10⁻⁹ short —
+// which the draw's stop accepted. Evaluated exactly, the word claims
+// what it carries; the request must be served at its own tolerance, and
+// Certify at 2·core.Eps must pass on it and on every plan of generated
+// cold-shaped instances.
 func TestAcyclicShortfallWithinTwoEps(t *testing.T) {
 	certify := func(what string, ins *platform.Instance) {
 		t.Helper()
@@ -88,6 +130,9 @@ func TestAcyclicShortfallWithinTwoEps(t *testing.T) {
 		t.Fatal(err)
 	}
 	certify("cold seed 63 op 982", req.Instance)
+	if _, err := engine.Execute(context.Background(), req); err != nil {
+		t.Fatalf("cold seed 63 op 982 at its tolerance %g: %v", req.Tolerance, err)
+	}
 
 	// The cold workload's request shape: 50–800 receivers, log-uniform,
 	// Unif100 or PlanetLab, open share in [0.2, 0.9].
