@@ -22,8 +22,6 @@
 // via repeatable -tolerance-for NAME=PCT overrides (matched on the
 // stable benchmark name, before any -N CPU suffix), so one jittery
 // macro-benchmark does not force a loose gate on everything else.
-// -threshold is the deprecated spelling of -tolerance and keeps
-// working.
 package main
 
 import (
@@ -60,7 +58,6 @@ type Doc struct {
 func main() {
 	compareMode := flag.Bool("compare", false, "compare two benchmark JSON files (old new) and exit 1 on regression")
 	tolerance := flag.Float64("tolerance", 25, "regression tolerance in percent (ns/op and allocs/op)")
-	threshold := flag.Float64("threshold", 25, "deprecated alias for -tolerance")
 	overrides := make(map[string]float64)
 	flag.Func("tolerance-for", "per-benchmark tolerance override `NAME=PCT` (repeatable; NAME is the stable name without the -N CPU suffix)", func(s string) error {
 		name, pct, ok := strings.Cut(s, "=")
@@ -76,22 +73,12 @@ func main() {
 	})
 	flag.Parse()
 
-	tol := *tolerance
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "threshold" {
-			tol = *threshold
-		}
-		if f.Name == "tolerance" {
-			tol = *tolerance
-		}
-	})
-
 	if *compareMode {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two files: old.json new.json")
 			os.Exit(2)
 		}
-		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), tol, overrides, os.Stdout, os.Stderr))
+		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *tolerance, overrides, os.Stdout, os.Stderr))
 	}
 
 	doc, err := Parse(os.Stdin)

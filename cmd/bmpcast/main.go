@@ -29,14 +29,14 @@
 //	    churn-capable solver; output is byte-identical across runs
 //	    unless -timing is set.
 //
-//	bmpcast serve   [-addr :8080] [-workers 4] [-cache 1024] [-store dir] [-store-budget 4] [-self URL] [-peers url1,url2] [-hedge-after 150ms]
+//	bmpcast serve   [-addr :8080] [-workers 4] [-cache 1024] [-store dir] [-self URL] [-peers url1,url2] [-hedge-after 150ms]
 //	    Run the broadcast-planning HTTP service: POST /v1/solve,
 //	    /v1/batch, /v1/jobs and /v1/session (wire-format Request/Plan
 //	    documents), GET /v1/jobs/{id} and /v1/jobs/{id}/stream (NDJSON
 //	    per-item plans), plus /healthz and /metrics. Identical requests
 //	    are answered from a content-addressed plan cache. With -store
 //	    the cache persists across restarts and similar instances
-//	    warm-start the repair path. With -self or
+//	    (within 4 node edits) warm-start the repair path. With -self or
 //	    -peers the replica joins a sharded cluster: each request's cache
 //	    key is consistent-hashed onto the replica ring so every distinct
 //	    plan is solved once cluster-wide, peers back-fill each other's
@@ -168,7 +168,7 @@ func usage(w io.Writer) {
   generate -dist <Unif100|Power1|Power2|LN1|LN2|PLab> -n <nodes> -p <openprob> [-seed N]
   simulate -file inst.json [-packets 300] [-seed 1]
   sim      [-seed N] [-events 30] [-n 20] [-p 0.7] [-dist Unif100] [-solvers acyclic|all|a,b,c] [-format json|csv] [-timing] [-norepair] [-cpuprofile f] [-memprofile f]
-  serve    [-addr :8080] [-workers 4] [-cache 1024] [-store dir] [-store-budget 4] [-self URL] [-peers url1,url2] [-hedge-after 150ms]
+  serve    [-addr :8080] [-workers 4] [-cache 1024] [-store dir] [-self URL] [-peers url1,url2] [-hedge-after 150ms]
   store    <stats|compact|verify> -dir <dir>
   loadgen  -addr url1[,url2,...] [-rps 50] [-duration 10s] [-seed N] [-n 24] [-p 0.7] [-dist Unif100] [-solver acyclic] [-pjob 0.15] [-jobbatch 4] [-conc 64] [-hedge-after 0] [-format text|bench]
   soak     [-duration 60s] [-seed N] [-rps 30] [-replicas 1] [-workers 4] [-n 16] [-p 0.7] [-dist Unif100] [-pjob 0.2] [-store] [-no-faults] [-emit-plan] [-horizon 4096] [-out dir] [-quiet]

@@ -300,9 +300,9 @@ func TestServeGolden(t *testing.T) {
 	}
 }
 
-// -update regenerates the serve and jobs-stream golden files:
+// -update regenerates the serve, jobs-stream and batch golden files:
 //
-//	go test ./cmd/bmpcast -run 'ServeGolden|JobsStreamGolden' -update
+//	go test ./cmd/bmpcast -run 'ServeGolden|JobsStreamGolden|BatchGolden' -update
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // TestJobsStreamGolden pins the exact job request and concatenated
@@ -380,6 +380,52 @@ func TestJobsStreamGolden(t *testing.T) {
 	resp.Body.Close()
 	if h := resp.Header.Get("X-Bmpcast-Cache"); h != "hit" {
 		t.Errorf("resubmitted solve X-Bmpcast-Cache = %q, want hit", h)
+	}
+}
+
+// TestBatchGolden pins the exact /v1/batch answer the CI serve-smoke
+// step replays with curl against a live `bmpcast serve`: POSTing
+// testdata/jobs_request.json to /v1/batch must return
+// testdata/batch_golden.json byte-for-byte, on a miss and on a hit.
+func TestBatchGolden(t *testing.T) {
+	reqBody, err := os.ReadFile(filepath.Join("testdata", "jobs_request.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Config{Workers: 2})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+
+	post := func() string {
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(string(reqBody)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	goldenPath := filepath.Join("testdata", "batch_golden.json")
+	got := post()
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with `go test ./cmd/bmpcast -run BatchGolden -update`)", err)
+	}
+	// Round 0 solves every item; round 1 is answered from the cache.
+	for round, body := range []string{got, post()} {
+		if body != string(want) {
+			t.Fatalf("round %d: /v1/batch answer deviates from %s — wire determinism broken "+
+				"(or an intentional change: regenerate with -update)\ngot:\n%s\nwant:\n%s", round, goldenPath, body, want)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // until SIGINT/SIGTERM:
 //
 //	bmpcast serve [-addr :8080] [-workers 4] [-cache 1024]
-//	              [-store dir] [-store-budget 4]
+//	              [-store dir]
 //	              [-self http://host:8080] [-peers url1,url2] [-hedge-after 150ms]
 //
 // Endpoints: POST /v1/solve, /v1/batch, /v1/jobs and /v1/session, GET
@@ -53,7 +53,6 @@ func cmdServe(args []string, stdout io.Writer) error {
 	peers := fs.String("peers", "", "comma-separated base URLs of existing replicas to join")
 	hedgeAfter := fs.Duration("hedge-after", 0, "owner latency budget before a forwarded solve is hedged with a local one (0 = 150ms default, negative = fail over only on owner errors)")
 	storeDir := fs.String("store", "", "persist solved plans to this directory: identical requests are answered byte-identical across restarts and similar requests warm-start (replica-local in cluster mode)")
-	storeBudget := fs.Int("store-budget", 0, "max node-multiset edit distance for warm-start neighbors (0 = default 4)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -69,7 +68,7 @@ func cmdServe(args []string, stdout io.Writer) error {
 	svc, err := service.NewServer(service.Config{
 		Workers: *workers, CacheSize: *cache,
 		Self: selfURL, Peers: peerList, HedgeAfter: *hedgeAfter,
-		StoreDir: *storeDir, StoreEditBudget: *storeBudget,
+		StoreDir: *storeDir,
 	})
 	if err != nil {
 		ln.Close()

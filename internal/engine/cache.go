@@ -62,22 +62,22 @@ type NeighborPlan struct {
 	Distance int
 }
 
-// Cache memoizes successful Execute calls content-addressed by the
-// canonical encoding of the Request. Because every solve is a pure
-// function of its request (the paper's planning problems carry no
-// hidden state), a cached Plan is indistinguishable from a fresh one —
-// and since the wire encoding is canonical, re-encoding a cached Plan
-// yields byte-identical documents.
+// Cache memoizes successful solves content-addressed by the canonical
+// encoding of the Request. Because every solve is a pure function of
+// its request (the paper's planning problems carry no hidden state), a
+// cached answer is indistinguishable from a fresh one — and since the
+// wire encoding is canonical, a cached document is byte-identical to a
+// fresh rendering.
 //
 // It is the only in-memory plan tier, and three mechanisms compose:
 //
 //   - one size-bounded LRU keyed by content address and evicted by
-//     recency alone. An entry holds a solved plan, its canonical
-//     rendering, or both: disk hits and Fill keep the rendering only,
-//     and a later plan-path caller solves once and merges into the
-//     same entry;
-//   - singleflight deduplication: concurrent identical requests
-//     collapse onto one in-flight solve, followers wait for the
+//     recency alone. An entry holds one kind of answer, the one its
+//     path produced: a canonical document (ExecuteRendered, Fill, a
+//     disk hit) or a solved *Plan (Execute with WithCache). A caller
+//     that needs the other kind solves and leaves the entry as it is;
+//   - singleflight deduplication: concurrent identical requests of one
+//     kind collapse onto one in-flight solve, followers wait for the
 //     leader's result (or their own context, whichever ends first);
 //   - monotonic hit/miss/shared/eviction counters (Stats), surfaced by
 //     the service's /metrics endpoint. Every answer from a held entry
@@ -85,13 +85,15 @@ type NeighborPlan struct {
 //     ExecuteRendered.
 //
 // A Cache can additionally sit on a PlanStore (SetStore): misses then
-// consult the store for the exact document (disk hit) or a similar
-// instance's word (warm start through the repair path), and every
-// rendered solve is spilled back so the store survives restarts.
+// consult the store for a similar instance's word (warm start through
+// the repair path) and, on the document path, for the exact document
+// (disk hit); every rendered solve is spilled back so the store
+// survives restarts.
 //
-// Cached plans are shared between callers and must be treated as
-// immutable. A Cache is safe for concurrent use. Attach one to a
-// request with WithCache; the service layer does so by default.
+// Cached plans and documents are shared between callers and must be
+// treated as immutable. A Cache is safe for concurrent use. The service
+// layer answers every stateless solve through ExecuteRendered; library
+// callers attach one to a request with WithCache.
 type Cache struct {
 	key CacheKeyFunc
 	max int
@@ -99,7 +101,7 @@ type Cache struct {
 	mu       sync.Mutex
 	lru      *list.List // of *cacheEntry, front = most recent
 	entries  map[[sha256.Size]byte]*list.Element
-	inflight map[[sha256.Size]byte]*flight
+	inflight map[flightKey]*flight
 	store    PlanStore
 
 	hits      atomic.Int64
@@ -108,21 +110,27 @@ type Cache struct {
 	evictions atomic.Int64
 }
 
-// cacheEntry is one memoized answer: a decoded plan, its canonical
-// rendered document (filled in by the ExecuteRendered path so byte
-// hits skip the encoder too), or both. A disk hit or a Fill holds
-// only the document (plan == nil).
+// cacheEntry is one memoized answer of one kind: a canonical document
+// (ExecuteRendered, Fill or a disk hit; plan == nil) or a solved plan
+// (Execute with WithCache; rendered == nil).
 type cacheEntry struct {
 	key      [sha256.Size]byte
 	plan     *Plan
 	rendered []byte
 }
 
+// flightKey names one in-progress solve: a content address and the
+// kind of answer its leader produces.
+type flightKey struct {
+	key [sha256.Size]byte
+	doc bool
+}
+
 // flight is one in-progress solve that followers wait on.
 type flight struct {
 	done     chan struct{} // closed after plan/rendered/err are set
-	plan     *Plan         // nil when the leader answered from stored bytes
-	rendered []byte        // non-nil when the leader rendered
+	plan     *Plan         // the answer of a plan flight
+	rendered []byte        // the answer of a document flight
 	info     RenderedInfo
 	err      error
 }
@@ -143,7 +151,7 @@ func NewCache(maxEntries int, key CacheKeyFunc) *Cache {
 		max:      maxEntries,
 		lru:      list.New(),
 		entries:  make(map[[sha256.Size]byte]*list.Element),
-		inflight: make(map[[sha256.Size]byte]*flight),
+		inflight: make(map[flightKey]*flight),
 	}
 }
 
@@ -180,8 +188,8 @@ type CacheStats struct {
 	Shared int64
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions int64
-	// Entries is the number of entries currently held: solved plans
-	// and rendered-only documents alike.
+	// Entries is the number of entries currently held, documents and
+	// plans alike (an entry holds one of them).
 	Entries int
 }
 
@@ -202,9 +210,9 @@ func (c *Cache) Stats() CacheStats {
 // Rendered returns the canonical plan document held in memory under a
 // content address (the SHA-256 of a canonical request encoding),
 // bumping its recency and counting a hit. It never solves, renders or
-// reads the store: a missing entry, or one without a rendering, is a
-// miss that counts nothing, and the caller falls back to
-// ExecuteRendered. The returned bytes are immutable.
+// reads the store: a missing entry, or a plan entry, is a miss that
+// counts nothing, and the caller falls back to ExecuteRendered. The
+// returned bytes are immutable.
 func (c *Cache) Rendered(key [sha256.Size]byte) ([]byte, bool) {
 	c.mu.Lock()
 	var out []byte
@@ -223,11 +231,12 @@ func (c *Cache) Rendered(key [sha256.Size]byte) ([]byte, bool) {
 
 // Fill keeps a canonical plan document in memory under a content
 // address without running a solve (the cluster's back-fill, and a
-// non-owner keeping the owner's answer). The bytes must be the
-// rendering the cache's RenderFunc would have produced; the wire
-// encoding is canonical, so any replica's rendering is THE rendering.
-// An existing entry keeps its first rendering. Fill never touches the
-// store and counts neither a hit nor a miss.
+// non-owner keeping the owner's answer): a document entry, as
+// ExecuteRendered would have left. The bytes must be the rendering the
+// cache's RenderFunc would have produced; the wire encoding is
+// canonical, so any replica's rendering is THE rendering. An existing
+// entry, of either kind, is left as it is. Fill never touches the store
+// and counts neither a hit nor a miss.
 func (c *Cache) Fill(key [sha256.Size]byte, rendered []byte) {
 	c.mu.Lock()
 	c.insertLocked(key, nil, rendered)
@@ -263,10 +272,14 @@ func (c *Cache) execute(ctx context.Context, r *Registry, req Request) (*Plan, e
 	return plan, err
 }
 
-// ExecuteRendered runs the request through the cache like Execute with
-// WithCache, additionally memoizing the plan's canonical rendering: a
-// hit returns the stored document bytes without re-running the solver
-// or the encoder — the service's /v1/solve hot path. The RenderedInfo
+// ExecuteRendered runs the request through the cache's document path:
+// it memoizes the plan's canonical rendering, not the plan, so a hit
+// returns the stored document bytes without re-running the solver or
+// the encoder — the path of every stateless solve the service answers.
+// A miss reads the store's exact document first (a disk hit), then
+// solves, renders and spills the document to the store. An entry a
+// plan-path caller (Execute with WithCache) left does not answer it:
+// this caller solves and leaves that entry as it is. The RenderedInfo
 // reports whether the answer came from a completed cache entry and
 // whether a neighbor warm start held (the service's X-Bmpcast-Cache
 // label) and stays consistent with Stats. Callers must treat the
@@ -277,8 +290,8 @@ func (c *Cache) ExecuteRendered(ctx context.Context, r *Registry, req Request, r
 		return nil, RenderedInfo{}, err
 	}
 	if rendered == nil {
-		// The plan landed via the unrendered path (unencodable request);
-		// render for this caller only.
+		// The request's key did not encode, so run solved it without the
+		// cache: render for this caller only.
 		out, err = render(plan)
 		return out, info, err
 	}
@@ -286,7 +299,8 @@ func (c *Cache) ExecuteRendered(ctx context.Context, r *Registry, req Request, r
 }
 
 // run is the shared cache machinery behind execute and
-// ExecuteRendered; render is nil on the plan-only path.
+// ExecuteRendered; render is nil on the plan path. An entry or flight
+// of the other kind never answers: the caller leads its own solve.
 func (c *Cache) run(ctx context.Context, r *Registry, req Request, render RenderFunc) (*Plan, []byte, RenderedInfo, error) {
 	data, err := c.key(req)
 	if err != nil {
@@ -294,47 +308,26 @@ func (c *Cache) run(ctx context.Context, r *Registry, req Request, render Render
 		plan, err := r.executeUncached(ctx, req)
 		return plan, nil, RenderedInfo{}, err
 	}
-	k := sha256.Sum256(data)
+	fk := flightKey{key: sha256.Sum256(data), doc: render != nil}
 	for {
 		c.mu.Lock()
-		if el, ok := c.entries[k]; ok {
-			e := el.Value.(*cacheEntry)
-			if e.plan != nil || render != nil {
+		if el, ok := c.entries[fk.key]; ok {
+			if e := el.Value.(*cacheEntry); (e.rendered != nil) == fk.doc {
 				c.lru.MoveToFront(el)
-				plan, rendered := e.plan, e.rendered
 				c.mu.Unlock()
 				c.hits.Add(1)
-				if render != nil && rendered == nil {
-					// Plan cached by an unrendered caller: render once and
-					// remember the bytes for the next byte-level hit.
-					plan, rendered, err = c.attachRendering(k, plan, render)
-					return plan, rendered, RenderedInfo{Hit: true}, err
-				}
-				return plan, rendered, RenderedInfo{Hit: true}, nil
+				return e.plan, e.rendered, RenderedInfo{Hit: true}, nil
 			}
-			// Rendered-only entry (a disk hit or a Fill) but this caller
-			// needs the *Plan: fall through to solve; insertLocked merges,
-			// keeping the rendered bytes.
 		}
-		if f, ok := c.inflight[k]; ok {
+		if f, ok := c.inflight[fk]; ok {
 			c.mu.Unlock()
 			c.shared.Add(1)
 			select {
 			case <-f.done:
 				if f.err == nil {
-					if f.plan == nil && render == nil {
-						// The leader answered from stored bytes; this caller
-						// needs a decoded plan. Retry — the rendered-only entry
-						// falls through to a solve above.
-						continue
-					}
 					// Followers report hit=false: the answer was not a
 					// completed entry (Stats counts them as Shared, and the
 					// service's hit label must agree with the hit counter).
-					if render != nil && f.rendered == nil {
-						plan, rendered, err := c.attachRendering(k, f.plan, render)
-						return plan, rendered, RenderedInfo{Warm: f.info.Warm, Distance: f.info.Distance}, err
-					}
 					return f.plan, f.rendered, RenderedInfo{Warm: f.info.Warm, Distance: f.info.Distance}, nil
 				}
 				// The leader's context died, not ours: take over the key
@@ -349,15 +342,15 @@ func (c *Cache) run(ctx context.Context, r *Registry, req Request, render Render
 			}
 		}
 		f := &flight{done: make(chan struct{})}
-		c.inflight[k] = f
+		c.inflight[fk] = f
 		c.mu.Unlock()
 
-		plan, rendered, info, err := c.lead(ctx, r, req, k, data, render)
+		plan, rendered, info, err := c.lead(ctx, r, req, fk.key, data, render)
 		f.plan, f.rendered, f.info, f.err = plan, rendered, info, err
 		c.mu.Lock()
-		delete(c.inflight, k)
+		delete(c.inflight, fk)
 		if err == nil {
-			c.insertLocked(k, plan, rendered)
+			c.insertLocked(fk.key, plan, rendered)
 		}
 		c.mu.Unlock()
 		close(f.done)
@@ -369,9 +362,10 @@ func (c *Cache) run(ctx context.Context, r *Registry, req Request, render Render
 }
 
 // lead is the miss path once this caller owns the flight: with a store
-// attached, try the persisted document under the exact address (a disk
-// hit — no solve at all), then a neighbor warm start for incremental
-// solvers; otherwise (and as the final tier) run the full solve.
+// attached, try the persisted document under the exact address (on the
+// document path: a disk hit — no solve at all), then a neighbor warm
+// start for incremental solvers; otherwise (and as the final tier) run
+// the full solve.
 func (c *Cache) lead(ctx context.Context, r *Registry, req Request, k [sha256.Size]byte, data []byte, render RenderFunc) (*Plan, []byte, RenderedInfo, error) {
 	store := c.getStore()
 	if store != nil {
@@ -394,9 +388,10 @@ func (c *Cache) lead(ctx context.Context, r *Registry, req Request, k [sha256.Si
 	return c.solveAndSpill(ctx, r, req, nil, data, render)
 }
 
-// solveAndSpill runs the (possibly warm-started) solve, renders it,
-// and spills the canonical documents to the store so the answer
-// survives a restart.
+// solveAndSpill runs the (possibly warm-started) solve and answers with
+// the plan on the plan path; on the document path it renders the plan,
+// spills the canonical documents to the store so the answer survives a
+// restart, and answers with the document alone.
 func (c *Cache) solveAndSpill(ctx context.Context, r *Registry, req Request, nb *NeighborPlan, data []byte, render RenderFunc) (*Plan, []byte, RenderedInfo, error) {
 	c.misses.Add(1)
 	run := req
@@ -420,66 +415,37 @@ func (c *Cache) solveAndSpill(ctx context.Context, r *Registry, req Request, nb 
 		info.Warm = plan.Repaired // false = repair deviated, full-solve fallback answered
 		info.Distance = nb.Distance
 	}
-	var rendered []byte
-	if render != nil {
-		if rendered, err = render(plan); err != nil {
-			return nil, nil, RenderedInfo{}, err
-		}
+	store := c.getStore()
+	if store != nil && nb != nil {
+		store.NoteWarmStart(info.Warm)
 	}
-	if store := c.getStore(); store != nil {
-		if nb != nil {
-			store.NoteWarmStart(plan.Repaired)
-		}
-		// Admission policy: a successful warm repair is not re-spilled.
-		// Its request sits within the edit budget of the entry that
-		// just served it, so storing it adds no similarity coverage —
-		// it only grows the log and the signature scan under churn.
-		// Everything else spills: cold solves are new coverage by
-		// definition, and a fallback (nb != nil, !plan.Repaired) just
-		// proved the nearest stored entry could not repair to this
-		// request, which is exactly the gap worth persisting.
-		if rendered != nil && !(nb != nil && plan.Repaired) {
-			store.Persist(req, data, rendered, plan.Word)
-		}
+	if render == nil {
+		return plan, nil, info, nil
 	}
-	return plan, rendered, info, nil
-}
-
-// attachRendering renders a cached plan and stores the bytes on its
-// entry (keeping the first rendering when two callers race — the
-// render is deterministic, so either is canonical).
-func (c *Cache) attachRendering(k [sha256.Size]byte, plan *Plan, render RenderFunc) (*Plan, []byte, error) {
-	out, err := render(plan)
+	rendered, err := render(plan)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, RenderedInfo{}, err
 	}
-	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		e := el.Value.(*cacheEntry)
-		if e.rendered == nil {
-			e.rendered = out
-		} else {
-			out = e.rendered
-		}
+	// Admission policy: a successful warm repair is not re-spilled. Its
+	// request sits within the edit budget of the entry that just served
+	// it, so storing it adds no similarity coverage — it only grows the
+	// log and the signature scan under churn. Everything else spills:
+	// cold solves are new coverage by definition, and a fallback
+	// (nb != nil, !plan.Repaired) just proved the nearest stored entry
+	// could not repair to this request, which is exactly the gap worth
+	// persisting.
+	if store != nil && !info.Warm {
+		store.Persist(req, data, rendered, plan.Word)
 	}
-	c.mu.Unlock()
-	return plan, out, nil
+	// A document entry does not keep the plan it rendered.
+	return nil, rendered, info, nil
 }
 
-// insertLocked adds a completed answer (with plan == nil, a
-// rendered-only one) and enforces the LRU bound. An existing entry
-// keeps its first plan and rendering and gains whichever it lacked.
-// Callers hold c.mu.
+// insertLocked adds a completed answer, a document (plan == nil) or a
+// plan (rendered == nil), and enforces the LRU bound. An existing
+// entry, of either kind, is left as it is. Callers hold c.mu.
 func (c *Cache) insertLocked(k [sha256.Size]byte, plan *Plan, rendered []byte) {
-	if el, ok := c.entries[k]; ok {
-		e := el.Value.(*cacheEntry)
-		if e.plan == nil {
-			e.plan = plan
-		}
-		if e.rendered == nil {
-			e.rendered = rendered
-		}
-		c.lru.MoveToFront(el)
+	if _, ok := c.entries[k]; ok {
 		return
 	}
 	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, plan: plan, rendered: rendered})

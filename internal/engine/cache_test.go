@@ -238,9 +238,11 @@ func TestCacheFollowerSurvivesCanceledLeader(t *testing.T) {
 	}
 }
 
-// TestCacheExecuteRendered: the byte-level path memoizes the rendered
+// TestCacheExecuteRendered: the document path memoizes the rendered
 // document; hits return identical bytes without re-running the solver
-// or the renderer, and plan-path entries upgrade in place.
+// or the renderer. An entry holds one kind of answer: a document entry
+// does not answer the plan path, a plan entry does not answer the
+// document path, and neither caller overwrites the other's entry.
 func TestCacheExecuteRendered(t *testing.T) {
 	var calls atomic.Int64
 	r := countingRegistry(t, &calls)
@@ -268,38 +270,57 @@ func TestCacheExecuteRendered(t *testing.T) {
 		t.Fatalf("solver/render calls = %d/%d, want 1/1", calls.Load(), renders.Load())
 	}
 
-	// A plan cached through the plan-only path renders exactly once when
-	// the byte path first sees it.
-	other := NewRequest(cacheFig1(), WithSolver("acyclic"), WithTolerance(1e-9), WithCache(c))
-	if _, err := r.Execute(ctx, other); err != nil {
-		t.Fatal(err)
-	}
-	before := renders.Load()
-	out1, info, err := c.ExecuteRendered(ctx, r, other, render)
-	if err != nil || !info.Hit {
-		t.Fatalf("upgrade call: info=%+v err=%v", info, err)
-	}
-	out2, _, err := c.ExecuteRendered(ctx, r, other, render)
-	if err != nil || !bytes.Equal(out1, out2) {
-		t.Fatalf("upgraded entry unstable: %v", err)
-	}
-	if renders.Load() != before+1 {
-		t.Fatalf("renders after upgrade = %d, want %d", renders.Load(), before+1)
-	}
-	// And the plan path still answers from the same entry.
-	if _, err := r.Execute(ctx, other); err != nil {
+	// A document entry does not answer the plan path: the caller solves,
+	// and the entry keeps serving its document.
+	if _, err := r.Execute(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
-		t.Fatalf("solver calls = %d, want 2", calls.Load())
+		t.Fatalf("solver calls = %d, want 2 (a document entry holds no plan)", calls.Load())
+	}
+	third, info, err := c.ExecuteRendered(ctx, r, req, render)
+	if err != nil || !info.Hit || !bytes.Equal(third, first) {
+		t.Fatalf("document entry after a plan-path solve: info=%+v err=%v out=%s", info, err, third)
+	}
+
+	// A plan entry does not answer the document path: each call solves
+	// and renders, and the plan path still hits the plan it left.
+	other := NewRequest(cacheFig1(), WithSolver("acyclic"), WithTolerance(1e-9), WithCache(c))
+	plan, err := r.Execute(ctx, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs [2][]byte
+	for i := range outs {
+		out, info, err := c.ExecuteRendered(ctx, r, other, render)
+		if err != nil || info.Hit {
+			t.Fatalf("document call %d on a plan entry: info=%+v err=%v, want a miss", i, info, err)
+		}
+		outs[i] = out
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Fatalf("rendered bytes differ: %s vs %s", outs[0], outs[1])
+	}
+	if calls.Load() != 5 || renders.Load() != 3 {
+		t.Fatalf("solver/render calls = %d/%d, want 5/3", calls.Load(), renders.Load())
+	}
+	again, err := r.Execute(ctx, other)
+	if err != nil || again != plan {
+		t.Fatalf("plan path: %p err=%v, want the entry's plan %p (never overwritten)", again, err, plan)
+	}
+	if calls.Load() != 5 {
+		t.Fatalf("solver calls = %d, want 5 (the plan entry answers its own path)", calls.Load())
+	}
+	if st := c.Stats(); st.Entries != 2 || st.Hits != 3 || st.Misses != 5 {
+		t.Fatalf("stats = %+v, want 2 entries, 3 hits and 5 misses", st)
 	}
 }
 
 // TestCacheFillServesByteHits pins the cluster back-fill path: a
 // pre-rendered document kept with Fill answers Rendered and the
 // rendered execute path by its content address without ever running
-// the solver, and a later plan-path caller solves once and merges into
-// the same entry.
+// the solver, and a later plan-path caller solves once and leaves the
+// document entry as it is.
 func TestCacheFillServesByteHits(t *testing.T) {
 	var calls atomic.Int64
 	r := countingRegistry(t, &calls)
@@ -337,7 +358,8 @@ func TestCacheFillServesByteHits(t *testing.T) {
 	}
 
 	// A plan-path caller needs the *Plan the fill does not carry: it
-	// solves once and the entry keeps serving the original rendering.
+	// solves once, adds no entry, and the document entry keeps serving
+	// the original rendering.
 	plan, err := c.execute(context.Background(), r, req)
 	if err != nil || plan == nil {
 		t.Fatalf("plan=%v err=%v", plan, err)
@@ -347,10 +369,10 @@ func TestCacheFillServesByteHits(t *testing.T) {
 	}
 	out2, info2, err := c.ExecuteRendered(context.Background(), r, req, render)
 	if err != nil || !info2.Hit || !bytes.Equal(out2, doc) {
-		t.Fatalf("after merge: info=%+v out=%q err=%v (first rendering must win)", info2, out2, err)
+		t.Fatalf("after the plan-path solve: info=%+v out=%q err=%v (the filled rendering must stay)", info2, out2, err)
 	}
 	if st := c.Stats(); st.Entries != 1 {
-		t.Fatalf("entries = %+v, want 1 (fill and solve merged)", st)
+		t.Fatalf("entries = %+v, want 1 (the plan-path solve leaves the document entry as it is)", st)
 	}
 
 	// Filling an existing entry never clobbers its rendering.
@@ -362,8 +384,8 @@ func TestCacheFillServesByteHits(t *testing.T) {
 }
 
 // TestCacheRecentDiskHitOutlivesOlderPlan is the eviction-rule
-// regression: the LRU evicts by recency alone, so a rendered-only
-// entry (a disk hit) that was just used outlives an older solved plan.
+// regression: the LRU evicts by recency alone, so a document entry (a
+// disk hit) that was just used outlives an older solved plan.
 // Requests whose rendered bytes came from the store must not be pushed
 // back to disk ahead of one-off solves.
 func TestCacheRecentDiskHitOutlivesOlderPlan(t *testing.T) {
@@ -392,7 +414,7 @@ func TestCacheRecentDiskHitOutlivesOlderPlan(t *testing.T) {
 			t.Fatalf("step %d: info=%+v out=%q err=%v, want A's stored document as a hit", step, info, out, err)
 		}
 	}
-	readA(1) // a disk hit: A enters memory rendered-only
+	readA(1) // a disk hit: A enters memory as a document entry
 	if _, err := r.Execute(ctx, b); err != nil {
 		t.Fatal(err)
 	}
@@ -545,6 +567,8 @@ func TestCacheStoreWarmStart(t *testing.T) {
 	if prev.String() != nbWord.String() {
 		t.Fatalf("repair saw warm word %q, want the neighbor's %q", prev, nbWord)
 	}
+	// The document entry does not answer the plan path: that caller
+	// warm-starts a solve of its own and leaves the entry as it is.
 	plan, err := c.execute(context.Background(), r, req)
 	if err != nil {
 		t.Fatal(err)
@@ -552,17 +576,24 @@ func TestCacheStoreWarmStart(t *testing.T) {
 	if !plan.WarmStarted || plan.NeighborDistance != 2 || !plan.Repaired {
 		t.Fatalf("plan provenance = warm:%v dist:%d repaired:%v", plan.WarmStarted, plan.NeighborDistance, plan.Repaired)
 	}
+	if repairs.Load() != 2 || solves.Load() != 0 {
+		t.Fatalf("repairs/solves = %d/%d, want 2/0 (the plan path repairs again)", repairs.Load(), solves.Load())
+	}
+	again, info, err := c.ExecuteRendered(context.Background(), r, req, render)
+	if err != nil || !info.Hit || !bytes.Equal(again, out) {
+		t.Fatalf("document re-read: info=%+v err=%v out=%q, want the first document as a hit", info, err, again)
+	}
 	store.mu.Lock()
 	persists, warmHeld := store.persists, append([]bool(nil), store.warmHeld...)
 	store.mu.Unlock()
 	if persists != 0 {
-		t.Fatalf("persists = %d, want 0 (a held repair is not re-spilled)", persists)
+		t.Fatalf("persists = %d, want 0 (a held repair is not re-spilled, and the plan path spills nothing)", persists)
 	}
-	if len(warmHeld) != 1 || !warmHeld[0] {
-		t.Fatalf("warm outcomes = %v, want one held", warmHeld)
+	if len(warmHeld) != 2 || !warmHeld[0] || !warmHeld[1] {
+		t.Fatalf("warm outcomes = %v, want two held", warmHeld)
 	}
-	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("stats = %+v, want the warm solve counted as a miss and the re-read as a hit", st)
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want both warm solves counted as misses, the re-read as a hit, one entry", st)
 	}
 }
 

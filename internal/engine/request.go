@@ -105,11 +105,13 @@ func WithSchedule(blocks int) RequestOption { return func(r *Request) { r.Schedu
 // for incremental repair after platform churn.
 func WithWarmStart(prev core.Word) RequestOption { return func(r *Request) { r.PrevWord = prev } }
 
-// WithCache routes the request through a content-addressed plan cache:
-// an identical request already solved returns the memoized Plan (treat
-// it as immutable) without touching a solver, and concurrent identical
-// requests collapse onto one in-flight solve. A nil cache leaves the
-// request uncached.
+// WithCache routes the request through a content-addressed plan cache's
+// plan path: an identical request already solved this way returns the
+// memoized Plan (treat it as immutable) without touching a solver, and
+// concurrent identical requests collapse onto one in-flight solve. A
+// document entry (ExecuteRendered, Fill, a disk hit) does not answer
+// it: the request solves and leaves that entry as it is. A nil cache
+// leaves the request uncached.
 func WithCache(c *Cache) RequestOption { return func(r *Request) { r.cache = c } }
 
 // Plan is the uniform answer to a Request: the solver Result (solver

@@ -176,10 +176,11 @@ func TestNeighborMatchesLinearScan(t *testing.T) {
 				return m
 			}
 
-			s, err := Open(Config{Dir: t.TempDir(), EditBudget: budget})
+			s, err := Open(Config{Dir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.budget = budget
 			var recs []refRecord
 			var sets []int // each record's option set
 			for i := 0; i < records; i++ {

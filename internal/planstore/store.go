@@ -32,9 +32,6 @@ const (
 type Config struct {
 	// Dir is the store directory, created if absent.
 	Dir string
-	// EditBudget caps the similarity distance for Neighbor (≤ 0 means
-	// DefaultEditBudget).
-	EditBudget int
 }
 
 // Stats is a snapshot of a store's counters. Entries/Bytes are current
@@ -88,7 +85,7 @@ type sig struct {
 // service does when Config.StoreDir is set). Safe for concurrent use.
 type Store struct {
 	dir    string
-	budget int
+	budget int // Neighbor's distance cap: DefaultEditBudget
 
 	mu    sync.Mutex
 	f     *os.File
@@ -120,10 +117,6 @@ func Open(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("planstore: %w", err)
 	}
-	budget := cfg.EditBudget
-	if budget <= 0 {
-		budget = DefaultEditBudget
-	}
 	path := filepath.Join(cfg.Dir, logName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -136,7 +129,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		dir:    cfg.Dir,
-		budget: budget,
+		budget: DefaultEditBudget,
 		f:      f,
 		refs:   make(map[[sha256.Size]byte]recordRef),
 		optIDs: make(map[string]int32),

@@ -124,7 +124,8 @@ func scanLines(t *testing.T, r io.Reader, max int) [][]byte {
 // TestCanceledSolvesReturnWorkspacesUnderStarvation: with the worker
 // gate and the solve path both stalled by injection, clients that give
 // up must always get their workspace (and gate permit) back. Batch and
-// job items take their permits through the same starved gate.
+// job items take their permits through the same starved gate and solve
+// through the same delayed path as /v1/solve.
 func TestCanceledSolvesReturnWorkspacesUnderStarvation(t *testing.T) {
 	srv, ts := newTestServer(t)
 	fired0 := injectedCount(chaos.GateStarve) + injectedCount(chaos.SolveDelay)
@@ -149,17 +150,26 @@ func TestCanceledSolvesReturnWorkspacesUnderStarvation(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		giveUp("/v1/solve", fig1Request, 5*time.Millisecond)
 	}
-	starved := injectedCount(chaos.GateStarve)
+	starved, delayed := injectedCount(chaos.GateStarve), injectedCount(chaos.SolveDelay)
 	for i := 0; i < 20; i++ {
 		giveUp("/v1/batch", jobBatchBody(4), 50*time.Millisecond)
 	}
+	// This client outwaits the starved gate (under 200 ms) but not the
+	// solve delay after it: its items are canceled on the solve path.
+	giveUp("/v1/batch", jobBatchBody(4), 300*time.Millisecond)
 	if injectedCount(chaos.GateStarve) == starved {
 		t.Fatal("service.gate.starve never reached a batch item")
 	}
-	starved = injectedCount(chaos.GateStarve)
+	if injectedCount(chaos.SolveDelay) == delayed {
+		t.Fatal("service.solve.delay never reached a batch item")
+	}
+	starved, delayed = injectedCount(chaos.GateStarve), injectedCount(chaos.SolveDelay)
 	waitJobDone(t, ts.URL, submitJob(t, ts.URL, jobBatchBody(4)))
 	if injectedCount(chaos.GateStarve) == starved {
 		t.Fatal("service.gate.starve never reached a job item")
+	}
+	if injectedCount(chaos.SolveDelay) == delayed {
+		t.Fatal("service.solve.delay never reached a job item")
 	}
 	chaos.Disarm()
 	deadline := time.Now().Add(5 * time.Second)

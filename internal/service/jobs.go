@@ -17,8 +17,9 @@ import (
 // connection on N solves. The items run in the background on the fan-out
 // /v1/batch uses (solveItems: at most Config.Workers engine.ForEach
 // workers, items claimed in index order, one worker-gate permit per
-// running item, through the plan cache) and land at their request
-// index. GET /v1/jobs/{id} reports progress; GET /v1/jobs/{id}/stream
+// running item, each solved to its plan document through solveRendered)
+// and land at their request index as NDJSON lines spliced from those
+// documents. GET /v1/jobs/{id} reports progress; GET /v1/jobs/{id}/stream
 // replays the per-item results as NDJSON in item order as they
 // complete, flushing each line, so a client consumes plan 0 while plan
 // 7 is still solving. The stream is resumable: ?from=K skips the first
@@ -189,8 +190,8 @@ func (s *Server) evictFinishedJobsLocked() {
 // to the server's lifetime, not the submitting request's.
 func (s *Server) runJob(j *job, reqs []engine.Request) {
 	defer s.jobsWG.Done()
-	err := s.solveItems(s.jobsCtx, reqs, func(i int, plan *engine.Plan, err error) error {
-		j.finishItem(i, jobLine(i, plan, err), err != nil, s.jobsCtx.Err() != nil)
+	err := s.solveItems(s.jobsCtx, reqs, func(i int, doc []byte, err error) error {
+		j.finishItem(i, jobLine(i, doc, err), err != nil, s.jobsCtx.Err() != nil)
 		return nil
 	})
 	if err != nil {
@@ -198,24 +199,15 @@ func (s *Server) runJob(j *job, reqs []engine.Request) {
 	}
 }
 
-// jobLine renders one item's NDJSON line.
-func jobLine(i int, plan *engine.Plan, err error) []byte {
-	doc := wire.JobItem{V: wire.Version, Index: i}
-	if err != nil {
-		ed := wire.NewErrorDoc(err)
-		doc.Code, doc.Error = ed.Code, ed.Error
-	} else {
-		p := wire.FromPlan(plan)
-		doc.Plan = &p
+// jobLine renders one item's NDJSON line: spliced from the item's plan
+// document, or an error line.
+func jobLine(i int, doc []byte, err error) []byte {
+	if err == nil {
+		return wire.EncodeJobLine(i, doc)
 	}
-	line, mErr := wire.MarshalCompact(doc)
-	if mErr != nil {
-		// Marshaling a plan cannot fail for real documents; keep the
-		// stream well-formed regardless.
-		line, _ = wire.MarshalCompact(wire.JobItem{
-			V: wire.Version, Index: i, Code: wire.CodeInternal, Error: mErr.Error(),
-		})
-	}
+	ed := wire.NewErrorDoc(err)
+	// An error line holds strings and ints only: it always marshals.
+	line, _ := wire.MarshalCompact(wire.JobItem{V: wire.Version, Index: i, Code: ed.Code, Error: ed.Error})
 	return line
 }
 

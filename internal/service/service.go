@@ -33,11 +33,17 @@
 // its siblings; a job records every item's outcome and, when Close
 // cancels it, gives each item no worker claimed a canceled line.
 //
-// Stateless solves (solve, batch, job items) are memoized by default
-// through a content-addressed engine.Cache keyed by the SHA-256 of the
-// request's canonical wire encoding: resubmitting an identical request
-// returns the cached plan — byte-identical bytes, no solver work — and
-// concurrent identical requests collapse onto one in-flight solve.
+// Every stateless solve (solve, batch and job items, a cluster
+// non-owner's local fallback) takes one path, solveRendered, and its
+// answer is the canonical plan document: a pure function of the
+// request, memoized by default through the document path of a
+// content-addressed engine.Cache keyed by the SHA-256 of the request's
+// canonical wire encoding. Resubmitting an identical request returns
+// the cached document — byte-identical bytes, no solver or encoder
+// work — and concurrent identical requests collapse onto one in-flight
+// solve; with Config.StoreDir, misses read and persist documents in the
+// plan store. A batch answer and a job's NDJSON lines are spliced from
+// the item documents (wire.EncodeBatchPlans, wire.EncodeJobLine).
 // /v1/solve first looks up the SHA-256 of the raw body in that cache,
 // before decoding: a body sent in canonical encoding is its own
 // content address. It labels each response with an X-Bmpcast-Cache:
@@ -114,9 +120,6 @@ type Config struct {
 	// persists only the shard it owns. Use NewServer to surface store
 	// open errors.
 	StoreDir string
-	// StoreEditBudget caps the node-multiset edit distance for
-	// warm-start neighbors (0 means planstore.DefaultEditBudget).
-	StoreEditBudget int
 	// SessionTTL reaps sessions idle longer than this. A client that
 	// never learns its session id — the open reply lost to a dropped
 	// connection — can otherwise pin a leased workspace forever (the
@@ -228,7 +231,7 @@ func NewServer(cfg Config) (*Server, error) {
 		if s.cache == nil {
 			return nil, fmt.Errorf("service: StoreDir requires the plan cache (CacheSize ≥ 0)")
 		}
-		store, err := planstore.Open(planstore.Config{Dir: cfg.StoreDir, EditBudget: cfg.StoreEditBudget})
+		store, err := planstore.Open(planstore.Config{Dir: cfg.StoreDir})
 		if err != nil {
 			return nil, fmt.Errorf("service: opening plan store: %w", err)
 		}
@@ -518,39 +521,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	resp := wire.BatchPlans{V: wire.Version, Plans: make([]wire.Plan, len(reqs))}
-	err = s.solveItems(r.Context(), reqs, func(i int, plan *engine.Plan, err error) error {
+	docs := make([][]byte, len(reqs))
+	err = s.solveItems(r.Context(), reqs, func(i int, doc []byte, err error) error {
 		if err != nil {
 			return fmt.Errorf("request %d: %w", i, err)
 		}
-		resp.Plans[i] = wire.FromPlan(plan)
+		docs[i] = doc
 		return nil
 	})
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	s.replyDoc(w, resp)
+	s.reply(w, wire.EncodeBatchPlans(docs))
 }
 
 // solveItems is the one item fan-out behind /v1/batch and /v1/jobs. It
 // runs engine.ForEach with at most Config.Workers workers, which claim
 // items in index order; each running item takes one gate permit through
-// acquireCtx, solves on the cached plan path, releases the permit and
-// hands its outcome to done. A non-nil return from done cancels the
-// items not yet claimed, and solveItems returns the causing error
-// rather than the cancellations it set off. When ctx ends first the
-// result is ErrCanceled joined with the context error.
-func (s *Server) solveItems(ctx context.Context, reqs []engine.Request, done func(i int, plan *engine.Plan, err error) error) error {
+// acquireCtx, solves through solveRendered as /v1/solve does, releases
+// the permit and hands its canonical plan document to done. A non-nil
+// return from done cancels the items not yet claimed, and solveItems
+// returns the causing error rather than the cancellations it set off.
+// When ctx ends first the result is ErrCanceled joined with the context
+// error.
+func (s *Server) solveItems(ctx context.Context, reqs []engine.Request, done func(i int, doc []byte, err error) error) error {
 	err := engine.ForEach(ctx, len(reqs), s.cfg.Workers, func(ctx context.Context, i int) error {
 		if err := s.acquireCtx(ctx); err != nil {
 			return done(i, nil, engineCanceled(err))
 		}
-		req := reqs[i]
-		engine.WithCache(s.cache)(&req)
-		plan, err := s.cfg.Registry.Execute(ctx, req)
+		doc, _, err := s.solveRendered(ctx, reqs[i])
 		s.release()
-		return done(i, plan, err)
+		return done(i, doc, err)
 	})
 	if err != nil && ctx.Err() != nil {
 		return engineCanceled(err)

@@ -92,6 +92,57 @@ func TestStoreServesAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestBatchAndJobItemsUseTheStore: batch and job items take
+// /v1/solve's document path, so a store-backed server persists their
+// misses and, after a restart on the same directory, answers the same
+// batch and job byte-identically from disk, without a solve. Each call
+// holds one incremental (acyclic) request, and the two differ in their
+// options, so no item warm-starts from another and skips its spill.
+func TestBatchAndJobItemsUseTheStore(t *testing.T) {
+	const (
+		batch = `{"v":1,"requests":[` + fig1Request + `,` +
+			`{"v":1,"instance":{"v":1,"b0":6,"open":[5,5],"guarded":[4,1,1]},"solver":"greedy"}]}`
+		job = `{"v":1,"requests":[` +
+			`{"v":1,"instance":{"v":1,"b0":6,"open":[5,5,3],"guarded":[4,1]},"solver":"acyclic"},` +
+			`{"v":1,"instance":{"v":1,"b0":6,"open":[5,5,3],"guarded":[4,1]},"solver":"greedy"}]}`
+	)
+	dir := t.TempDir()
+	answer := func() (batchDoc []byte, jobLines [][]byte, cs engine.CacheStats, diskHits int64) {
+		t.Helper()
+		srv, err := NewServer(Config{Workers: 2, StoreDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		defer func() { ts.Close(); srv.Close() }()
+		code, batchDoc := post(t, ts.URL+"/v1/batch", batch)
+		if code != http.StatusOK {
+			t.Fatalf("batch: status %d: %s", code, batchDoc)
+		}
+		id := submitJob(t, ts.URL, job)
+		waitJobDone(t, ts.URL, id)
+		if _, completed, errs := jobStatus(t, ts.URL, id); completed != 2 || errs != 0 {
+			t.Fatalf("job: %d items completed, %d errors", completed, errs)
+		}
+		return batchDoc, readStream(t, ts.URL, id, 0), srv.CacheStats(), srv.StoreStats().DiskHits
+	}
+	batch1, lines1, cs, hits := answer()
+	if cs.Misses != 4 || hits != 0 {
+		t.Fatalf("first run: %d misses, %d disk hits; want 4 solves on an empty store", cs.Misses, hits)
+	}
+	// "Restart": a brand-new server over the same directory.
+	batch2, lines2, cs, hits := answer()
+	if cs.Misses != 0 || hits != 4 {
+		t.Fatalf("after restart: %d misses, %d disk hits; want every item answered from disk", cs.Misses, hits)
+	}
+	if !bytes.Equal(batch1, batch2) {
+		t.Fatalf("restart changed the batch answer:\n before %s\n after  %s", batch1, batch2)
+	}
+	if !bytes.Equal(bytes.Join(lines1, nil), bytes.Join(lines2, nil)) || len(lines2) != 2 {
+		t.Fatalf("restart changed the job stream:\n before %q\n after  %q", lines1, lines2)
+	}
+}
+
 // TestStoreKeepsBackfill: a plan back-filled into a standalone replica
 // over /v1/cluster/fill is persisted to its store, so a fresh process
 // over the same directory answers the request from disk without a

@@ -52,6 +52,34 @@ func sameAsJSON(t *testing.T, what string, doc any) {
 	}
 }
 
+// splicesLikeJSON fails unless the job lines and the batch answers
+// spliced from docs, plans[i] as Marshal wrote it, are the bytes
+// encoding/json writes for the same JobItem and BatchPlans values: each
+// plan as job item i, and batches of the first zero to three plans and
+// of all of them.
+func splicesLikeJSON(t *testing.T, what string, plans []Plan, docs [][]byte) {
+	t.Helper()
+	for i := range plans {
+		want, err := reference(JobItem{V: Version, Index: i, Plan: &plans[i]}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := EncodeJobLine(i, docs[i]); !bytes.Equal(got, want) {
+			t.Fatalf("%s: job line %d differs from encoding/json\n got: %q\nwant: %q", what, i, got, want)
+		}
+	}
+	for _, k := range []int{0, 1, 2, 3, len(plans)} {
+		k = min(k, len(plans))
+		want, err := reference(BatchPlans{V: Version, Plans: append([]Plan{}, plans[:k]...)}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := EncodeBatchPlans(docs[:k]); !bytes.Equal(got, want) {
+			t.Fatalf("%s: batch answer of %d plans differs from encoding/json\n got: %q\nwant: %q", what, k, got, want)
+		}
+	}
+}
+
 // documents builds one of each document the writer covers from a float,
 // an int and a string. Slices that encoding/json renders without
 // omitempty are nil when n is even and empty when it is odd.
@@ -215,19 +243,19 @@ func scansLikeJSON[T any](t *testing.T, data []byte, read func(*scanner) T) {
 func TestCodecMatchesJSONOnSolverPlans(t *testing.T) {
 	plans, reqs := solverPlans(t)
 	var wires []Plan
+	var docs [][]byte
 	var wreqs []Request
 	for i, p := range plans {
 		w := FromPlan(p)
-		wires = append(wires, w)
 		doc, err := EncodePlan(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wires, docs = append(wires, w), append(docs, doc)
 		if want, _ := reference(w, true); !bytes.Equal(doc, want) {
 			t.Fatalf("plan %d (%s): EncodePlan differs from encoding/json", i, p.Solver)
 		}
 		sameAsJSON(t, "plan", w)
-		sameAsJSON(t, "job line", JobItem{V: Version, Index: i, Plan: &w})
 		sameAsJSON(t, "session reply", SessionReply{V: Version, Session: "s1", Solver: p.Solver, Plan: &w, Stats: &SessionStats{Events: i}})
 		scansLikeJSON(t, doc, (*scanner).plan)
 
@@ -246,7 +274,16 @@ func TestCodecMatchesJSONOnSolverPlans(t *testing.T) {
 		}
 		scansLikeJSON(t, idoc, (*scanner).instance)
 	}
-	sameAsJSON(t, "batch answer", BatchPlans{V: Version, Plans: wires})
+	splicesLikeJSON(t, "solver plans", wires, docs)
+	// A solver name that needs escapes goes through encoding/json, and
+	// holds a quote, a colon and a space the splice must leave alone.
+	odd := wires[0]
+	odd.Solver = `a": "b\`
+	oddDoc, err := Marshal(odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	splicesLikeJSON(t, "escaped solver name", []Plan{odd, wires[1], odd}, [][]byte{oddDoc, docs[1], oddDoc})
 	bdoc, err := EncodeBatch(reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +402,9 @@ func FuzzReaderMatchesJSON(f *testing.F) {
 // FuzzWriterMatchesJSON builds every covered document from fuzzed float
 // bits, an int and an arbitrary string: the writer must give the bytes
 // of encoding/json, configured as Marshal and MarshalCompact were, or
-// fail where it fails.
+// fail where it fails. The job lines and batch answers spliced from the
+// fuzzed plans' documents must give encoding/json's bytes too, and a
+// splice of the raw string, as a peer might send it, must not panic.
 func FuzzWriterMatchesJSON(f *testing.F) {
 	f.Add(math.Float64bits(4.4), int64(3), "acyclic")
 	f.Add(math.Float64bits(1e-7), int64(-1), "<&>\u2028\xff\"\\")
@@ -373,8 +412,18 @@ func FuzzWriterMatchesJSON(f *testing.F) {
 	f.Add(math.Float64bits(math.Copysign(0, -1)), int64(math.MinInt64), "\x00\x1f\x7f")
 	f.Add(math.Float64bits(1e21), int64(1), "ogogo")
 	f.Fuzz(func(t *testing.T, bits uint64, n int64, s string) {
+		var plans []Plan
+		var docs [][]byte
 		for _, doc := range documents(math.Float64frombits(bits), n, s) {
 			sameAsJSON(t, "fuzzed document", doc)
+			if p, ok := doc.(Plan); ok {
+				if d, err := Marshal(p); err == nil {
+					plans, docs = append(plans, p), append(docs, d)
+				}
+			}
 		}
+		splicesLikeJSON(t, "fuzzed plans", plans, docs)
+		EncodeJobLine(int(n), []byte(s))
+		EncodeBatchPlans([][]byte{[]byte(s), nil})
 	})
 }

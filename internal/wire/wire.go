@@ -14,18 +14,21 @@
 // fields); malformed input returns an error wrapping ErrMalformed and
 // never panics (fuzz-tested).
 //
-// The documents the daemon serves and keys on (Request, Plan,
-// BatchPlans, JobItem) render through an append writer (writer.go), and
-// Request, Instance, Batch and Plan documents decode through a one-pass
-// scanner (scanner.go); neither uses reflection. Each handles only the
-// plain shape this package writes and hands anything else to
-// encoding/json — the writer a string that needs an escape or a
-// non-finite float, the scanner any other input — so bytes, accepted
-// inputs, values and errors are encoding/json's by construction. The
-// other documents (errors, job status, timelines, cluster and soak
-// documents, and a top-level Instance, Batch or SessionReply) are small
-// or rare and stay on encoding/json. Differential tests and fuzzers (codec_test.go)
-// hold both halves to encoding/json.
+// The documents the daemon keys on and solves to (Request, Plan) render
+// through an append writer (writer.go), and Request, Instance, Batch and
+// Plan documents decode through a one-pass scanner (scanner.go);
+// neither uses reflection. Each handles only the plain shape this
+// package writes and hands anything else to encoding/json — the writer
+// a string that needs an escape or a non-finite float, the scanner any
+// other input — so bytes, accepted inputs, values and errors are
+// encoding/json's by construction. The batch answer and the job stream
+// line are spliced from plan documents (EncodeBatchPlans,
+// EncodeJobLine) to the bytes Marshal and MarshalCompact write for
+// them. The other documents (errors, job status and error lines,
+// timelines, cluster and soak documents, and a top-level Instance,
+// Batch or SessionReply) are small or rare and stay on encoding/json.
+// Differential tests and fuzzers (codec_test.go) hold the writer, the
+// splice and the scanner to encoding/json.
 //
 // Versioning policy (see DESIGN.md, "API v2 and the service layer"):
 // adding optional fields keeps "v": 1; renaming, removing or changing
@@ -71,7 +74,8 @@ func Marshal(v any) ([]byte, error) { return marshal(v, true) }
 
 // MarshalCompact renders a wire document as a single line of JSON plus
 // a trailing newline — one NDJSON record, as streamed by the service's
-// GET /v1/jobs/{id}/stream endpoint. Like Marshal it is deterministic
+// GET /v1/jobs/{id}/stream endpoint (which writes a plan's line with
+// EncodeJobLine, to the same bytes). Like Marshal it is deterministic
 // (struct field order, no HTML escaping), so identical values always
 // produce identical lines.
 func MarshalCompact(v any) ([]byte, error) { return marshal(v, false) }
@@ -232,7 +236,7 @@ func (w Request) Request() (engine.Request, error) {
 }
 
 // EncodeRequest renders a request as a canonical wire document.
-func EncodeRequest(req engine.Request) ([]byte, error) { return Marshal(FromRequest(req)) }
+func EncodeRequest(req engine.Request) ([]byte, error) { return marshal(FromRequest(req), true) }
 
 // DecodeRequest parses and validates a wire request document.
 func DecodeRequest(data []byte) (engine.Request, error) {
@@ -365,7 +369,7 @@ func FromPlan(p *engine.Plan) Plan {
 }
 
 // EncodePlan renders a plan as a canonical wire document.
-func EncodePlan(p *engine.Plan) ([]byte, error) { return Marshal(FromPlan(p)) }
+func EncodePlan(p *engine.Plan) ([]byte, error) { return marshal(FromPlan(p), true) }
 
 // DecodePlan parses a wire plan document into its client-side view
 // (the wire struct itself — plans are answers, not round-trip domain

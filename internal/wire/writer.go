@@ -8,15 +8,16 @@ import (
 	"sync"
 )
 
-// writer renders the documents the daemon serves and keys on (Request,
-// Plan, BatchPlans, JobItem) by appending to one byte slice, with no
-// reflection, to the bytes an encoding/json Encoder with
-// SetEscapeHTML(false) writes (plus SetIndent("", "  ") in indent
-// mode): fields in struct order,
-// omitempty as encoding/json defines it, nil slices as null, floats in
-// its 'f'/'e' form. A string that needs an escape and a non-finite
-// float (an encoding/json error) are left to encoding/json, which then
-// renders the whole document; real documents hold neither.
+// writer renders the documents the daemon keys on and solves to
+// (Request, Plan) by appending to one byte slice, with no reflection,
+// to the bytes an encoding/json Encoder with SetEscapeHTML(false)
+// writes (plus SetIndent("", "  ") in indent mode): fields in struct
+// order, omitempty as encoding/json defines it, nil slices as null,
+// floats in its 'f'/'e' form. A string that needs an escape and a
+// non-finite float (an encoding/json error) are left to encoding/json,
+// which then renders the whole document; real documents hold neither.
+// The batch answer and the job line are spliced from plan documents
+// (EncodeBatchPlans, EncodeJobLine), never re-rendered from a Plan.
 type writer struct {
 	b      []byte
 	indent bool
@@ -25,33 +26,33 @@ type writer struct {
 	punt   bool // a value is left to encoding/json
 }
 
-// buffers recycles the writer's buffers; marshal returns copies.
-var buffers = sync.Pool{New: func() any { return new([]byte) }}
+// writers recycles writers with their buffers; marshal returns copies.
+var writers = sync.Pool{New: func() any { return new(writer) }}
 
-// marshal renders v with its trailing newline: a covered document
+// marshal renders v with its trailing newline: a Request or a Plan
 // through the writer, any other type through encoding/json. That
-// includes a top-level Instance, a Batch and a SessionReply: only the
-// SDK and tests encode the first two, and no workload loads sessions.
-// The writer's result is a copy sized to its content, so a document the
-// cache keeps carries no spare capacity.
-func marshal(v any, indent bool) ([]byte, error) {
-	buf := buffers.Get().(*[]byte)
-	defer buffers.Put(buf)
-	w := writer{b: (*buf)[:0], indent: indent, first: true}
-	switch d := v.(type) {
+// includes a top-level Instance, a Batch and a SessionReply (only the
+// SDK and tests encode the first two, and no workload loads sessions),
+// and a BatchPlans or JobItem value: the service splices those from
+// plan documents and marshals only a job's error lines. The writer's
+// result is a copy sized to its content, so a document the cache keeps
+// carries no spare capacity. marshal is generic so that EncodeRequest
+// and EncodePlan box their document only to hand it to encoding/json.
+func marshal[T any](v T, indent bool) ([]byte, error) {
+	w := writers.Get().(*writer)
+	defer writers.Put(w)
+	*w = writer{b: w.b[:0], indent: indent, first: true}
+	switch d := any(v).(type) {
 	case Request:
 		w.request(d)
 	case Plan:
 		w.plan(d)
-	case BatchPlans:
-		w.batchPlans(d)
-	case JobItem:
-		w.jobItem(d)
 	default:
 		w.punt = true
 	}
-	if *buf = w.b; !w.punt {
-		return bytes.Clone(append(w.b, '\n')), nil
+	if !w.punt {
+		w.b = append(w.b, '\n')
+		return bytes.Clone(w.b), nil
 	}
 	var out bytes.Buffer
 	enc := json.NewEncoder(&out)
@@ -293,22 +294,68 @@ func (w *writer) evals(e EvalCounts) {
 	w.close('}')
 }
 
-func (w *writer) batchPlans(b BatchPlans) {
-	w.open('{')
-	w.intField("v", int64(b.V), false)
-	list(w, "plans", b.Plans, false, (*writer).plan)
-	w.close('}')
+// ---------------------------------------------------------------------------
+// Documents spliced from plan documents. A plan document, as EncodePlan
+// or Marshal writes it, holds no raw newline inside a string
+// (encoding/json escapes one), and each of its lines is indentation, at
+// most one key (a plain-ASCII field name, then `": `) and a value. So
+// nesting it deeper only indents each line after its first, and its
+// compact form drops each line's indentation and newline and the one
+// space after its key: no plan is decoded or rendered again. A document
+// a cluster peer sent is spliced as it came, so neither function panics
+// on input that breaks these rules.
+
+// EncodeBatchPlans renders the /v1/batch answer whose plans are docs,
+// each a plan document as EncodePlan wrote it: the bytes
+// Marshal(BatchPlans{V: Version, Plans: plans}) writes. Each document
+// nests two levels deep, so every line after its first gains four
+// spaces.
+func EncodeBatchPlans(docs [][]byte) []byte {
+	nl := []byte{'\n'}
+	n := 32 // the answer's own lines
+	for _, d := range docs {
+		n += len(d) + 4*bytes.Count(d, nl) + 1
+	}
+	out := strconv.AppendInt(append(make([]byte, 0, n), "{\n  \"v\": "...), Version, 10)
+	out = append(out, ",\n  \"plans\": ["...)
+	for i, d := range docs {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		rest := bytes.TrimSuffix(d, nl)
+		for more := true; more; {
+			var line []byte
+			line, rest, more = bytes.Cut(rest, nl)
+			out = append(append(out, "\n    "...), line...)
+		}
+	}
+	if len(docs) > 0 {
+		out = append(out, "\n  "...)
+	}
+	return append(out, "]\n}\n"...)
 }
 
-func (w *writer) jobItem(j JobItem) {
-	w.open('{')
-	w.intField("v", int64(j.V), false)
-	w.intField("index", int64(j.Index), false)
-	if j.Plan != nil {
-		w.key("plan")
-		w.plan(*j.Plan)
+// EncodeJobLine renders the NDJSON line of job item i answered by doc,
+// a plan document as EncodePlan wrote it: the bytes
+// MarshalCompact(JobItem{V: Version, Index: i, Plan: &plan}) writes.
+// It drops the document's indentation and newlines and the one space
+// after each key.
+func EncodeJobLine(i int, doc []byte) []byte {
+	// The compact plan is shorter than doc: one allocation holds the line.
+	out := strconv.AppendInt(append(make([]byte, 0, len(doc)+48), `{"v":`...), Version, 10)
+	out = strconv.AppendInt(append(out, `,"index":`...), int64(i), 10)
+	out = append(out, `,"plan":`...)
+	for len(doc) > 0 {
+		var line []byte
+		line, doc, _ = bytes.Cut(doc, []byte{'\n'})
+		if line = bytes.TrimLeft(line, " "); len(line) > 0 && line[0] == '"' {
+			// A key ends at its second quote: a field name needs no escape.
+			if q := 2 + bytes.IndexByte(line[1:], '"'); q+1 < len(line) && line[q] == ':' && line[q+1] == ' ' {
+				out = append(out, line[:q+1]...)
+				line = line[q+2:]
+			}
+		}
+		out = append(out, line...)
 	}
-	w.stringField("code", j.Code, true)
-	w.stringField("error", j.Error, true)
-	w.close('}')
+	return append(out, "}\n"...)
 }

@@ -103,8 +103,9 @@ var (
 // the request's canonical wire encoding: an identical request already
 // solved returns the cached plan (treat it as immutable) without
 // touching a solver, and concurrent identical requests collapse onto
-// one in-flight solve. Attach one to requests with WithCache; the
-// `bmpcast serve` daemon runs one by default.
+// one in-flight solve. Attach one to requests with WithCache. The
+// `bmpcast serve` daemon runs one by default on its document path,
+// whose entries hold canonical plan documents instead of plans.
 type PlanCache = engine.Cache
 
 // PlanCacheStats is a cache's counter snapshot (hits, misses, shared
