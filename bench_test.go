@@ -31,6 +31,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -568,22 +569,27 @@ func itoa(n int) string {
 
 // BenchmarkServiceSolve measures one full `POST /v1/solve` round trip
 // against the broadcast-planning service (decode request → bounded
-// worker gate → pooled Execute → canonical wire encode) on the Figure 1
-// instance — the service-layer overhead on top of the microseconds-long
-// solve itself. The plan cache is disabled so every iteration is a
-// real solve (the memoized path is BenchmarkServiceSolveCached).
-// Gated in CI via BENCH_baseline.json.
+// worker gate → cache miss → pooled Execute → canonical wire encode →
+// cache insert) on the Figure 1 instance — the service-layer overhead
+// on top of the microseconds-long solve itself. Every iteration posts a
+// distinct body (b0 stepped by 1e-9), so every one is a real solve
+// through the production miss path (the memoized path is
+// BenchmarkServiceSolveCached). Gated in CI via BENCH_baseline.json.
 func BenchmarkServiceSolve(b *testing.B) {
-	svc := service.New(service.Config{Workers: 2, CacheSize: -1})
+	svc := service.New(service.Config{Workers: 2})
 	defer svc.Close()
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
-	const body = `{"v":1,"instance":{"v":1,"b0":6,"open":[5,5],"guarded":[4,1,1]},"solver":"acyclic","tolerance":1e-9}`
+	bodies := make([]string, b.N)
+	for i := range bodies {
+		b0 := strconv.FormatFloat(6+1e-9*float64(i), 'g', -1, 64)
+		bodies[i] = `{"v":1,"instance":{"v":1,"b0":` + b0 + `,"open":[5,5],"guarded":[4,1,1]},"solver":"acyclic","tolerance":1e-9}`
+	}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(bodies[i]))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -594,12 +600,15 @@ func BenchmarkServiceSolve(b *testing.B) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
+		if resp.Header.Get("X-Bmpcast-Cache") != "miss" {
+			b.Fatalf("iteration %d answered %q, want a miss", i, resp.Header.Get("X-Bmpcast-Cache"))
+		}
 	}
 }
 
 // BenchmarkServiceSolveCached isolates what the content-addressed plan
 // cache buys on a non-trivial instance (200 nodes, ≈1ms solve). Both
-// sub-benchmarks drive the same default-cache service handler directly
+// sub-benchmarks drive the same service handler directly
 // (no TCP, no HTTP client), so the delta is what separates a miss from
 // a hit on one config:
 //

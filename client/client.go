@@ -279,8 +279,8 @@ func (c *Client) doOrder(ctx context.Context, order []string, method, path strin
 		}
 		if (attempt+1)%len(order) == 0 {
 			// A full rotation failed; pause before going around again.
-			if err := sleep(ctx, c.backoff<<(attempt/len(order))); err != nil {
-				return nil, fmt.Errorf("%w (last attempt: %w)", err, lastErr)
+			if err := chaos.Sleep(ctx, c.backoff<<(attempt/len(order))); err != nil {
+				return nil, fmt.Errorf("client: %w (last attempt: %w)", engine.Canceled(err), lastErr)
 			}
 		}
 	}
@@ -363,24 +363,6 @@ func errorFrom(path string, status int, data []byte) error {
 		return doc.Err()
 	}
 	return fmt.Errorf("client: %s: HTTP %d: %s", path, status, bytes.TrimSpace(data))
-}
-
-// sleep is a context-aware backoff pause.
-func sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("client: %w", errCanceled(ctx.Err()))
-	}
-}
-
-// errCanceled mirrors the engine's convention: cancellation errors
-// match both engine.ErrCanceled and the underlying context error.
-func errCanceled(ctxErr error) error {
-	return errors.Join(engine.ErrCanceled, ctxErr)
 }
 
 // ---------------------------------------------------------------------------
@@ -513,7 +495,7 @@ func (j *Job) resolve(ctx context.Context) ([]byte, error) {
 			lastErr = transient
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("client: %w", errCanceled(err))
+			return nil, fmt.Errorf("client: %w", engine.Canceled(err))
 		}
 	}
 	return nil, lastErr
@@ -634,8 +616,8 @@ func (s *Stream) Next() (Item, error) {
 			// Resume from the cursor after a backoff; a transient
 			// reconnect failure spends an attempt, a typed refusal
 			// (evicted job, bad cursor) is definitive.
-			if err := sleep(s.ctx, s.job.c.backoff<<(attempt-1)); err != nil {
-				return Item{}, err
+			if err := chaos.Sleep(s.ctx, s.job.c.backoff<<(attempt-1)); err != nil {
+				return Item{}, fmt.Errorf("client: %w", engine.Canceled(err))
 			}
 			if transient, err := s.connect(); err != nil {
 				if !transient {
@@ -658,7 +640,7 @@ func (s *Stream) Next() (Item, error) {
 			return item, err
 		}
 		if err := s.ctx.Err(); err != nil {
-			return Item{}, fmt.Errorf("client: %w", errCanceled(err))
+			return Item{}, fmt.Errorf("client: %w", engine.Canceled(err))
 		}
 		// The connection ended with items outstanding: a dropped
 		// stream, not a finished one.

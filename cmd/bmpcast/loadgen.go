@@ -6,20 +6,18 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
-	"repro/client"
-	"repro/internal/engine"
+	"repro/internal/loadgen"
 	"repro/internal/sim"
 )
 
 // bmpcast loadgen: replay a seeded trace of mixed solve/job/stream
-// traffic against a live `bmpcast serve` at a target request rate,
-// through the exported Go SDK only — the load numbers measure the same
-// wire path real users hit. The trace (kinds, batch shapes, every
-// instance) is byte-reproducible per seed; the latency report is the
-// measurement.
+// traffic against a live `bmpcast serve` at a target request rate
+// (internal/loadgen's Replay), through the exported Go SDK only — the
+// load numbers measure the same wire path real users hit. The trace
+// (kinds, batch shapes, every instance) is byte-reproducible per seed;
+// the latency report is the measurement.
 
 func cmdLoadgen(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
@@ -65,143 +63,21 @@ func cmdLoadgen(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rep, err := runLoad(trace, loadParams{
-		Addr: *addr, Hedge: *hedgeAfter, RPS: *rps, Solver: *solverName, Conc: *conc,
-	})
+	c, err := newSDKClient(*addr, *hedgeAfter)
 	if err != nil {
-		return err
+		return fmt.Errorf("loadgen: %w", err)
 	}
+	ctx := context.Background()
+	if err := c.Healthz(ctx); err != nil {
+		return fmt.Errorf("loadgen: %s not healthy: %w", *addr, err)
+	}
+	rep := loadgen.Replay(ctx, c, trace, *rps, *conc, *solverName)
 	if *format == "bench" {
-		rep.writeBench(stdout)
+		writeBench(stdout, rep)
 		return nil
 	}
-	rep.writeText(stdout, *addr, *rps, *duration, *seed, *n, *distName)
+	writeText(stdout, rep, *addr, *rps, *duration, *seed, *n, *distName)
 	return nil
-}
-
-// loadParams carries the replay knobs into runLoad.
-type loadParams struct {
-	Addr   string // comma-separated replica endpoints
-	Hedge  time.Duration
-	RPS    float64
-	Solver string
-	Conc   int
-}
-
-// epStats accumulates one endpoint's latencies. Guarded by the
-// report's mutex — appends are off the timed path anyway.
-type epStats struct {
-	durations []time.Duration
-	errors    int
-}
-
-// loadReport is the replay outcome: per-endpoint latency samples plus
-// the overall wall clock.
-type loadReport struct {
-	mu      sync.Mutex
-	eps     map[string]*epStats
-	elapsed time.Duration
-	total   int
-}
-
-func (r *loadReport) record(ep string, d time.Duration, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.eps[ep]
-	if s == nil {
-		s = &epStats{}
-		r.eps[ep] = s
-	}
-	r.total++
-	if err != nil {
-		s.errors++
-		return
-	}
-	s.durations = append(s.durations, d)
-}
-
-// runLoad replays the trace open-loop: op i is due at start + i/RPS,
-// dispatched on its own goroutine (at most Conc in flight — beyond
-// that the pacer blocks, and the sustained-RPS figure shows the
-// backpressure instead of hiding it behind an unbounded queue).
-func runLoad(trace *sim.LoadTrace, p loadParams) (*loadReport, error) {
-	ctx := context.Background()
-	c, err := newSDKClient(p.Addr, p.Hedge)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: %w", err)
-	}
-	if err := c.Healthz(ctx); err != nil {
-		return nil, fmt.Errorf("loadgen: %s not healthy: %w", p.Addr, err)
-	}
-	rep := &loadReport{eps: make(map[string]*epStats)}
-	sem := make(chan struct{}, p.Conc)
-	var wg sync.WaitGroup
-	start := time.Now()
-	interval := time.Duration(float64(time.Second) / p.RPS)
-	for i := range trace.Ops {
-		op := &trace.Ops[i]
-		if d := time.Until(start.Add(time.Duration(i) * interval)); d > 0 {
-			time.Sleep(d)
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			runLoadOp(ctx, c, op, p.Solver, rep)
-		}()
-	}
-	wg.Wait()
-	rep.elapsed = time.Since(start)
-	return rep, nil
-}
-
-// runLoadOp plays one traffic op, recording each wire interaction
-// under its endpoint: "solve" (sync round trip), "jobs" (submit
-// round trip), "stream" (drain to EOF).
-func runLoadOp(ctx context.Context, c *client.Client, op *sim.LoadOp, solver string, rep *loadReport) {
-	switch op.Kind {
-	case sim.LoadSolve:
-		t0 := time.Now()
-		_, err := c.Solve(ctx, engine.NewRequest(op.Instances[0], engine.WithSolver(solver)))
-		rep.record("solve", time.Since(t0), err)
-	case sim.LoadJob:
-		reqs := make([]client.Request, len(op.Instances))
-		for i, ins := range op.Instances {
-			reqs[i] = engine.NewRequest(ins, engine.WithSolver(solver))
-		}
-		t0 := time.Now()
-		job, err := c.Submit(ctx, reqs)
-		rep.record("jobs", time.Since(t0), err)
-		if err != nil {
-			return
-		}
-		t1 := time.Now()
-		streamErr := drainJob(ctx, job)
-		rep.record("stream", time.Since(t1), streamErr)
-	}
-}
-
-// drainJob consumes a job's NDJSON stream to EOF; per-item solver
-// errors count as failures too (the smoke gate wants zero of both).
-func drainJob(ctx context.Context, job *client.Job) error {
-	stream, err := job.Stream(ctx, 0)
-	if err != nil {
-		return err
-	}
-	defer stream.Close()
-	for {
-		item, err := stream.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if item.Err != nil {
-			return item.Err
-		}
-	}
 }
 
 // percentile returns the q-th percentile (0 < q ≤ 100) of sorted
@@ -221,9 +97,9 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 }
 
 // endpoints returns the recorded endpoint names, sorted.
-func (r *loadReport) endpoints() []string {
-	eps := make([]string, 0, len(r.eps))
-	for ep := range r.eps {
+func endpoints(r *loadgen.Report) []string {
+	eps := make([]string, 0, len(r.Endpoints))
+	for ep := range r.Endpoints {
 		eps = append(eps, ep)
 	}
 	sort.Strings(eps)
@@ -232,46 +108,47 @@ func (r *loadReport) endpoints() []string {
 
 const msPerDuration = float64(time.Millisecond)
 
-func (r *loadReport) writeText(out io.Writer, addr string, rps float64, d time.Duration, seed int64, n int, dist string) {
+func writeText(out io.Writer, r *loadgen.Report, addr string, rps float64, d time.Duration, seed int64, n int, dist string) {
 	fmt.Fprintf(out, "loadgen: target %.1f rps for %s against %s (seed %d, n=%d, dist %s)\n",
 		rps, d, addr, seed, n, dist)
-	totalErrs := 0
-	for _, ep := range r.endpoints() {
-		s := r.eps[ep]
-		totalErrs += s.errors
-		sort.Slice(s.durations, func(i, j int) bool { return s.durations[i] < s.durations[j] })
+	total, totalErrs := 0, 0
+	for _, ep := range endpoints(r) {
+		s := r.Endpoints[ep]
+		total += len(s.Durations) + s.Errors
+		totalErrs += s.Errors
+		sort.Slice(s.Durations, func(i, j int) bool { return s.Durations[i] < s.Durations[j] })
 		fmt.Fprintf(out, "endpoint %-6s requests=%d errors=%d rps=%.1f p50=%.2fms p95=%.2fms p99=%.2fms\n",
-			ep, len(s.durations)+s.errors, s.errors,
-			float64(len(s.durations))/r.elapsed.Seconds(),
-			float64(percentile(s.durations, 50))/msPerDuration,
-			float64(percentile(s.durations, 95))/msPerDuration,
-			float64(percentile(s.durations, 99))/msPerDuration)
+			ep, len(s.Durations)+s.Errors, s.Errors,
+			float64(len(s.Durations))/r.Elapsed.Seconds(),
+			float64(percentile(s.Durations, 50))/msPerDuration,
+			float64(percentile(s.Durations, 95))/msPerDuration,
+			float64(percentile(s.Durations, 99))/msPerDuration)
 	}
 	fmt.Fprintf(out, "total: %d requests, %d errors, sustained %.1f rps over %.2fs\n",
-		r.total, totalErrs, float64(r.total)/r.elapsed.Seconds(), r.elapsed.Seconds())
+		total, totalErrs, float64(total)/r.Elapsed.Seconds(), r.Elapsed.Seconds())
 }
 
 // writeBench renders the report as `go test -bench`-style lines —
 // mean latency as ns/op, percentiles and achieved rate as custom
 // units — so `cmd/benchjson` parses it into the same artifact shape
 // as the solver benchmarks and -compare gates the percentiles.
-func (r *loadReport) writeBench(out io.Writer) {
-	for _, ep := range r.endpoints() {
-		s := r.eps[ep]
-		if len(s.durations) == 0 {
+func writeBench(out io.Writer, r *loadgen.Report) {
+	for _, ep := range endpoints(r) {
+		s := r.Endpoints[ep]
+		if len(s.Durations) == 0 {
 			continue
 		}
-		sort.Slice(s.durations, func(i, j int) bool { return s.durations[i] < s.durations[j] })
+		sort.Slice(s.Durations, func(i, j int) bool { return s.Durations[i] < s.Durations[j] })
 		var sum time.Duration
-		for _, d := range s.durations {
+		for _, d := range s.Durations {
 			sum += d
 		}
 		fmt.Fprintf(out, "BenchmarkLoadgen%s %d %d ns/op %.3f p50-ms %.3f p95-ms %.3f p99-ms %.1f rps\n",
-			benchTitle(ep), len(s.durations), int64(sum)/int64(len(s.durations)),
-			float64(percentile(s.durations, 50))/msPerDuration,
-			float64(percentile(s.durations, 95))/msPerDuration,
-			float64(percentile(s.durations, 99))/msPerDuration,
-			float64(len(s.durations))/r.elapsed.Seconds())
+			benchTitle(ep), len(s.Durations), int64(sum)/int64(len(s.Durations)),
+			float64(percentile(s.Durations, 50))/msPerDuration,
+			float64(percentile(s.Durations, 95))/msPerDuration,
+			float64(percentile(s.Durations, 99))/msPerDuration,
+			float64(len(s.Durations))/r.Elapsed.Seconds())
 	}
 }
 

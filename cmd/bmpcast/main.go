@@ -29,7 +29,7 @@
 //	    churn-capable solver; output is byte-identical across runs
 //	    unless -timing is set.
 //
-//	bmpcast serve   [-addr :8080] [-workers 4] [-cache 1024] [-store dir] [-self URL] [-peers url1,url2] [-hedge-after 150ms]
+//	bmpcast serve   [-addr :8080] [-workers 4] [-store dir] [-self URL] [-peers url1,url2] [-hedge-after 150ms]
 //	    Run the broadcast-planning HTTP service: POST /v1/solve,
 //	    /v1/batch, /v1/jobs and /v1/session (wire-format Request/Plan
 //	    documents), GET /v1/jobs/{id} and /v1/jobs/{id}/stream (NDJSON
@@ -168,7 +168,7 @@ func usage(w io.Writer) {
   generate -dist <Unif100|Power1|Power2|LN1|LN2|PLab> -n <nodes> -p <openprob> [-seed N]
   simulate -file inst.json [-packets 300] [-seed 1]
   sim      [-seed N] [-events 30] [-n 20] [-p 0.7] [-dist Unif100] [-solvers acyclic|all|a,b,c] [-format json|csv] [-timing] [-norepair] [-cpuprofile f] [-memprofile f]
-  serve    [-addr :8080] [-workers 4] [-cache 1024] [-store dir] [-self URL] [-peers url1,url2] [-hedge-after 150ms]
+  serve    [-addr :8080] [-workers 4] [-store dir] [-self URL] [-peers url1,url2] [-hedge-after 150ms]
   store    <stats|compact|verify> -dir <dir>
   loadgen  -addr url1[,url2,...] [-rps 50] [-duration 10s] [-seed N] [-n 24] [-p 0.7] [-dist Unif100] [-solver acyclic] [-pjob 0.15] [-jobbatch 4] [-conc 64] [-hedge-after 0] [-format text|bench]
   soak     [-duration 60s] [-seed N] [-rps 30] [-replicas 1] [-workers 4] [-n 16] [-p 0.7] [-dist Unif100] [-pjob 0.2] [-store] [-no-faults] [-emit-plan] [-horizon 4096] [-out dir] [-quiet]
@@ -418,12 +418,7 @@ func runSweep(stdout io.Writer, dist distribution.Distribution, n int, p float64
 			V: wire.Version, Dist: dist.Name(), N: n, P: p, Count: count,
 			Solver: solverName, Seed: seed,
 			RatioMean: rs.Mean, RatioMedian: rs.Median, RatioP025: rs.P025, RatioMin: rs.Min,
-			Evals: wire.EvalCounts{
-				FlowEvals:   evals.FlowEvals,
-				GreedyTests: evals.GreedyTests,
-				WordEvals:   evals.WordEvals,
-				Builds:      evals.Builds,
-			},
+			Evals: sim.Counts(evals),
 		})
 	}
 	fmt.Fprintf(stdout, "sweep: %d × (%s, n=%d, p=%.2f) via %s, seed %d\n",

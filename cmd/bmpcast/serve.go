@@ -19,8 +19,7 @@ import (
 // cmdServe runs the broadcast-planning HTTP service (internal/service)
 // until SIGINT/SIGTERM:
 //
-//	bmpcast serve [-addr :8080] [-workers 4] [-cache 1024]
-//	              [-store dir]
+//	bmpcast serve [-addr :8080] [-workers 4] [-store dir]
 //	              [-self http://host:8080] [-peers url1,url2] [-hedge-after 150ms]
 //
 // Endpoints: POST /v1/solve, /v1/batch, /v1/jobs and /v1/session, GET
@@ -48,7 +47,6 @@ func cmdServe(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 	workers := fs.Int("workers", 4, "max concurrent solves across all endpoints")
-	cache := fs.Int("cache", 0, "plan cache entries (0 = default 1024, negative disables caching)")
 	self := fs.String("self", "", "advertised base URL of this replica; enables cluster mode (default derives from the listen address when -peers is set)")
 	peers := fs.String("peers", "", "comma-separated base URLs of existing replicas to join")
 	hedgeAfter := fs.Duration("hedge-after", 0, "owner latency budget before a forwarded solve is hedged with a local one (0 = 150ms default, negative = fail over only on owner errors)")
@@ -66,9 +64,8 @@ func cmdServe(args []string, stdout io.Writer) error {
 		selfURL = deriveSelf(ln.Addr())
 	}
 	svc, err := service.NewServer(service.Config{
-		Workers: *workers, CacheSize: *cache,
-		Self: selfURL, Peers: peerList, HedgeAfter: *hedgeAfter,
-		StoreDir: *storeDir,
+		Workers: *workers, Self: selfURL, Peers: peerList,
+		HedgeAfter: *hedgeAfter, StoreDir: *storeDir,
 	})
 	if err != nil {
 		ln.Close()

@@ -32,6 +32,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/chaos/leakcheck"
 	"repro/internal/engine"
+	"repro/internal/loadgen"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -269,9 +270,9 @@ func runTraffic(ctx context.Context, cfg Config, cl *client.Client, httpc *http.
 	wg.Wait()
 }
 
-// runLoad replays a seeded sim load trace open-loop at cfg.RPS.
-// Errors are counted, not fatal — with connection drops armed, some
-// retry budgets will run out by design.
+// runLoad replays a seeded sim load trace open-loop at cfg.RPS, 32 ops
+// in flight. Errors are counted, not fatal — with connection drops
+// armed, some retry budgets will run out by design.
 func runLoad(ctx context.Context, cfg Config, cl *client.Client, res *Result) {
 	ops := int(cfg.RPS * cfg.Duration.Seconds())
 	if ops < 1 {
@@ -285,68 +286,8 @@ func runLoad(ctx context.Context, cfg Config, cl *client.Client, res *Result) {
 		res.Violations = append(res.Violations, fmt.Sprintf("generating load trace: %v", err))
 		return
 	}
-	sem := make(chan struct{}, 32)
-	var wg sync.WaitGroup
-	interval := time.Duration(float64(time.Second) / cfg.RPS)
-	start := time.Now()
-	for i := range trace.Ops {
-		if err := sleepCtx(ctx, time.Until(start.Add(time.Duration(i)*interval))); err != nil {
-			break
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		op := &trace.Ops[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := runOp(ctx, cl, op); err != nil && ctx.Err() == nil {
-				atomic.AddInt64(&res.OpErrors, 1)
-			}
-			atomic.AddInt64(&res.Ops, 1)
-		}()
-	}
-	wg.Wait()
-}
-
-func runOp(ctx context.Context, cl *client.Client, op *sim.LoadOp) error {
-	switch op.Kind {
-	case sim.LoadSolve:
-		_, err := cl.Solve(ctx, engine.NewRequest(op.Instances[0], engine.WithSolver("acyclic")))
-		return err
-	case sim.LoadJob:
-		reqs := make([]client.Request, len(op.Instances))
-		for i, ins := range op.Instances {
-			reqs[i] = engine.NewRequest(ins, engine.WithSolver("acyclic"))
-		}
-		job, err := cl.Submit(ctx, reqs)
-		if err != nil {
-			return err
-		}
-		stream, err := job.Stream(ctx, 0)
-		if err != nil {
-			return err
-		}
-		defer stream.Close()
-		for {
-			item, err := stream.Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if item.Err != nil {
-				return item.Err
-			}
-		}
-	}
-	return nil
+	rep := loadgen.Replay(ctx, cl, trace, cfg.RPS, 32, "acyclic")
+	res.Ops, res.OpErrors = int64(rep.Ops), int64(rep.Failed)
 }
 
 // runAdversaries loops the hostile personalities: canceled contexts,
@@ -417,7 +358,7 @@ func runAdversaries(ctx context.Context, cfg Config, cl *client.Client, httpc *h
 			}
 		}
 		atomic.AddInt64(&res.Adversarial, 1)
-		if err := sleepCtx(ctx, time.Duration(5+rng.Intn(20))*time.Millisecond); err != nil {
+		if err := chaos.Sleep(ctx, time.Duration(5+rng.Intn(20))*time.Millisecond); err != nil {
 			return
 		}
 	}
@@ -443,7 +384,7 @@ func slowDrain(ctx context.Context, r io.Reader, n int) {
 		if _, err := r.Read(buf); err != nil {
 			return
 		}
-		if sleepCtx(ctx, 10*time.Millisecond) != nil {
+		if chaos.Sleep(ctx, 10*time.Millisecond) != nil {
 			return
 		}
 	}
@@ -606,20 +547,6 @@ func snapshotInjected() map[chaos.Point]int64 {
 		out[pc.Point] = pc.Count
 	}
 	return out
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // rss reads the resident set size from /proc/self/statm; 0 where the

@@ -92,8 +92,9 @@ type NeighborPlan struct {
 //
 // Cached plans and documents are shared between callers and must be
 // treated as immutable. A Cache is safe for concurrent use. The service
-// layer answers every stateless solve through ExecuteRendered; library
-// callers attach one to a request with WithCache.
+// builds one, always, and answers every stateless solve through
+// ExecuteRendered; library callers attach one to a request with
+// WithCache.
 type Cache struct {
 	key CacheKeyFunc
 	max int
@@ -249,7 +250,8 @@ func (c *Cache) Fill(key [sha256.Size]byte, rendered []byte) {
 type RenderFunc func(*Plan) ([]byte, error)
 
 // RenderedInfo labels how an ExecuteRendered answer was produced, for
-// the service's X-Bmpcast-Cache header and metrics.
+// the service's X-Bmpcast-Cache header. A warm start's neighbor
+// distance travels in the plan itself (Plan.NeighborDistance).
 type RenderedInfo struct {
 	// Hit: the answer came from a completed entry — memory, or the
 	// persisted store under the same content address. Leaders and
@@ -259,9 +261,6 @@ type RenderedInfo struct {
 	// repair held (verified without falling back). A warm answer is
 	// exact — it just cost a repair instead of a full solve.
 	Warm bool
-	// Distance is the neighbor's node-multiset edit distance when a
-	// warm start was attempted (Warm or fallen back), else 0.
-	Distance int
 }
 
 // execute is the memoizing Execute path: hit, join an in-flight solve,
@@ -328,7 +327,7 @@ func (c *Cache) run(ctx context.Context, r *Registry, req Request, render Render
 					// Followers report hit=false: the answer was not a
 					// completed entry (Stats counts them as Shared, and the
 					// service's hit label must agree with the hit counter).
-					return f.plan, f.rendered, RenderedInfo{Warm: f.info.Warm, Distance: f.info.Distance}, nil
+					return f.plan, f.rendered, RenderedInfo{Warm: f.info.Warm}, nil
 				}
 				// The leader's context died, not ours: take over the key
 				// (or join whoever already did) instead of surfacing a
@@ -338,7 +337,7 @@ func (c *Cache) run(ctx context.Context, r *Registry, req Request, render Render
 				}
 				return nil, nil, RenderedInfo{}, f.err
 			case <-ctx.Done():
-				return nil, nil, RenderedInfo{}, canceledErr(ctx.Err())
+				return nil, nil, RenderedInfo{}, Canceled(ctx.Err())
 			}
 		}
 		f := &flight{done: make(chan struct{})}
@@ -413,7 +412,6 @@ func (c *Cache) solveAndSpill(ctx context.Context, r *Registry, req Request, nb 
 		plan.WarmStarted = true
 		plan.NeighborDistance = nb.Distance
 		info.Warm = plan.Repaired // false = repair deviated, full-solve fallback answered
-		info.Distance = nb.Distance
 	}
 	store := c.getStore()
 	if store != nil && nb != nil {

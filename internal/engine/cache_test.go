@@ -552,14 +552,18 @@ func TestCacheStoreWarmStart(t *testing.T) {
 	store := &mockPlanStore{neighbor: &NeighborPlan{Word: nbWord, Distance: 2}}
 	c.SetStore(store)
 	req := NewRequest(cacheFig1(), WithSolver("acyclic"), WithCache(c))
-	render := func(p *Plan) ([]byte, error) { return json.Marshal(p.Throughput) }
+	dist := -1
+	render := func(p *Plan) ([]byte, error) {
+		dist = p.NeighborDistance
+		return json.Marshal(p.Throughput)
+	}
 
 	out, info, err := c.ExecuteRendered(context.Background(), r, req, render)
 	if err != nil || len(out) == 0 {
 		t.Fatalf("out=%q err=%v", out, err)
 	}
-	if info.Hit || !info.Warm || info.Distance != 2 {
-		t.Fatalf("info=%+v, want a held warm start at distance 2", info)
+	if info.Hit || !info.Warm || dist != 2 {
+		t.Fatalf("info=%+v, rendered plan at distance %d, want a held warm start at distance 2", info, dist)
 	}
 	if repairs.Load() != 1 || solves.Load() != 0 {
 		t.Fatalf("repairs/solves = %d/%d, want 1/0 (warm start routes through repair)", repairs.Load(), solves.Load())

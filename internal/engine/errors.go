@@ -33,7 +33,13 @@ var (
 	ErrCanceled = errors.New("engine: solve canceled")
 )
 
-// canceledErr joins ErrCanceled with the context error so both
+// Canceled tags a context error with ErrCanceled, so both
 // errors.Is(err, ErrCanceled) and errors.Is(err, context.Canceled)
-// (resp. DeadlineExceeded) hold.
-func canceledErr(ctxErr error) error { return errors.Join(ErrCanceled, ctxErr) }
+// (resp. DeadlineExceeded) hold. An error that already matches
+// ErrCanceled is returned as it is.
+func Canceled(err error) error {
+	if errors.Is(err, ErrCanceled) {
+		return err
+	}
+	return errors.Join(ErrCanceled, err)
+}

@@ -178,7 +178,7 @@ func (r *Registry) executeUncached(ctx context.Context, req Request) (*Plan, err
 		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, canceledErr(err)
+		return nil, Canceled(err)
 	}
 
 	needScheme := req.WantScheme || req.WantTrees || req.ScheduleBlocks > 0
@@ -189,7 +189,7 @@ func (r *Registry) executeUncached(ctx context.Context, req Request) (*Plan, err
 	res, err := solveRequest(ctx, s, req)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, canceledErr(ctxErr)
+			return nil, Canceled(ctxErr)
 		}
 		return nil, err
 	}

@@ -166,7 +166,7 @@ func TestExecuteCanceled(t *testing.T) {
 func TestExecuteDeadline(t *testing.T) {
 	// An already-expired parent deadline surfaces as ErrCanceled joined
 	// with context.DeadlineExceeded (a per-request Deadline expiring
-	// mid-solve takes the same path through canceledErr).
+	// mid-solve takes the same path through Canceled).
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	_, err := Execute(ctx, NewRequest(fig1(t), WithDeadline(time.Minute)))

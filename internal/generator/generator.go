@@ -46,7 +46,10 @@ func TightSourceBandwidth(sumOpen, sumGuarded float64, n, m int) (float64, error
 // Random draws a random instance in the style of the paper's average-case
 // study: `total` receiver nodes, each independently open with probability
 // pOpen, bandwidths drawn from dist, and the source bandwidth set by
-// TightSourceBandwidth so that T* = b0.
+// TightSourceBandwidth so that T* = b0. Each node draws its bandwidth
+// first, then its coin; the classes are preallocated at full size, so
+// the 10k–100k-node draws of LargeScale and FromMeasurements do no
+// append-doubling.
 //
 // Degenerate draws with zero open nodes cannot form tight instances when
 // m ≥ 2 (guarded nodes can only be fed by open capacity), so — as a
@@ -59,7 +62,8 @@ func Random(dist distribution.Distribution, total int, pOpen float64, rng *rand.
 	if pOpen < 0 || pOpen > 1 {
 		return nil, fmt.Errorf("generator: open probability %v out of [0,1]", pOpen)
 	}
-	var open, guarded []float64
+	open := make([]float64, 0, total)
+	guarded := make([]float64, 0, total)
 	for i := 0; i < total; i++ {
 		bw := dist.Sample(rng)
 		if rng.Float64() < pOpen {
@@ -68,8 +72,14 @@ func Random(dist distribution.Distribution, total int, pOpen float64, rng *rand.
 			guarded = append(guarded, bw)
 		}
 	}
+	return tightInstance(open, guarded)
+}
+
+// tightInstance closes a classified draw: it promotes the last guarded
+// node when no node is open (Random's documented deviation) and sets a
+// tight source.
+func tightInstance(open, guarded []float64) (*platform.Instance, error) {
 	if len(open) == 0 {
-		// Promote the last guarded node so the instance is feedable.
 		open = append(open, guarded[len(guarded)-1])
 		guarded = guarded[:len(guarded)-1]
 	}

@@ -30,61 +30,16 @@ type LargeScaleConfig struct {
 	Seed int64
 }
 
-// LargeScale draws a seeded large-n heterogeneous instance in the style
-// of Random, sized for the 10k–100k-node scaling axis: bandwidth slices
-// are preallocated at full size (no append-doubling churn on a 100k-node
-// draw) and the source bandwidth is set by TightSourceBandwidth so
-// T* = b0, the same "difficult instances" regime as the paper's
-// average-case study.
+// LargeScale draws a seeded large-n heterogeneous instance: Random on
+// the config's law and seed, sized for the 10k–100k-node scaling axis,
+// with the source bandwidth set by TightSourceBandwidth so T* = b0, the
+// same "difficult instances" regime as the paper's average-case study.
 func LargeScale(cfg LargeScaleConfig) (*platform.Instance, error) {
-	if cfg.Nodes < 2 {
-		return nil, fmt.Errorf("generator: LargeScale needs ≥ 2 nodes, got %d", cfg.Nodes)
-	}
-	if cfg.POpen < 0 || cfg.POpen > 1 {
-		return nil, fmt.Errorf("generator: open probability %v out of [0,1]", cfg.POpen)
-	}
 	dist := cfg.Dist
 	if dist == nil {
 		dist = distribution.Power2()
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	return drawTight(dist, cfg.Nodes, cfg.POpen, rng)
-}
-
-// drawTight is the shared draw core of LargeScale and FromMeasurements:
-// classify each node open/guarded by one coin flip, draw its bandwidth,
-// and close with a tight source. It mirrors Random's draw order
-// (bandwidth first, then the coin) so the two agree on a seed, but
-// preallocates for large n.
-func drawTight(dist distribution.Distribution, total int, pOpen float64, rng *rand.Rand) (*platform.Instance, error) {
-	open := make([]float64, 0, total)
-	guarded := make([]float64, 0, total)
-	for i := 0; i < total; i++ {
-		bw := dist.Sample(rng)
-		if rng.Float64() < pOpen {
-			open = append(open, bw)
-		} else {
-			guarded = append(guarded, bw)
-		}
-	}
-	if len(open) == 0 {
-		// Same documented deviation as Random: guarded nodes can only be
-		// fed from open capacity, so a draw with none is promoted.
-		open = append(open, guarded[len(guarded)-1])
-		guarded = guarded[:len(guarded)-1]
-	}
-	sumO, sumG := 0.0, 0.0
-	for _, v := range open {
-		sumO += v
-	}
-	for _, v := range guarded {
-		sumG += v
-	}
-	b0, err := TightSourceBandwidth(sumO, sumG, len(open), len(guarded))
-	if err != nil {
-		return nil, err
-	}
-	return platform.NewInstance(b0, open, guarded)
+	return Random(dist, cfg.Nodes, cfg.POpen, rand.New(rand.NewSource(cfg.Seed)))
 }
 
 // TraceDrivenConfig configures FromMeasurements.
@@ -130,11 +85,7 @@ func FromMeasurements(m *bedibe.Measurements, cfg TraceDrivenConfig) (*platform.
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	if cfg.Nodes > 0 {
-		if cfg.Nodes < 2 {
-			return nil, fmt.Errorf("generator: FromMeasurements needs ≥ 2 resampled nodes, got %d", cfg.Nodes)
-		}
-		emp := distribution.Empirical{Values: params.Out, Label: "trace"}
-		return drawTight(emp, cfg.Nodes, cfg.POpen, rng)
+		return Random(distribution.Empirical{Values: params.Out, Label: "trace"}, cfg.Nodes, cfg.POpen, rng)
 	}
 	if m.N() < 2 {
 		return nil, errors.New("generator: FromMeasurements needs ≥ 2 measured nodes")
@@ -150,20 +101,5 @@ func FromMeasurements(m *bedibe.Measurements, cfg TraceDrivenConfig) (*platform.
 			guarded = append(guarded, bw)
 		}
 	}
-	if len(open) == 0 {
-		open = append(open, guarded[len(guarded)-1])
-		guarded = guarded[:len(guarded)-1]
-	}
-	sumO, sumG := 0.0, 0.0
-	for _, v := range open {
-		sumO += v
-	}
-	for _, v := range guarded {
-		sumG += v
-	}
-	b0, err := TightSourceBandwidth(sumO, sumG, len(open), len(guarded))
-	if err != nil {
-		return nil, err
-	}
-	return platform.NewInstance(b0, open, guarded)
+	return tightInstance(open, guarded)
 }

@@ -11,12 +11,13 @@
 package platform
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/big"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -122,13 +123,19 @@ func NewInstance(b0 float64, open, guarded []float64) (*Instance, error) {
 			return nil, err
 		}
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(ins.OpenBW)))
-	sort.Sort(sort.Reverse(sort.Float64Slice(ins.GuardedBW)))
+	slices.SortFunc(ins.OpenBW, descending)
+	slices.SortFunc(ins.GuardedBW, descending)
 	ins.srcPre = prefixSums(ins.B0, ins.OpenBW)
 	ins.openSum = prefixSums(0, ins.OpenBW)
 	ins.guardedPre = prefixSums(0, ins.GuardedBW)
 	return ins, nil
 }
+
+// descending orders bandwidths non-increasing. NewInstance rejects NaN
+// before sorting, so cmp.Compare's NaN rule never applies, and ±0 compare
+// equal, as under sort.Reverse(sort.Float64Slice(…)): slices.SortFunc
+// runs the same pdqsort as sort.Sort and leaves the same order.
+func descending(a, b float64) int { return cmp.Compare(b, a) }
 
 // MustInstance is NewInstance that panics on error; for tests and
 // literals of known-good data.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -229,5 +231,39 @@ func TestQuickPrefixConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDescendingSortMatchesSortReverse holds NewInstance's typed sort to
+// the sort.Reverse(sort.Float64Slice(…)) it replaced, bit for bit: the
+// relative order of -0 and +0 (which compare equal) is part of what the
+// solver fingerprints pin.
+func TestDescendingSortMatchesSortReverse(t *testing.T) {
+	rounds := 200_000
+	if testing.Short() {
+		rounds = 5_000
+	}
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(1))
+	for r := 0; r < rounds; r++ {
+		// A small value set makes ties common, the case where the two
+		// sorts could disagree.
+		pool := []float64{0, negZero, 1, 2.5, 100, rng.ExpFloat64(), rng.Float64() * 1e3}
+		a := make([]float64, rng.Intn(301))
+		for i := range a {
+			if rng.Intn(4) == 0 {
+				a[i] = rng.NormFloat64() * 1e3
+			} else {
+				a[i] = pool[rng.Intn(len(pool))]
+			}
+		}
+		b := append([]float64(nil), a...)
+		slices.SortFunc(a, descending)
+		sort.Sort(sort.Reverse(sort.Float64Slice(b)))
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("round %d, len %d: position %d holds %v, sort.Reverse gives %v", r, len(a), i, a[i], b[i])
+			}
+		}
 	}
 }

@@ -84,10 +84,8 @@ func (s *Server) maybeForward(r *http.Request, req engine.Request) (out []byte, 
 	if self || owner == "" {
 		return nil, "", nil
 	}
-	if s.cache != nil {
-		if out, ok := s.cache.Rendered(key); ok {
-			return out, "hit", nil
-		}
+	if out, ok := s.cache.Rendered(key); ok {
+		return out, "hit", nil
 	}
 	s.forwardsN.Add(1)
 	out, fromFallback, err := cluster.Hedged(r.Context(), s.cfg.HedgeAfter,
@@ -108,7 +106,7 @@ func (s *Server) maybeForward(r *http.Request, req engine.Request) (out []byte, 
 		func(ctx context.Context) ([]byte, error) {
 			s.hedgesN.Add(1)
 			if err := s.acquireCtx(ctx); err != nil {
-				return nil, engineCanceled(err)
+				return nil, engine.Canceled(err)
 			}
 			defer s.release()
 			out, _, err := s.solveRendered(ctx, req)
@@ -120,7 +118,7 @@ func (s *Server) maybeForward(r *http.Request, req engine.Request) (out []byte, 
 	if fromFallback {
 		s.fallbackWinsN.Add(1)
 		s.backfill(owner, canonical, out)
-	} else if s.cache != nil {
+	} else {
 		// Memory only: the owner persists the key in its own shard.
 		s.cache.Fill(key, out)
 	}
@@ -200,20 +198,19 @@ func (s *Server) handleClusterFill(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	stored := false
-	if s.cache != nil {
-		if canonical, err := wire.EncodeRequest(req); err == nil {
-			s.cache.Fill(cluster.Key(canonical), rendered)
-			if s.store != nil {
-				// A back-fill is sent to the key's ring owner, so it
-				// belongs in this replica's shard of the store.
-				s.store.Persist(req, canonical, rendered, nil)
-			}
-			stored = true
-			s.fillsRecvN.Add(1)
+	// A request that does not encode has no content address to keep
+	// the plan under.
+	canonical, err := wire.EncodeRequest(req)
+	if err == nil {
+		s.cache.Fill(cluster.Key(canonical), rendered)
+		if s.store != nil {
+			// A back-fill is sent to the key's ring owner, so it belongs
+			// in this replica's shard of the store.
+			s.store.Persist(req, canonical, rendered, nil)
 		}
+		s.fillsRecvN.Add(1)
 	}
-	s.replyDoc(w, wire.FillAckDoc{V: wire.Version, Stored: stored})
+	s.replyDoc(w, wire.FillAckDoc{V: wire.Version, Stored: err == nil})
 }
 
 // ---------------------------------------------------------------------------

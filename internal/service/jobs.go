@@ -158,11 +158,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // evictFinishedJobsLocked drops the oldest finished jobs beyond
-// Config.MaxJobs retained. Running jobs are never evicted (their
+// maxJobs retained. Running jobs are never evicted (their
 // workers hold gate permits; their ids stay resolvable). Callers hold
 // s.mu.
 func (s *Server) evictFinishedJobsLocked() {
-	excess := len(s.jobs) - s.cfg.MaxJobs
+	excess := len(s.jobs) - maxJobs
 	if excess <= 0 {
 		return
 	}

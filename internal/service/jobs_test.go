@@ -352,17 +352,17 @@ func TestJobBadRequests(t *testing.T) {
 }
 
 func TestFinishedJobEviction(t *testing.T) {
-	srv := New(Config{Workers: 2, MaxJobs: 2})
+	srv := New(Config{Workers: 2})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
 	var ids []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < maxJobs+1; i++ {
 		id := submitJob(t, ts.URL, jobBatchBody(1))
 		waitJobDone(t, ts.URL, id)
 		ids = append(ids, id)
 	}
-	// The oldest finished job fell off; the two newest remain.
+	// The oldest finished job fell off; the maxJobs newest remain.
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + ids[0])
 	if err != nil {
 		t.Fatal(err)
@@ -455,24 +455,6 @@ func TestCacheSharedAcrossEndpoints(t *testing.T) {
 	metrics := getMetrics(t, ts.URL)
 	if !strings.Contains(metrics, "bmpcast_cache_hits_total 2") {
 		t.Errorf("batch+job over a seeded cache should score 2 hits:\n%s", metrics)
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	srv := New(Config{Workers: 2, CacheSize: -1})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() { ts.Close(); srv.Close() })
-	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(fig1Request))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if h := resp.Header.Get("X-Bmpcast-Cache"); h != "" {
-		t.Errorf("X-Bmpcast-Cache = %q with caching disabled, want unset", h)
-	}
-	if m := getMetrics(t, ts.URL); strings.Contains(m, "bmpcast_cache_hits_total") {
-		t.Errorf("cache metrics exported with caching disabled:\n%s", m)
 	}
 }
 

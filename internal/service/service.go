@@ -36,14 +36,15 @@
 // Every stateless solve (solve, batch and job items, a cluster
 // non-owner's local fallback) takes one path, solveRendered, and its
 // answer is the canonical plan document: a pure function of the
-// request, memoized by default through the document path of a
-// content-addressed engine.Cache keyed by the SHA-256 of the request's
-// canonical wire encoding. Resubmitting an identical request returns
-// the cached document — byte-identical bytes, no solver or encoder
-// work — and concurrent identical requests collapse onto one in-flight
-// solve; with Config.StoreDir, misses read and persist documents in the
-// plan store. A batch answer and a job's NDJSON lines are spliced from
-// the item documents (wire.EncodeBatchPlans, wire.EncodeJobLine).
+// request, memoized through the document path of the server's one
+// content-addressed engine.Cache (engine.DefaultCacheEntries entries),
+// keyed by the SHA-256 of the request's canonical wire encoding.
+// Resubmitting an identical request returns the cached document —
+// byte-identical bytes, no solver or encoder work — and concurrent
+// identical requests collapse onto one in-flight solve; with
+// Config.StoreDir, misses read and persist documents in the plan store.
+// A batch answer and a job's NDJSON lines are spliced from the item
+// documents (wire.EncodeBatchPlans, wire.EncodeJobLine).
 // /v1/solve first looks up the SHA-256 of the raw body in that cache,
 // before decoding: a body sent in canonical encoding is its own
 // content address. It labels each response with an X-Bmpcast-Cache:
@@ -63,7 +64,6 @@ package service
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -79,6 +79,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/planstore"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -90,13 +91,6 @@ type Config struct {
 	Workers int
 	// Registry resolves solver names; nil means engine.Default.
 	Registry *engine.Registry
-	// CacheSize bounds the content-addressed plan cache (entries). 0
-	// means engine.DefaultCacheEntries; negative disables caching.
-	CacheSize int
-	// MaxJobs caps how many finished jobs are retained for status and
-	// stream reads (oldest finished evicted first; running jobs are
-	// never evicted). ≤ 0 means 64.
-	MaxJobs int
 	// Self is this replica's advertised base URL (e.g.
 	// "http://10.0.0.1:8080"). Non-empty Self enables the cluster layer:
 	// solves route by ring ownership and /v1/cluster/* membership
@@ -114,17 +108,15 @@ type Config struct {
 	// append-only store in this directory (created if absent): solved
 	// plans spill to disk as canonical wire documents, identical
 	// requests are answered byte-identical across restarts, and similar
-	// requests warm-start the repair path (X-Bmpcast-Cache: warm).
-	// Requires the cache (CacheSize ≥ 0). In cluster mode the store is
-	// replica-local: the ring already partitions keys, so each replica
-	// persists only the shard it owns. Use NewServer to surface store
-	// open errors.
+	// requests warm-start the repair path (X-Bmpcast-Cache: warm). In
+	// cluster mode the store is replica-local: the ring already
+	// partitions keys, so each replica persists only the shard it owns.
+	// Use NewServer to surface store open errors.
 	StoreDir string
 	// SessionTTL reaps sessions idle longer than this. A client that
 	// never learns its session id — the open reply lost to a dropped
 	// connection — can otherwise pin a leased workspace forever (the
-	// chaos soak found exactly that). 0 means DefaultSessionTTL;
-	// negative disables reaping.
+	// chaos soak found exactly that). ≤ 0 means DefaultSessionTTL.
 	SessionTTL time.Duration
 }
 
@@ -135,6 +127,11 @@ const DefaultSessionTTL = 15 * time.Minute
 // maxBodyBytes bounds request bodies.
 const maxBodyBytes = 8 << 20
 
+// maxJobs caps how many finished jobs are retained for status and
+// stream reads (oldest finished evicted first; running jobs are never
+// evicted).
+const maxJobs = 64
+
 // Server is the broadcast-planning HTTP service. Create with New; it
 // implements http.Handler. Close releases all open sessions, cancels
 // running jobs and waits for their workers to drain.
@@ -142,7 +139,7 @@ type Server struct {
 	cfg   Config
 	gate  chan struct{}
 	mux   *http.ServeMux
-	cache *engine.Cache    // nil when disabled
+	cache *engine.Cache
 	store *planstore.Store // nil without Config.StoreDir
 	node  *cluster.Node    // nil when standalone
 
@@ -205,17 +202,18 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = engine.Default
 	}
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = 64
-	}
 	cfg.Self = cluster.Normalize(cfg.Self)
 	if cfg.HedgeAfter == 0 {
 		cfg.HedgeAfter = DefaultHedgeAfter
+	}
+	if cfg.SessionTTL <= 0 {
+		cfg.SessionTTL = DefaultSessionTTL
 	}
 	s := &Server{
 		cfg:      cfg,
 		gate:     make(chan struct{}, cfg.Workers),
 		mux:      http.NewServeMux(),
+		cache:    engine.NewCache(engine.DefaultCacheEntries, wire.EncodeRequest),
 		sessions: make(map[string]*session),
 		jobs:     make(map[string]*job),
 		peers:    make(map[string]*client.Client),
@@ -224,13 +222,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Self != "" {
 		s.node = cluster.NewNode(cfg.Self, cfg.Peers)
 	}
-	if cfg.CacheSize >= 0 {
-		s.cache = engine.NewCache(cfg.CacheSize, wire.EncodeRequest)
-	}
 	if cfg.StoreDir != "" {
-		if s.cache == nil {
-			return nil, fmt.Errorf("service: StoreDir requires the plan cache (CacheSize ≥ 0)")
-		}
 		store, err := planstore.Open(planstore.Config{Dir: cfg.StoreDir})
 		if err != nil {
 			return nil, fmt.Errorf("service: opening plan store: %w", err)
@@ -239,13 +231,8 @@ func NewServer(cfg Config) (*Server, error) {
 		s.cache.SetStore(store)
 	}
 	s.jobsCtx, s.jobsCancel = context.WithCancel(context.Background())
-	if ttl := cfg.SessionTTL; ttl >= 0 {
-		if ttl == 0 {
-			ttl = DefaultSessionTTL
-		}
-		s.jobsWG.Add(1)
-		go s.reapSessions(ttl)
-	}
+	s.jobsWG.Add(1)
+	go s.reapSessions(cfg.SessionTTL)
 	for _, ep := range []string{
 		"solve", "batch", "jobs", "jobstream", "session", "healthz", "metrics", "debugleaks",
 		"clustersolve", "clusterfill", "clustermembers", "clusterjoin", "clusterleave",
@@ -422,12 +409,10 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, forwardable 
 	// so a repeat is answered from memory without decoding or taking a
 	// worker slot. Any other spelling misses here and reaches the same
 	// entry through decode and ExecuteRendered, still labelled hit.
-	if s.cache != nil {
-		if out, ok := s.cache.Rendered(sha256.Sum256(body)); ok {
-			w.Header().Set("X-Bmpcast-Cache", "hit")
-			s.reply(w, out)
-			return
-		}
+	if out, ok := s.cache.Rendered(sha256.Sum256(body)); ok {
+		w.Header().Set("X-Bmpcast-Cache", "hit")
+		s.reply(w, out)
+		return
 	}
 	req, err := wire.DecodeRequest(body)
 	if err != nil {
@@ -447,7 +432,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, forwardable 
 		}
 	}
 	if err := s.acquireCtx(r.Context()); err != nil {
-		s.fail(w, engineCanceled(err))
+		s.fail(w, engine.Canceled(err))
 		return
 	}
 	out, info, err := s.solveRendered(r.Context(), req)
@@ -456,49 +441,29 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, forwardable 
 		s.fail(w, err)
 		return
 	}
-	if s.cache != nil {
-		switch {
-		case info.Hit:
-			w.Header().Set("X-Bmpcast-Cache", "hit")
-		case info.Warm:
-			// Solved, but warm-started from a persisted neighbor and the
-			// repair held — the store's middle latency tier.
-			w.Header().Set("X-Bmpcast-Cache", "warm")
-		default:
-			w.Header().Set("X-Bmpcast-Cache", "miss")
-		}
+	switch {
+	case info.Hit:
+		w.Header().Set("X-Bmpcast-Cache", "hit")
+	case info.Warm:
+		// Solved, but warm-started from a persisted neighbor and the
+		// repair held — the store's middle latency tier.
+		w.Header().Set("X-Bmpcast-Cache", "warm")
+	default:
+		w.Header().Set("X-Bmpcast-Cache", "miss")
 	}
 	s.reply(w, out)
 }
 
-// solveRendered answers one solve as canonical document bytes: through
-// the cache's byte-level path when enabled (a hit skips the solver and
-// the encoder, a store-backed miss may warm-start), the plain
-// execute-then-encode path otherwise.
-func (s *Server) solveRendered(ctx context.Context, req engine.Request) (out []byte, info engine.RenderedInfo, err error) {
+// solveRendered answers one solve as canonical document bytes through
+// the cache's document path: a hit skips the solver and the encoder, a
+// store-backed miss may warm-start.
+func (s *Server) solveRendered(ctx context.Context, req engine.Request) ([]byte, engine.RenderedInfo, error) {
 	if f, ok := chaos.Hit(chaos.SolveDelay); ok {
 		if err := chaos.Sleep(ctx, f.Delay); err != nil {
-			return nil, engine.RenderedInfo{}, engineCanceled(err)
+			return nil, engine.RenderedInfo{}, engine.Canceled(err)
 		}
 	}
-	if s.cache != nil {
-		return s.cache.ExecuteRendered(ctx, s.cfg.Registry, req, wire.EncodePlan)
-	}
-	plan, err := s.cfg.Registry.Execute(ctx, req)
-	if err != nil {
-		return nil, engine.RenderedInfo{}, err
-	}
-	out, err = wire.EncodePlan(plan)
-	return out, engine.RenderedInfo{}, err
-}
-
-// engineCanceled tags a raw context error with the engine sentinel so
-// wire.StatusFor maps it to 504 like every other canceled solve.
-func engineCanceled(err error) error {
-	if errors.Is(err, engine.ErrCanceled) {
-		return err
-	}
-	return errors.Join(engine.ErrCanceled, err)
+	return s.cache.ExecuteRendered(ctx, s.cfg.Registry, req, wire.EncodePlan)
 }
 
 // ---------------------------------------------------------------------------
@@ -548,14 +513,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) solveItems(ctx context.Context, reqs []engine.Request, done func(i int, doc []byte, err error) error) error {
 	err := engine.ForEach(ctx, len(reqs), s.cfg.Workers, func(ctx context.Context, i int) error {
 		if err := s.acquireCtx(ctx); err != nil {
-			return done(i, nil, engineCanceled(err))
+			return done(i, nil, engine.Canceled(err))
 		}
 		doc, _, err := s.solveRendered(ctx, reqs[i])
 		s.release()
 		return done(i, doc, err)
 	})
 	if err != nil && ctx.Err() != nil {
-		return engineCanceled(err)
+		return engine.Canceled(err)
 	}
 	return err
 }
@@ -648,26 +613,26 @@ func (s *Server) sessionResolve(w http.ResponseWriter, r *http.Request, sreq wir
 	ss.mu.Lock()
 	if err := s.acquireCtx(r.Context()); err != nil {
 		ss.mu.Unlock()
-		s.fail(w, engineCanceled(err))
+		s.fail(w, engine.Canceled(err))
 		return
 	}
 	res, err := ss.ses.Resolve(r.Context(), ins)
 	s.release()
-	stats := wire.FromSessionStats(ss.ses.Stats())
+	stats := sim.Summarize(ss.ses.Stats())
 	solver := ss.ses.Solver()
 	ss.mu.Unlock()
 	if err != nil {
 		// Session.Resolve surfaces raw context errors; tag them so the
 		// status maps to 504 like every other canceled solve.
 		if r.Context().Err() != nil {
-			err = engineCanceled(err)
+			err = engine.Canceled(err)
 		}
 		s.fail(w, err)
 		return
 	}
 	plan := wire.FromPlan(&engine.Plan{Result: res, TStar: core.OptimalCyclicThroughput(ins)})
 	s.replyDoc(w, wire.SessionReply{
-		V: wire.Version, Session: sreq.Session, Solver: solver, Plan: &plan, Stats: stats,
+		V: wire.Version, Session: sreq.Session, Solver: solver, Plan: &plan, Stats: &stats,
 	})
 }
 
@@ -681,11 +646,11 @@ func (s *Server) sessionClose(w http.ResponseWriter, sreq wire.SessionRequest) {
 		return
 	}
 	ss.mu.Lock()
-	stats := wire.FromSessionStats(ss.ses.Stats())
+	stats := sim.Summarize(ss.ses.Stats())
 	solver := ss.ses.Solver()
 	ss.ses.Close()
 	ss.mu.Unlock()
-	s.replyDoc(w, wire.SessionReply{V: wire.Version, Session: sreq.Session, Solver: solver, Stats: stats})
+	s.replyDoc(w, wire.SessionReply{V: wire.Version, Session: sreq.Session, Solver: solver, Stats: &stats})
 }
 
 func (s *Server) replyDoc(w http.ResponseWriter, doc any) {
@@ -733,14 +698,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, pc := range chaos.InjectedTotals() {
 		fmt.Fprintf(w, "bmpcast_chaos_injected_total{point=%q} %d\n", pc.Point, pc.Count)
 	}
-	if s.cache != nil {
-		st := s.cache.Stats()
-		fmt.Fprintf(w, "bmpcast_cache_hits_total %d\n", st.Hits)
-		fmt.Fprintf(w, "bmpcast_cache_misses_total %d\n", st.Misses)
-		fmt.Fprintf(w, "bmpcast_cache_inflight_shared_total %d\n", st.Shared)
-		fmt.Fprintf(w, "bmpcast_cache_evictions_total %d\n", st.Evictions)
-		fmt.Fprintf(w, "bmpcast_cache_entries %d\n", st.Entries)
-	}
+	cs := s.cache.Stats()
+	fmt.Fprintf(w, "bmpcast_cache_hits_total %d\n", cs.Hits)
+	fmt.Fprintf(w, "bmpcast_cache_misses_total %d\n", cs.Misses)
+	fmt.Fprintf(w, "bmpcast_cache_inflight_shared_total %d\n", cs.Shared)
+	fmt.Fprintf(w, "bmpcast_cache_evictions_total %d\n", cs.Evictions)
+	fmt.Fprintf(w, "bmpcast_cache_entries %d\n", cs.Entries)
 	if s.store != nil {
 		st := s.store.Stats()
 		fmt.Fprintf(w, "bmpcast_store_entries %d\n", st.Entries)
@@ -804,15 +767,9 @@ func (s *Server) handleDebugLeaks(w http.ResponseWriter, _ *http.Request) {
 	s.replyDoc(w, doc)
 }
 
-// CacheStats snapshots the plan cache's counters (zero when caching is
-// disabled) — the cluster tests prove "solved once cluster-wide" by
-// summing Misses across replicas.
-func (s *Server) CacheStats() engine.CacheStats {
-	if s.cache == nil {
-		return engine.CacheStats{}
-	}
-	return s.cache.Stats()
-}
+// CacheStats snapshots the plan cache's counters — the cluster tests
+// prove "solved once cluster-wide" by summing Misses across replicas.
+func (s *Server) CacheStats() engine.CacheStats { return s.cache.Stats() }
 
 // StoreStats snapshots the plan store's counters (zero value without
 // Config.StoreDir).

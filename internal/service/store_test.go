@@ -235,11 +235,3 @@ func TestStoreMetrics(t *testing.T) {
 		t.Errorf("bmpcast_store_bytes missing or zero after a persisted solve:\n%s", data)
 	}
 }
-
-// TestStoreRequiresCache pins the config contract: a store without the
-// plan cache is a misconfiguration, surfaced as an error by NewServer.
-func TestStoreRequiresCache(t *testing.T) {
-	if _, err := NewServer(Config{CacheSize: -1, StoreDir: t.TempDir()}); err == nil {
-		t.Fatal("NewServer accepted StoreDir with caching disabled")
-	}
-}

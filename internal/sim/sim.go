@@ -27,11 +27,12 @@ type RunConfig struct {
 	Timing bool
 }
 
-// EvalCounts is the deterministic subset of core.WorkspaceStats the
-// timeline reports: the algorithmic evaluation counters. The scratch
-// Grows counter is deliberately excluded — it depends on how warm the
-// pooled workspace happens to be (process history), and the timeline
-// must be byte-identical across runs.
+// EvalCounts is the deterministic subset of core.WorkspaceStats that the
+// timeline, plan documents and session replies report: the algorithmic
+// evaluation counters. The scratch Grows counter is deliberately
+// excluded — it depends on how warm the pooled workspace happens to be
+// (process history), and these documents must be byte-identical across
+// runs.
 type EvalCounts struct {
 	FlowEvals   int64 `json:"flow_evals"`
 	GreedyTests int64 `json:"greedy_tests"`
@@ -39,13 +40,9 @@ type EvalCounts struct {
 	Builds      int64 `json:"builds"`
 }
 
-func evalCounts(s core.WorkspaceStats) EvalCounts {
-	return EvalCounts{
-		FlowEvals:   s.FlowEvals,
-		GreedyTests: s.GreedyTests,
-		WordEvals:   s.WordEvals,
-		Builds:      s.Builds,
-	}
+// Counts projects workspace counters onto EvalCounts.
+func Counts(s core.WorkspaceStats) EvalCounts {
+	return EvalCounts{FlowEvals: s.FlowEvals, GreedyTests: s.GreedyTests, WordEvals: s.WordEvals, Builds: s.Builds}
 }
 
 // SolverPoint is one solver's result on one timeline entry.
@@ -87,6 +84,14 @@ type SessionSummary struct {
 	FullSolves int        `json:"full_solves"`
 	Fallbacks  int        `json:"fallbacks"`
 	Evals      EvalCounts `json:"evals"`
+}
+
+// Summarize projects a session's counters onto SessionSummary.
+func Summarize(st engine.SessionStats) SessionSummary {
+	return SessionSummary{
+		Events: st.Events, Repairs: st.Repairs, FullSolves: st.FullSolves, Fallbacks: st.Fallbacks,
+		Evals: Counts(st.Evals),
+	}
 }
 
 // Timeline is the full deterministic record of a simulation run.
@@ -149,7 +154,7 @@ func Run(ctx context.Context, tr *Trace, rc RunConfig) (*Timeline, error) {
 				Solver:     res.Solver,
 				Throughput: res.Throughput,
 				Repaired:   res.Repaired,
-				Evals:      evalCounts(ses.Stats().Evals),
+				Evals:      Counts(ses.Stats().Evals),
 			}
 			if entry.TStar > 0 {
 				sp.Ratio = res.Throughput / entry.TStar
@@ -192,14 +197,7 @@ func Run(ctx context.Context, tr *Trace, rc RunConfig) (*Timeline, error) {
 
 	tl.Stats = make(map[string]SessionSummary, len(sessions))
 	for _, ses := range sessions {
-		st := ses.Stats()
-		tl.Stats[ses.Solver()] = SessionSummary{
-			Events:     st.Events,
-			Repairs:    st.Repairs,
-			FullSolves: st.FullSolves,
-			Fallbacks:  st.Fallbacks,
-			Evals:      evalCounts(st.Evals),
-		}
+		tl.Stats[ses.Solver()] = Summarize(ses.Stats())
 	}
 	return tl, nil
 }

@@ -43,8 +43,9 @@ type FillDoc struct {
 	Plan    json.RawMessage `json:"plan"`
 }
 
-// FillAckDoc answers a fill: whether the document was stored (false
-// when the receiver runs cache-disabled).
+// FillAckDoc answers a fill: whether the document was stored. It is
+// false only when the request does not encode, and so has no content
+// address to store the plan under; wire v1 keeps the field.
 type FillAckDoc struct {
 	V      int  `json:"v"`
 	Stored bool `json:"stored"`

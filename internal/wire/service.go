@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
+	"repro/internal/sim"
 )
 
 // Service documents: the batch and job documents of /v1/batch and
@@ -97,22 +98,9 @@ type SessionRequest struct {
 	Instance Instance `json:"instance"`
 }
 
-// SessionStats is the deterministic projection of engine.SessionStats.
-type SessionStats struct {
-	Events     int        `json:"events"`
-	Repairs    int        `json:"repairs"`
-	FullSolves int        `json:"full_solves"`
-	Fallbacks  int        `json:"fallbacks"`
-	Evals      EvalCounts `json:"evals"`
-}
-
-// FromSessionStats converts a session's counters to their wire form.
-func FromSessionStats(st engine.SessionStats) *SessionStats {
-	return &SessionStats{
-		Events: st.Events, Repairs: st.Repairs, FullSolves: st.FullSolves, Fallbacks: st.Fallbacks,
-		Evals: evalCounts(st.Evals),
-	}
-}
+// SessionStats is the deterministic projection of engine.SessionStats
+// (sim.Summarize builds it).
+type SessionStats = sim.SessionSummary
 
 // SessionReply answers every session op: open returns the id, resolve
 // returns the plan (and running stats), close returns the final stats.

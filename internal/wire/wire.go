@@ -281,19 +281,8 @@ type Schedule struct {
 }
 
 // EvalCounts is the deterministic subset of the workspace counters a
-// plan reports (scratch Grows is warmth-dependent and excluded, as in
-// the sim timeline).
-type EvalCounts struct {
-	FlowEvals   int64 `json:"flow_evals"`
-	GreedyTests int64 `json:"greedy_tests"`
-	WordEvals   int64 `json:"word_evals"`
-	Builds      int64 `json:"builds"`
-}
-
-// evalCounts projects workspace counters onto their wire form.
-func evalCounts(st core.WorkspaceStats) EvalCounts {
-	return EvalCounts{FlowEvals: st.FlowEvals, GreedyTests: st.GreedyTests, WordEvals: st.WordEvals, Builds: st.Builds}
-}
+// plan reports; sim declares it for the timeline (Grows is excluded).
+type EvalCounts = sim.EvalCounts
 
 // Plan is the wire form of an engine.Plan. Wall-clock time is
 // deliberately absent: plan documents are byte-stable for identical
@@ -336,7 +325,7 @@ func FromPlan(p *engine.Plan) Plan {
 		Verified:         p.Verified,
 		WarmStarted:      p.WarmStarted,
 		NeighborDistance: p.NeighborDistance,
-		Evals:            evalCounts(p.Evals),
+		Evals:            sim.Counts(p.Evals),
 	}
 	if p.Scheme != nil {
 		w.MaxOutDegree = p.MaxOutDegree
