@@ -98,7 +98,7 @@ func BenchmarkFigure7Grid(b *testing.B) {
 	// A 20×20 corner of the Figure 7 grid with 5 Δ-samples; the cmd
 	// regenerates the full 100×100 surface.
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure7(20, 20, 1, 5); err != nil {
+		if _, err := experiments.Figure7(context.Background(), 20, 20, 1, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -125,7 +125,7 @@ func BenchmarkFigure19Cell(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.AverageCase(cfg); err != nil {
+				if _, err := experiments.AverageCase(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -322,7 +322,7 @@ func BenchmarkThroughputMaxflow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Throughput()
+		s.Throughput(nil)
 	}
 }
 
@@ -336,11 +336,11 @@ func BenchmarkThroughputMaxflowWorkspace(b *testing.B) {
 		b.Fatal(err)
 	}
 	ws := repro.NewWorkspace()
-	s.ThroughputWithWorkspace(ws)
+	s.Throughput(ws)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.ThroughputWithWorkspace(ws)
+		s.Throughput(ws)
 	}
 }
 

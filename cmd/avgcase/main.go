@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -79,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	cells, err := experiments.AverageCase(cfg)
+	cells, err := experiments.AverageCase(context.Background(), cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "avgcase:", err)
 		return 1

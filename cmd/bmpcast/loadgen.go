@@ -13,7 +13,7 @@ import (
 )
 
 // bmpcast loadgen: replay a seeded trace of mixed solve/job/stream
-// traffic against a live `bmpcast serve` at a target request rate
+// traffic against a live `bmpcast serve` at a target op rate
 // (internal/loadgen's Replay), through the exported Go SDK only — the
 // load numbers measure the same wire path real users hit. The trace
 // (kinds, batch shapes, every instance) is byte-reproducible per seed;
@@ -23,7 +23,7 @@ func cmdLoadgen(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	addr := fs.String("addr", "", "base URL(s) of running `bmpcast serve` replicas, comma-separated (required)")
 	hedgeAfter := fs.Duration("hedge-after", 0, "client-side hedge budget across replicas (0 disables; needs ≥ 2 endpoints)")
-	rps := fs.Float64("rps", 50, "target sustained request rate")
+	rps := fs.Float64("rps", 50, "target op rate, ops/s (a job op makes two requests: submit and stream)")
 	duration := fs.Duration("duration", 10*time.Second, "load duration")
 	seed := fs.Int64("seed", 1, "trace RNG seed (same seed ⇒ byte-identical trace)")
 	n := fs.Int("n", 24, "receiver nodes per generated instance")
@@ -109,7 +109,7 @@ func endpoints(r *loadgen.Report) []string {
 const msPerDuration = float64(time.Millisecond)
 
 func writeText(out io.Writer, r *loadgen.Report, addr string, rps float64, d time.Duration, seed int64, n int, dist string) {
-	fmt.Fprintf(out, "loadgen: target %.1f rps for %s against %s (seed %d, n=%d, dist %s)\n",
+	fmt.Fprintf(out, "loadgen: target %.1f ops/s for %s against %s (seed %d, n=%d, dist %s)\n",
 		rps, d, addr, seed, n, dist)
 	total, totalErrs := 0, 0
 	for _, ep := range endpoints(r) {
@@ -124,8 +124,8 @@ func writeText(out io.Writer, r *loadgen.Report, addr string, rps float64, d tim
 			float64(percentile(s.Durations, 95))/msPerDuration,
 			float64(percentile(s.Durations, 99))/msPerDuration)
 	}
-	fmt.Fprintf(out, "total: %d requests, %d errors, sustained %.1f rps over %.2fs\n",
-		total, totalErrs, float64(total)/r.Elapsed.Seconds(), r.Elapsed.Seconds())
+	fmt.Fprintf(out, "total: %d requests (%d ops), %d errors, sustained %.1f ops/s over %.2fs\n",
+		total, r.Ops, totalErrs, float64(r.Ops)/r.Elapsed.Seconds(), r.Elapsed.Seconds())
 }
 
 // writeBench renders the report as `go test -bench`-style lines —

@@ -5,7 +5,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/loadgen"
 	"repro/internal/service"
 )
 
@@ -32,8 +34,30 @@ func TestLoadgenAgainstLiveService(t *testing.T) {
 			t.Errorf("no well-formed zero-error %s line in report:\n%s", ep, got)
 		}
 	}
-	if !strings.Contains(got, " 0 errors, sustained ") {
+	if !regexp.MustCompile(` 0 errors, sustained [\d.]+ ops/s `).MatchString(got) {
 		t.Errorf("total line missing or has errors:\n%s", got)
+	}
+}
+
+// TestLoadgenTextReportsOpRate: -rps paces ops, and a job op makes two
+// requests, so the total line's sustained rate divides ops, not
+// requests, by the elapsed time.
+func TestLoadgenTextReportsOpRate(t *testing.T) {
+	durations := func(k int) []time.Duration { return make([]time.Duration, k) }
+	r := &loadgen.Report{
+		Endpoints: map[string]*loadgen.Endpoint{
+			"solve":  {Durations: durations(70)},
+			"jobs":   {Durations: durations(30)},
+			"stream": {Durations: durations(30)},
+		},
+		Ops:     100,
+		Elapsed: 10 * time.Second,
+	}
+	var out strings.Builder
+	writeText(&out, r, "http://h", 10, 10*time.Second, 1, 24, "Unif100")
+	want := "total: 130 requests (100 ops), 0 errors, sustained 10.0 ops/s over 10.00s\n"
+	if !strings.HasSuffix(out.String(), want) {
+		t.Fatalf("report ends\n%s\nwant total line %q", out.String(), want)
 	}
 }
 

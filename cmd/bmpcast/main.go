@@ -51,9 +51,10 @@
 //
 //	bmpcast loadgen -addr http://h1:8080[,http://h2:8081,...] [-rps 50] [-duration 10s] [-seed 1] [-pjob 0.15] [-hedge-after 0] [-format text|bench]
 //	    Replay a seeded trace of mixed solve/job/stream traffic against
-//	    one or more live `bmpcast serve` replicas at a target request
-//	    rate, through the Go SDK only, and report sustained RPS plus
-//	    p50/p95/p99 latency per endpoint. Several -addr endpoints get
+//	    one or more live `bmpcast serve` replicas at a target op rate
+//	    (-rps), through the Go SDK only, and report the sustained op
+//	    rate plus per-endpoint request rates and p50/p95/p99 latency.
+//	    Several -addr endpoints get
 //	    ring-aware routing (same hash as the server cluster);
 //	    -hedge-after arms client-side request hedging. -format bench
 //	    emits go-bench-style lines that cmd/benchjson converts and gates.
@@ -325,9 +326,9 @@ func solve(out io.Writer, ins *platform.Instance, solverName string, cyclic, ver
 		var cs *core.Scheme
 		achieved := tstar
 		if ins.M() == 0 {
-			cs, err = core.CyclicOpen(ins, tstar)
+			cs, err = core.CyclicOpen(ins, tstar, nil)
 		} else {
-			cs, achieved, err = core.PackCyclicGuarded(ins, tstar)
+			cs, achieved, err = core.PackCyclicGuarded(ins, tstar, nil)
 		}
 		if err != nil {
 			return err
@@ -610,7 +611,7 @@ func cmdSimulate(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	T, scheme, err := core.SolveAcyclic(ins)
+	T, scheme, _, err := core.SolveAcyclic(ins, nil)
 	if err != nil {
 		return err
 	}

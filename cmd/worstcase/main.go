@@ -49,6 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "\nExhaustive scan of tight homogeneous instances with n+m ≤ %d (Δ in 0..n):\n", *maxNodes)
 	worst := 1.0
 	worstDesc := ""
+	ws := core.NewWorkspace() // one workspace for the whole scan
 	for n := 1; n <= *maxNodes; n++ {
 		for m := 0; m+n <= *maxNodes; m++ {
 			for d := 0; d <= n; d++ {
@@ -57,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					fmt.Fprintln(stderr, "worstcase:", err)
 					return 1
 				}
-				tac, _, err := core.ExhaustiveAcyclicOptimumFloat(ins)
+				tac, _, err := core.ExhaustiveAcyclicOptimumFloat(ins, ws)
 				if err != nil {
 					fmt.Fprintln(stderr, "worstcase:", err)
 					return 1

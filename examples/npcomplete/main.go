@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ninduced broadcast scheme: throughput %.0f (max-flow verified: %.0f)\n",
-		float64(T), scheme.Throughput())
+		float64(T), scheme.Throughput(nil))
 
 	// The crux: every outdegree sits exactly at the ⌈b_i/T⌉ floor —
 	// the strict degree regime where the problem is NP-complete.

@@ -46,7 +46,7 @@ func main() {
 
 	// The scheme's throughput is certified by max-flow, the paper's own
 	// definition: T = min over nodes of maxflow(source → node).
-	fmt.Printf("max-flow certified throughput: %.2f\n", scheme.Throughput())
+	fmt.Printf("max-flow certified throughput: %.2f\n", scheme.Throughput(nil))
 
 	for i := 0; i < ins.Total(); i++ {
 		fmt.Printf("  C%d (%s, b=%g): sends %.2f over %d connections (floor ⌈b/T⌉ = %d)\n",

@@ -57,26 +57,34 @@ func (b Baseline) Check(t testing.TB) {
 }
 
 // CheckHTTP is Check for tests that drove traffic through
-// http.DefaultClient: keep-alive connections pin conn goroutines on
-// both ends of the wire, so the default transport's idle pool is torn
-// down inside the wait loop (an in-flight request can repopulate it
-// once after the first teardown).
+// http.DefaultClient (see WaitHTTP).
 func (b Baseline) CheckHTTP(t testing.TB) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	if err := b.WaitHTTP(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// WaitHTTP is Wait for a process that drove traffic over HTTP:
+// keep-alive connections pin conn goroutines on both ends of the wire,
+// so the idle pools of the default transport and of every extra
+// transport are torn down inside the wait loop, once a second (an
+// in-flight request can repopulate them after a teardown).
+func (b Baseline) WaitHTTP(timeout time.Duration, extra ...*http.Transport) error {
+	deadline := time.Now().Add(timeout)
 	for {
 		if tr, ok := http.DefaultTransport.(*http.Transport); ok {
 			tr.CloseIdleConnections()
 		}
+		for _, tr := range extra {
+			tr.CloseIdleConnections()
+		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			t.Fatal(b.Wait(0))
+			return b.Wait(0)
 		}
-		if remaining > time.Second {
-			remaining = time.Second
-		}
-		if b.Wait(remaining) == nil {
-			return
+		if b.Wait(min(remaining, time.Second)) == nil {
+			return nil
 		}
 	}
 }

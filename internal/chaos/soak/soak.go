@@ -480,27 +480,11 @@ func drainAndCheck(httpc *http.Client, urls []string, tr *http.Transport, base l
 		time.Sleep(20 * time.Millisecond)
 	}
 	// Then: process-wide leak signals back at the post-startup
-	// baseline. Idle client connections pin goroutines on both sides
-	// of the wire — ours, and the replicas' peer clients on the
-	// default transport — so tear the idle pools down inside the wait
-	// loop (a straggling backfill can repopulate them once).
-	settleBy := time.Now().Add(settleTimeout)
-	for {
-		tr.CloseIdleConnections()
-		if dt, ok := http.DefaultTransport.(*http.Transport); ok {
-			dt.CloseIdleConnections()
-		}
-		remaining := time.Until(settleBy)
-		if remaining <= 0 {
-			res.Violations = append(res.Violations, base.Wait(0).Error())
-			break
-		}
-		if remaining > 2*time.Second {
-			remaining = 2 * time.Second
-		}
-		if err := base.Wait(remaining); err == nil {
-			break
-		}
+	// baseline. Idle connections pin goroutines on both sides of the
+	// wire — ours on tr, and the replicas' peer clients on the default
+	// transport — so WaitHTTP tears both idle pools down as it waits.
+	if err := base.WaitHTTP(settleTimeout, tr); err != nil {
+		res.Violations = append(res.Violations, err.Error())
 	}
 	res.FinalGoroutines, res.FinalLeased = currentCounts()
 	res.FinalRSS = rss()

@@ -36,7 +36,7 @@ func TestAcyclicOpenOptimality(t *testing.T) {
 		if !s.IsAcyclic() {
 			t.Fatalf("trial %d: scheme has a cycle", trial)
 		}
-		if thr := s.Throughput(); !almostEq(thr, T) {
+		if thr := s.Throughput(nil); !almostEq(thr, T) {
 			t.Fatalf("trial %d: throughput %v, want %v", trial, thr, T)
 		}
 		for i := 0; i <= n; i++ {
@@ -62,7 +62,7 @@ func TestAcyclicOpenBelowOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if thr := s.Throughput(); thr < T-1e-9*(1+T) {
+		if thr := s.Throughput(nil); thr < T-1e-9*(1+T) {
 			t.Fatalf("trial %d: throughput %v < requested %v", trial, thr, T)
 		}
 	}
@@ -99,7 +99,7 @@ func TestAcyclicOpenMatchesGeneralSearch(t *testing.T) {
 		n := 1 + rng.Intn(10)
 		ins := randomOpenInstance(rng, n)
 		want := AcyclicOpenOptimalThroughput(ins)
-		got, _, err := OptimalAcyclicThroughput(ins)
+		got, _, err := OptimalAcyclicThroughput(ins, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

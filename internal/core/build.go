@@ -60,14 +60,10 @@ func (q *queue) totalRem() float64 {
 // most one open node and o_i ≤ ⌈b_i/T⌉+2 for the others.
 //
 // It returns an error when the word cannot support throughput T.
-func BuildScheme(ins *platform.Instance, w Word, T float64) (*Scheme, error) {
-	return BuildSchemeWithWorkspace(ins, w, T, nil)
-}
-
-// BuildSchemeWithWorkspace is BuildScheme with the supplier queues taken
-// from ws; the scheme itself is freshly allocated (it escapes to the
-// caller), but the construction's transient state reuses the workspace.
-func BuildSchemeWithWorkspace(ins *platform.Instance, w Word, T float64, ws *Workspace) (*Scheme, error) {
+//
+// The supplier queues come from ws (nil: a private workspace); the
+// scheme itself is freshly allocated, since it escapes to the caller.
+func BuildScheme(ins *platform.Instance, w Word, T float64, ws *Workspace) (*Scheme, error) {
 	if err := w.Validate(ins); err != nil {
 		return nil, err
 	}
@@ -144,30 +140,17 @@ func BuildSchemeWithWorkspace(ins *platform.Instance, w Word, T float64, ws *Wor
 // SolveAcyclic computes the optimal acyclic throughput and materializes
 // the corresponding low-degree scheme — the end-to-end pipeline of
 // Section IV (GreedyTest + dichotomic search + Lemma 4.6 construction).
-func SolveAcyclic(ins *platform.Instance) (float64, *Scheme, error) {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
-	return SolveAcyclicWithWorkspace(ins, ws)
-}
-
-// SolveAcyclicWithWorkspace is the full acyclic pipeline (search +
-// construction) on one reusable workspace.
-func SolveAcyclicWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, *Scheme, error) {
-	T, s, _, err := SolveAcyclicWordWithWorkspace(ins, ws)
-	return T, s, err
-}
-
-// SolveAcyclicWordWithWorkspace is SolveAcyclicWithWorkspace keeping
-// the winning encoding word — the witness a caller retains to
-// warm-start a later RepairAcyclic (sessions do between churn events,
-// the plan store does across daemon restarts).
-func SolveAcyclicWordWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, *Scheme, Word, error) {
+// It also returns the winning encoding word, the witness a caller
+// retains to warm-start a later RepairAcyclic (sessions do between
+// churn events, the plan store does across daemon restarts). Search and
+// construction share ws (nil: a private workspace).
+func SolveAcyclic(ins *platform.Instance, ws *Workspace) (float64, *Scheme, Word, error) {
 	ws = ws.ensure()
-	T, w, err := OptimalAcyclicThroughputWithWorkspace(ins, ws)
+	T, w, err := OptimalAcyclicThroughput(ins, ws)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	T, s, err := BuildSchemeShaved(ins, w, T, ws, BuildSchemeWithWorkspace)
+	T, s, err := BuildSchemeShaved(ins, w, T, ws, BuildScheme)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -175,11 +158,11 @@ func SolveAcyclicWordWithWorkspace(ins *platform.Instance, ws *Workspace) (float
 }
 
 // BuildSchemeShaved materializes word w at throughput T with build
-// (BuildSchemeWithWorkspace, or the depth-aware builder), retrying a
-// hair below T when float dust makes the exact optimum infeasible — the
-// one retry policy shared by the full solve, both repair paths and the
-// engine's word-search solvers. It returns the throughput actually
-// built (possibly shaved).
+// (BuildScheme, or the depth-aware builder), retrying a hair below T
+// when float dust makes the exact optimum infeasible — the one retry
+// policy shared by the full solve, both repair paths and the engine's
+// word-search solvers. It returns the throughput actually built
+// (possibly shaved).
 func BuildSchemeShaved(ins *platform.Instance, w Word, T float64, ws *Workspace,
 	build func(*platform.Instance, Word, float64, *Workspace) (*Scheme, error)) (float64, *Scheme, error) {
 	scheme, err := build(ins, w, T, ws)

@@ -23,12 +23,12 @@ import (
 // float threshold by more than both sides' rounding error is decided in
 // floats; only the receivers inside that margin are summed again in
 // big.Rat. verified is the float in-rate minimum, which may differ from
-// ThroughputWithWorkspace's max-flow value by a few ulps: over the 2239
-// acyclic plans of the cold benchmark at seed 1, 564 differed, by at
-// most 8.8·10⁻¹⁶ relative (about 7 ulps at T ≈ 60).
+// Throughput's max-flow value by a few ulps: over the 2239 acyclic
+// plans of the cold benchmark at seed 1, 564 differed, by at most
+// 8.8·10⁻¹⁶ relative (about 7 ulps at T ≈ 60).
 //
-// A cyclic scheme keeps the max-flow value of ThroughputWithWorkspace
-// and its float comparison.
+// A cyclic scheme keeps the max-flow value of Throughput and its float
+// comparison.
 func (s *Scheme) Certify(claimed, relTol float64, ws *Workspace) (verified float64, ok bool) {
 	ws = ws.ensure()
 	thr := claimed * (1 - relTol)
@@ -76,7 +76,7 @@ func (s *Scheme) Certify(claimed, relTol float64, ws *Workspace) (verified float
 	ws.unsure = unsure
 
 	if len(s.kahn(indeg, order)) != total {
-		v := s.ThroughputWithWorkspace(ws)
+		v := s.Throughput(ws)
 		return v, !(v < thr)
 	}
 	switch {

@@ -47,7 +47,7 @@ var certifySolvers = []struct {
 	build    func(*platform.Instance, *Workspace) (float64, *Scheme, error)
 }{
 	{"acyclic", false, func(ins *platform.Instance, ws *Workspace) (float64, *Scheme, error) {
-		T, s, _, err := SolveAcyclicWordWithWorkspace(ins, ws)
+		T, s, _, err := SolveAcyclic(ins, ws)
 		return T, s, err
 	}},
 	{"acyclic-open", true, func(ins *platform.Instance, _ *Workspace) (float64, *Scheme, error) {
@@ -56,14 +56,14 @@ var certifySolvers = []struct {
 		return T, s, err
 	}},
 	{"greedy", false, func(ins *platform.Instance, ws *Workspace) (float64, *Scheme, error) {
-		T, w, err := BestCanonicalThroughputWithWorkspace(ins, ws)
+		T, w, err := BestCanonicalThroughput(ins, ws)
 		if err != nil {
 			return 0, nil, err
 		}
-		return BuildSchemeShaved(ins, w, T, ws, BuildSchemeWithWorkspace)
+		return BuildSchemeShaved(ins, w, T, ws, BuildScheme)
 	}},
 	{"depth", false, func(ins *platform.Instance, ws *Workspace) (float64, *Scheme, error) {
-		T, w, err := OptimalAcyclicThroughputWithWorkspace(ins, ws)
+		T, w, err := OptimalAcyclicThroughput(ins, ws)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -122,7 +122,7 @@ func TestCertifyAcyclicIsExact(t *testing.T) {
 					name, got.FloatString(20), exactT.FloatString(20))
 			}
 			near, _ := exactT.Float64()
-			dinic := s.ThroughputWithWorkspace(ws)
+			dinic := s.Throughput(ws)
 			claims := []struct{ claimed, tol float64 }{
 				{near, 0},
 				{math.Nextafter(near, math.Inf(1)), 0},
@@ -237,10 +237,10 @@ func TestCertifyCyclicKeepsMaxflow(t *testing.T) {
 		var err error
 		if seed%2 == 0 {
 			ins := randomMixedInstance(rng, 20+rng.Intn(40), 0)
-			claimed, s, err = SolveCyclicOpenWithWorkspace(ins, ws)
+			claimed, s, err = SolveCyclicOpen(ins, ws)
 		} else {
 			ins := randomMixedInstance(rng, 10+rng.Intn(20), 10+rng.Intn(20))
-			s, claimed, err = PackCyclicGuardedWithWorkspace(ins, OptimalCyclicThroughput(ins), ws)
+			s, claimed, err = PackCyclicGuarded(ins, OptimalCyclicThroughput(ins), ws)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +249,7 @@ func TestCertifyCyclicKeepsMaxflow(t *testing.T) {
 			continue
 		}
 		cyclic++
-		want := s.ThroughputWithWorkspace(ws)
+		want := s.Throughput(ws)
 		for _, claim := range []float64{claimed, want, 1.01 * want} {
 			got, ok := s.Certify(claim, 1e-9, ws)
 			if math.Float64bits(got) != math.Float64bits(want) {
@@ -269,7 +269,7 @@ func TestCertifyCyclicKeepsMaxflow(t *testing.T) {
 // path allocates nothing, like the max-flow verify it replaces.
 func TestCertifyZeroSteadyStateAllocs(t *testing.T) {
 	ins := workspaceTestInstance(7, 30, 30)
-	T, s, err := SolveAcyclic(ins)
+	T, s, _, err := SolveAcyclic(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,15 +21,11 @@ import (
 //  2. insert the remaining nodes one by one, rerouting small flows so
 //     the last two inserted nodes always exchange a total of exactly T
 //     (invariants (P1)–(P4) of the proof).
-func CyclicOpen(ins *platform.Instance, T float64) (*Scheme, error) {
-	return CyclicOpenWithWorkspace(ins, T, nil)
-}
-
-// CyclicOpenWithWorkspace is CyclicOpen with transient state (the
-// reroute step's in-edge scan) on reusable scratch — the phase-2
-// insertion no longer materializes the whole communication graph to
-// read one node's in-edges.
-func CyclicOpenWithWorkspace(ins *platform.Instance, T float64, ws *Workspace) (*Scheme, error) {
+//
+// The reroute step's in-edge scan runs on ws (nil: a private
+// workspace), so phase 2 never materializes the whole communication
+// graph to read one node's in-edges.
+func CyclicOpen(ins *platform.Instance, T float64, ws *Workspace) (*Scheme, error) {
 	if ins.M() != 0 {
 		return nil, fmt.Errorf("core: CyclicOpen requires an open-only instance, got m=%d", ins.M())
 	}
@@ -154,15 +150,11 @@ func CyclicOpenWithWorkspace(ins *platform.Instance, T float64, ws *Workspace) (
 
 // SolveCyclicOpen builds the optimal-throughput cyclic scheme for an
 // open-only instance: T* = min(b0, (b0+O)/n) (Lemma 5.1 with m = 0),
-// achieved with outdegrees ≤ max(⌈b_i/T*⌉+2, 4) (Theorem 5.2).
-func SolveCyclicOpen(ins *platform.Instance) (float64, *Scheme, error) {
-	return SolveCyclicOpenWithWorkspace(ins, nil)
-}
-
-// SolveCyclicOpenWithWorkspace is SolveCyclicOpen on reusable scratch.
-func SolveCyclicOpenWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, *Scheme, error) {
+// achieved with outdegrees ≤ max(⌈b_i/T*⌉+2, 4) (Theorem 5.2). The
+// constructor runs on ws (nil: a private workspace).
+func SolveCyclicOpen(ins *platform.Instance, ws *Workspace) (float64, *Scheme, error) {
 	T := OptimalCyclicThroughput(ins)
-	s, err := CyclicOpenWithWorkspace(ins, T, ws)
+	s, err := CyclicOpen(ins, T, ws)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -14,14 +14,14 @@ func TestCyclicFigure12(t *testing.T) {
 	if opt := OptimalCyclicThroughput(ins); !almostEq(opt, 5) {
 		t.Fatalf("T* = %v, want 5", opt)
 	}
-	s, err := CyclicOpen(ins, 5)
+	s, err := CyclicOpen(ins, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if thr := s.Throughput(); !almostEq(thr, 5) {
+	if thr := s.Throughput(nil); !almostEq(thr, 5) {
 		t.Fatalf("throughput = %v, want 5", thr)
 	}
 	if s.IsAcyclic() {
@@ -38,14 +38,14 @@ func TestCyclicFigure17(t *testing.T) {
 	if opt := OptimalCyclicThroughput(ins); !almostEq(opt, 5) {
 		t.Fatalf("T* = %v, want 5", opt)
 	}
-	s, err := CyclicOpen(ins, 5)
+	s, err := CyclicOpen(ins, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if thr := s.Throughput(); !almostEq(thr, 5) {
+	if thr := s.Throughput(nil); !almostEq(thr, 5) {
 		t.Fatalf("throughput = %v, want 5", thr)
 	}
 	want := map[[2]int]float64{
@@ -74,14 +74,14 @@ func TestCyclicOpenProperty(t *testing.T) {
 		n := 1 + rng.Intn(15)
 		ins := randomOpenInstance(rng, n)
 		T := OptimalCyclicThroughput(ins)
-		s, err := CyclicOpen(ins, T)
+		s, err := CyclicOpen(ins, T, nil)
 		if err != nil {
 			t.Fatalf("trial %d (%v, T=%v): %v", trial, ins, T, err)
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if thr := s.Throughput(); !almostEq(thr, T) {
+		if thr := s.Throughput(nil); !almostEq(thr, T) {
 			t.Fatalf("trial %d (%v): throughput %v, want %v", trial, ins, thr, T)
 		}
 		for i := 0; i <= n; i++ {
@@ -105,11 +105,11 @@ func TestCyclicOpenBelowOptimum(t *testing.T) {
 		n := 2 + rng.Intn(12)
 		ins := randomOpenInstance(rng, n)
 		T := OptimalCyclicThroughput(ins) * (0.2 + 0.8*rng.Float64())
-		s, err := CyclicOpen(ins, T)
+		s, err := CyclicOpen(ins, T, nil)
 		if err != nil {
 			t.Fatalf("trial %d (T=%v): %v", trial, T, err)
 		}
-		if thr := s.Throughput(); thr < T-1e-9*(1+T) {
+		if thr := s.Throughput(nil); thr < T-1e-9*(1+T) {
 			t.Fatalf("trial %d: throughput %v < requested %v", trial, thr, T)
 		}
 	}
@@ -136,11 +136,11 @@ func TestCyclicVsAcyclicOpenRatio(t *testing.T) {
 // TestCyclicOpenRejects: guarded instances and excessive T are refused.
 func TestCyclicOpenRejects(t *testing.T) {
 	guarded := platform.MustInstance(4, []float64{2}, []float64{1})
-	if _, err := CyclicOpen(guarded, 1); err == nil {
+	if _, err := CyclicOpen(guarded, 1, nil); err == nil {
 		t.Fatal("expected error on guarded instance")
 	}
 	open := platform.MustInstance(5, []float64{5, 3, 2}, nil)
-	if _, err := CyclicOpen(open, 5.1); err == nil {
+	if _, err := CyclicOpen(open, 5.1, nil); err == nil {
 		t.Fatal("expected error above T*")
 	}
 }

@@ -39,14 +39,11 @@ import (
 // It returns the packed scheme and the throughput actually certified
 // (≤ T). Tests measure the optimality gap; on every instance family we
 // draw it is < 1e-6 relative.
-func PackCyclicGuarded(ins *platform.Instance, T float64) (*Scheme, float64, error) {
-	return PackCyclicGuardedWithWorkspace(ins, T, nil)
-}
-
-// PackCyclicGuardedWithWorkspace is the packer on reusable scratch: the
-// residual-capacity vector, the per-peel supplier pools, the pending
-// rate list and every feasibility probe's word buffer come from ws.
-func PackCyclicGuardedWithWorkspace(ins *platform.Instance, T float64, ws *Workspace) (*Scheme, float64, error) {
+//
+// The residual-capacity vector, the per-peel supplier pools, the
+// pending rate list and every feasibility probe's word buffer come from
+// ws (nil: a private workspace).
+func PackCyclicGuarded(ins *platform.Instance, T float64, ws *Workspace) (*Scheme, float64, error) {
 	if T <= 0 {
 		return nil, 0, fmt.Errorf("core: PackCyclicGuarded needs positive throughput, got %v", T)
 	}
@@ -57,7 +54,7 @@ func PackCyclicGuardedWithWorkspace(ins *platform.Instance, T float64, ws *Works
 	}
 	// The open-only quadrant has the dedicated Theorem 5.2 constructor.
 	if ins.M() == 0 {
-		s, err := CyclicOpenWithWorkspace(ins, T, ws)
+		s, err := CyclicOpen(ins, T, ws)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -110,7 +107,7 @@ func PackCyclicGuardedWithWorkspace(ins *platform.Instance, T float64, ws *Works
 			// acyclic peel (progress beats stalling; the reserve test
 			// re-engages next round).
 			var err error
-			w, word, err = OptimalAcyclicThroughputWithWorkspace(rIns, ws)
+			w, word, err = OptimalAcyclicThroughput(rIns, ws)
 			if err != nil || w <= eps {
 				break
 			}

@@ -11,14 +11,14 @@ import (
 // running example (where T*_ac is only 4), and max-flow must certify it.
 func TestPackCyclicGuardedFigure1(t *testing.T) {
 	ins := figure1()
-	s, packed, err := PackCyclicGuarded(ins, 4.4)
+	s, packed, err := PackCyclicGuarded(ins, 4.4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if packed < 4.4*(1-1e-9) {
 		t.Fatalf("packed %v < T* = 4.4", packed)
 	}
-	if thr := s.Throughput(); thr < packed*(1-1e-6) {
+	if thr := s.Throughput(nil); thr < packed*(1-1e-6) {
 		t.Fatalf("max-flow %v below certified %v", thr, packed)
 	}
 	if s.IsAcyclic() {
@@ -36,14 +36,14 @@ func TestPackCyclicGuardedFigure6(t *testing.T) {
 			guarded[i] = 1 / float64(m)
 		}
 		ins := platform.MustInstance(1, []float64{float64(m - 1)}, guarded)
-		s, packed, err := PackCyclicGuarded(ins, 1)
+		s, packed, err := PackCyclicGuarded(ins, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if packed < 1-1e-9 {
 			t.Fatalf("m=%d: packed %v < 1", m, packed)
 		}
-		if thr := s.Throughput(); thr < packed*(1-1e-6) {
+		if thr := s.Throughput(nil); thr < packed*(1-1e-6) {
 			t.Fatalf("m=%d: max-flow %v below certified %v", m, thr, packed)
 		}
 		if deg := s.OutDegree(0); deg < m {
@@ -68,7 +68,7 @@ func TestPackCyclicGuardedRandom(t *testing.T) {
 		if tstar <= 0 {
 			continue
 		}
-		s, packed, err := PackCyclicGuarded(ins, tstar)
+		s, packed, err := PackCyclicGuarded(ins, tstar, nil)
 		if err != nil {
 			t.Fatalf("trial %d (%v): %v", trial, ins, err)
 		}
@@ -89,11 +89,11 @@ func TestPackCyclicGuardedMaxflowSpotCheck(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		ins := randomMixedInstance(rng, 1+rng.Intn(5), 1+rng.Intn(5))
 		tstar := OptimalCyclicThroughput(ins)
-		s, packed, err := PackCyclicGuarded(ins, tstar)
+		s, packed, err := PackCyclicGuarded(ins, tstar, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if thr := s.Throughput(); thr < packed*(1-1e-6) {
+		if thr := s.Throughput(nil); thr < packed*(1-1e-6) {
 			t.Fatalf("trial %d (%v): max-flow %v < certified %v", trial, ins, thr, packed)
 		}
 	}
@@ -109,7 +109,7 @@ func TestPackCyclicGuardedTightHomogeneous(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, packed, err := PackCyclicGuarded(ins, 1)
+			_, packed, err := PackCyclicGuarded(ins, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,10 +138,10 @@ func TightHomogeneousForTest(n, m int, delta float64) (*platform.Instance, error
 
 func TestPackCyclicGuardedRejects(t *testing.T) {
 	ins := figure1()
-	if _, _, err := PackCyclicGuarded(ins, 0); err == nil {
+	if _, _, err := PackCyclicGuarded(ins, 0, nil); err == nil {
 		t.Error("expected error for T=0")
 	}
-	if _, _, err := PackCyclicGuarded(ins, 100); err == nil {
+	if _, _, err := PackCyclicGuarded(ins, 100, nil); err == nil {
 		t.Error("expected error above T*")
 	}
 }

@@ -19,12 +19,12 @@ func TestDepthAwareSameFeasibility(t *testing.T) {
 			nn = 1
 		}
 		ins := randomMixedInstance(rng, nn, mm)
-		T, w, err := OptimalAcyclicThroughput(ins)
+		T, w, err := OptimalAcyclicThroughput(ins, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		T *= 1 - 1e-12
-		a, errA := BuildScheme(ins, w, T)
+		a, errA := BuildScheme(ins, w, T, nil)
 		b, errB := BuildSchemeDepthAware(ins, w, T)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: feasibility differs: earliest=%v depth-aware=%v", trial, errA, errB)
@@ -39,7 +39,7 @@ func TestDepthAwareSameFeasibility(t *testing.T) {
 			if !s.IsAcyclic() {
 				t.Fatalf("trial %d: cyclic scheme", trial)
 			}
-			if thr := s.Throughput(); thr < T*(1-1e-7) {
+			if thr := s.Throughput(nil); thr < T*(1-1e-7) {
 				t.Fatalf("trial %d: throughput %v < %v", trial, thr, T)
 			}
 		}
@@ -57,12 +57,12 @@ func TestDepthAwareNeverDeeper(t *testing.T) {
 		nn := 2 + rng.Intn(12)
 		mm := rng.Intn(12)
 		ins := randomMixedInstance(rng, nn, mm)
-		T, w, err := OptimalAcyclicThroughput(ins)
+		T, w, err := OptimalAcyclicThroughput(ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		T *= 1 - 1e-12
-		a, err := BuildScheme(ins, w, T)
+		a, err := BuildScheme(ins, w, T, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestOnePortChain(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if thr := s.Throughput(); !almostEq(thr, 4) {
+	if thr := s.Throughput(nil); !almostEq(thr, 4) {
 		t.Fatalf("chain scheme throughput %v", thr)
 	}
 	if s.MaxOutDegree() != 1 {

@@ -56,8 +56,9 @@ func ExhaustiveAcyclicOptimum(ins *platform.Instance) (*big.Rat, Word, error) {
 }
 
 // ExhaustiveAcyclicOptimumFloat is the float64 variant (same enumeration,
-// cheaper evaluation); used by benchmarks and the worst-case explorer.
-func ExhaustiveAcyclicOptimumFloat(ins *platform.Instance) (float64, Word, error) {
+// cheaper evaluation), used by the exhaustive solver and the worst-case
+// explorer. Every word is evaluated on ws (nil: a private workspace).
+func ExhaustiveAcyclicOptimumFloat(ins *platform.Instance, ws *Workspace) (float64, Word, error) {
 	n, m := ins.N(), ins.M()
 	if n+m > maxExhaustiveLetters {
 		return 0, nil, fmt.Errorf("core: exhaustive search limited to %d receivers, got %d", maxExhaustiveLetters, n+m)
@@ -65,13 +66,14 @@ func ExhaustiveAcyclicOptimumFloat(ins *platform.Instance) (float64, Word, error
 	if n+m == 0 {
 		return ins.B0, Word{}, nil
 	}
+	ws = ws.ensure()
 	best := -1.0
 	var bestWord Word
 	word := make(Word, 0, n+m)
 	var rec func(openLeft, guardedLeft int)
 	rec = func(openLeft, guardedLeft int) {
 		if openLeft == 0 && guardedLeft == 0 {
-			if t := WordThroughput(ins, word); t > best {
+			if t := WordThroughput(ins, word, ws); t > best {
 				best = t
 				bestWord = append(Word(nil), word...)
 			}

@@ -25,32 +25,24 @@ type TraceStep struct {
 //
 // Runs in Θ(n+m) time, matching Theorem 4.1's linear-time claim.
 func GreedyTest(ins *platform.Instance, T float64) (Word, bool) {
-	w, _, ok := greedyTest(ins, T, false)
+	w, _, ok := greedyTest(ins, T, false, make(Word, 0, ins.N()+ins.M()))
 	return w, ok
 }
 
 // GreedyTestTrace is GreedyTest plus the per-step (O, G, W) table; it
 // reproduces Table I when run on the Figure 1 instance with T = 4.
 func GreedyTestTrace(ins *platform.Instance, T float64) (Word, []TraceStep, bool) {
-	return greedyTest(ins, T, true)
+	return greedyTest(ins, T, true, make(Word, 0, ins.N()+ins.M()))
 }
 
-// greedyTestInto is the allocation-free core of Algorithm 2: it runs
-// the greedy decision writing letters into word (whose backing array is
+// greedyTest is the allocation-free core of Algorithm 2: it runs the
+// greedy decision writing letters into word (whose backing array is
 // reused — pass a workspace buffer to probe repeatedly without churn)
-// and returns the possibly-reallocated slice. The returned word aliases
-// that buffer; callers retaining it across further probes must copy it
-// or park it with Workspace.keepWord.
-func greedyTestInto(ins *platform.Instance, T float64, word Word) (Word, bool) {
-	w, _, ok := greedyTestImpl(ins, T, false, word)
-	return w, ok
-}
-
-func greedyTest(ins *platform.Instance, T float64, trace bool) (Word, []TraceStep, bool) {
-	return greedyTestImpl(ins, T, trace, make(Word, 0, ins.N()+ins.M()))
-}
-
-func greedyTestImpl(ins *platform.Instance, T float64, trace bool, word Word) (Word, []TraceStep, bool) {
+// and returns the possibly-reallocated slice, plus the per-step table
+// when trace is set. The returned word aliases that buffer; callers
+// retaining it across further probes must copy it or park it with
+// Workspace.keepWord.
+func greedyTest(ins *platform.Instance, T float64, trace bool, word Word) (Word, []TraceStep, bool) {
 	n, m := ins.N(), ins.M()
 	if T <= 0 {
 		return nil, nil, false

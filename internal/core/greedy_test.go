@@ -55,7 +55,7 @@ func TestGreedyMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, w, err := OptimalAcyclicThroughput(ins)
+		got, w, err := OptimalAcyclicThroughput(ins, nil)
 		if err != nil {
 			t.Fatalf("trial %d (%v): %v", trial, ins, err)
 		}
@@ -155,7 +155,7 @@ func TestBuildSchemeDegreesAndThroughput(t *testing.T) {
 			nn = 1
 		}
 		ins := randomMixedInstance(rng, nn, mm)
-		T, s, err := SolveAcyclic(ins)
+		T, s, _, err := SolveAcyclic(ins, nil)
 		if err != nil {
 			t.Fatalf("trial %d (%v): %v", trial, ins, err)
 		}
@@ -165,7 +165,7 @@ func TestBuildSchemeDegreesAndThroughput(t *testing.T) {
 		if !s.IsAcyclic() {
 			t.Fatalf("trial %d: cyclic scheme from acyclic solver", trial)
 		}
-		if thr := s.Throughput(); thr < T*(1-1e-7) {
+		if thr := s.Throughput(nil); thr < T*(1-1e-7) {
 			t.Fatalf("trial %d (%v): throughput %v < T %v", trial, ins, thr, T)
 		}
 		assertGuardedOpenDegrees(t, ins, s, T)
@@ -192,7 +192,7 @@ func TestWordFeasibleAgreesWithThroughput(t *testing.T) {
 			word[i] = platform.Guarded
 		}
 		rng.Shuffle(len(word), func(i, j int) { word[i], word[j] = word[j], word[i] })
-		tw := WordThroughput(ins, word)
+		tw := WordThroughput(ins, word, nil)
 		if tw > 0 && !WordFeasible(ins, word, tw*(1-1e-9)) {
 			t.Fatalf("trial %d: word %s infeasible just below its own throughput %v", trial, word, tw)
 		}

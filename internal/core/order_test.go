@@ -27,7 +27,7 @@ func TestLemma42IncreasingOrdersDominate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		increasing, _, err := ExhaustiveAcyclicOptimumFloat(ins)
+		increasing, _, err := ExhaustiveAcyclicOptimumFloat(ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestOrderThroughputMatchesWordOnIncreasingOrders(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	check := func(what string, ins *platform.Instance, w Word) {
 		t.Helper()
-		got := WordThroughput(ins, w)
+		got := WordThroughput(ins, w, nil)
 		want := OrderThroughput(ins, w.Order(ins))
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: word eval %v ≠ order eval %v (%d letters: %s)", what, got, want, len(w), w)
@@ -151,11 +151,11 @@ func TestBuildSchemeIsConservative(t *testing.T) {
 			nn = 1
 		}
 		ins := randomMixedInstance(rng, nn, mm)
-		T, w, err := OptimalAcyclicThroughput(ins)
+		T, w, err := OptimalAcyclicThroughput(ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := BuildScheme(ins, w, T*(1-1e-12))
+		s, err := BuildScheme(ins, w, T*(1-1e-12), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

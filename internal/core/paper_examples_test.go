@@ -66,7 +66,7 @@ func TestFigure1OptimalCyclicScheme(t *testing.T) {
 		t.Logf("hand transcription over budget (%v); figure labels are rounded — skipping strict check", err)
 		t.Skip()
 	}
-	if thr := s.Throughput(); thr > 4.4+1e-9 {
+	if thr := s.Throughput(nil); thr > 4.4+1e-9 {
 		t.Fatalf("hand scheme throughput %v exceeds the Lemma 5.1 bound 4.4", thr)
 	}
 }
@@ -82,7 +82,7 @@ func TestFigure2WordThroughput(t *testing.T) {
 	if got := w.OrderString(ins); got != "031245" {
 		t.Fatalf("order = %s, want 031245", got)
 	}
-	tw := WordThroughput(ins, w)
+	tw := WordThroughput(ins, w, nil)
 	if !almostEq(tw, 4) {
 		t.Fatalf("WordThroughput(■○○■■) = %v, want 4", tw)
 	}
@@ -134,7 +134,7 @@ func TestFigure5Scheme(t *testing.T) {
 	if !ok {
 		t.Fatal("GreedyTest(4) failed")
 	}
-	s, err := BuildScheme(ins, word, 4)
+	s, err := BuildScheme(ins, word, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFigure5Scheme(t *testing.T) {
 	if !s.IsAcyclic() {
 		t.Fatal("scheme should be acyclic")
 	}
-	if thr := s.Throughput(); !almostEq(thr, 4) {
+	if thr := s.Throughput(nil); !almostEq(thr, 4) {
 		t.Fatalf("throughput = %v, want 4", thr)
 	}
 	assertGuardedOpenDegrees(t, ins, s, 4)
@@ -179,7 +179,7 @@ func assertGuardedOpenDegrees(t *testing.T, ins *platform.Instance, s *Scheme, T
 // TestFigure1AcyclicOptimum: the dichotomic search should find T*_ac = 4.
 func TestFigure1AcyclicOptimum(t *testing.T) {
 	ins := figure1()
-	T, w, err := OptimalAcyclicThroughput(ins)
+	T, w, err := OptimalAcyclicThroughput(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ import (
 //  3. the winning word's scheme is built and *verified* with a
 //     max-flow throughput evaluation; if the verified value deviates
 //     from the claimed one beyond tolerance, the repair is discarded
-//     and a full SolveAcyclicWithWorkspace runs (fellBack = true).
+//     and a full SolveAcyclic runs (fellBack = true).
 //
 // The contract tested by the churn property suite: the repaired
 // scheme's verified throughput equals a full re-solve's within float
@@ -84,25 +84,18 @@ type RepairResult struct {
 	FellBack bool
 }
 
-// RepairAcyclic is RepairAcyclicWithWorkspace on a pooled workspace.
-func RepairAcyclic(ins *platform.Instance, prev Word) (RepairResult, error) {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
-	return RepairAcyclicWithWorkspace(ins, prev, ws)
-}
-
-// RepairAcyclicWithWorkspace computes the optimal acyclic throughput
-// and scheme for ins, warm-starting from prev, the encoding word of a
-// solution to the pre-churn instance. A nil or empty prev degrades to
-// a full solve.
-func RepairAcyclicWithWorkspace(ins *platform.Instance, prev Word, ws *Workspace) (RepairResult, error) {
+// RepairAcyclic computes the optimal acyclic throughput and scheme for
+// ins, warm-starting from prev, the encoding word of a solution to the
+// pre-churn instance. A nil or empty prev degrades to a full solve.
+// Probes, build and verify share ws (nil: a private workspace).
+func RepairAcyclic(ins *platform.Instance, prev Word, ws *Workspace) (RepairResult, error) {
 	ws = ws.ensure()
 	if len(prev) == 0 || ins.Total() == 1 {
 		return fullAcyclicWithWord(ins, ws)
 	}
 
 	w0 := AdaptWord(prev, ins.N(), ins.M())
-	T0 := WordThroughputWithWorkspace(ins, w0, ws)
+	T0 := WordThroughput(ins, w0, ws)
 	hi := OptimalCyclicThroughput(ins) // T*_ac ≤ T* (acyclic ⊂ cyclic)
 
 	best, bestWord := T0, w0
@@ -125,7 +118,7 @@ func RepairAcyclicWithWorkspace(ins *platform.Instance, prev Word, ws *Workspace
 		}
 	}
 
-	built, scheme, err := BuildSchemeShaved(ins, bestWord, best, ws, BuildSchemeWithWorkspace)
+	built, scheme, err := BuildSchemeShaved(ins, bestWord, best, ws, BuildScheme)
 	if err == nil {
 		best = built
 		// Verify capped at best+2tol: the acceptance band is ±tol, so
@@ -135,7 +128,7 @@ func RepairAcyclicWithWorkspace(ins *platform.Instance, prev Word, ws *Workspace
 		// as an uncapped evaluation would report. The cap only spares
 		// targets with slack (and the first target, which an uncapped
 		// run always computes exactly) their full max-flow.
-		verified := scheme.ThroughputCappedWithWorkspace(ws, best+2*tol(best))
+		verified := scheme.ThroughputCapped(ws, best+2*tol(best))
 		if math.Abs(verified-best) <= tol(best) {
 			return RepairResult{T: best, Scheme: scheme, Word: cloneWord(bestWord), Verified: verified}, nil
 		}
@@ -144,22 +137,18 @@ func RepairAcyclicWithWorkspace(ins *platform.Instance, prev Word, ws *Workspace
 	return fullAcyclicWithWord(ins, ws)
 }
 
-// fullAcyclicWithWord is SolveAcyclicWithWorkspace keeping the winning
-// word (so a repair that fell back still hands the next round a real
-// warm start) and measuring the scheme's verified throughput, so every
-// RepairResult carries one.
+// fullAcyclicWithWord is SolveAcyclic keeping the winning word (so a
+// repair that fell back still hands the next round a real warm start)
+// and measuring the scheme's verified throughput, so every RepairResult
+// carries one.
 func fullAcyclicWithWord(ins *platform.Instance, ws *Workspace) (RepairResult, error) {
-	T, w, err := OptimalAcyclicThroughputWithWorkspace(ins, ws)
-	if err != nil {
-		return RepairResult{}, err
-	}
-	T, scheme, err := BuildSchemeShaved(ins, w, T, ws, BuildSchemeWithWorkspace)
+	T, scheme, w, err := SolveAcyclic(ins, ws)
 	if err != nil {
 		return RepairResult{}, err
 	}
 	return RepairResult{
 		T: T, Scheme: scheme, Word: w,
-		Verified: scheme.ThroughputWithWorkspace(ws),
+		Verified: scheme.Throughput(ws),
 		FellBack: true,
 	}, nil
 }

@@ -44,16 +44,16 @@ func TestAdaptWordShapes(t *testing.T) {
 func repairAgrees(t *testing.T, ins *platform.Instance, mutate func(*platform.Instance)) {
 	t.Helper()
 	ws := NewWorkspace()
-	_, prevWord, err := OptimalAcyclicThroughputWithWorkspace(ins, ws)
+	_, prevWord, err := OptimalAcyclicThroughput(ins, ws)
 	if err != nil {
 		t.Fatalf("pre-churn solve: %v", err)
 	}
 	mutate(ins)
-	rr, err := RepairAcyclicWithWorkspace(ins, prevWord, ws)
+	rr, err := RepairAcyclic(ins, prevWord, ws)
 	if err != nil {
 		t.Fatalf("repair: %v", err)
 	}
-	fullT, fullS, err := SolveAcyclic(ins)
+	fullT, fullS, _, err := SolveAcyclic(ins, nil)
 	if err != nil {
 		t.Fatalf("full re-solve: %v", err)
 	}
@@ -64,13 +64,13 @@ func repairAgrees(t *testing.T, ins *platform.Instance, mutate func(*platform.In
 	if err := rr.Scheme.Validate(); err != nil {
 		t.Fatalf("repaired scheme invalid: %v", err)
 	}
-	if v := rr.Scheme.Throughput(); v != rr.Verified {
+	if v := rr.Scheme.Throughput(nil); v != rr.Verified {
 		t.Fatalf("reported Verified %v, fresh verification %v", rr.Verified, v)
 	}
 	if math.Abs(rr.Verified-rr.T) > tol(rr.T) {
 		t.Fatalf("repaired scheme verifies at %v, claimed %v", rr.Verified, rr.T)
 	}
-	if v := fullS.Throughput(); math.Abs(v-rr.T) > 1e-9*scale {
+	if v := fullS.Throughput(nil); math.Abs(v-rr.T) > 1e-9*scale {
 		t.Fatalf("verified throughputs disagree: repair %v vs full %v", rr.Verified, v)
 	}
 	if err := rr.Word.Validate(ins); err != nil {
@@ -135,14 +135,14 @@ func TestRepairMatchesFullSolveRandom(t *testing.T) {
 // word means a full solve, flagged as such.
 func TestRepairNilPrevFallsBack(t *testing.T) {
 	ins := generator.Figure1()
-	rr, err := RepairAcyclic(ins, nil)
+	rr, err := RepairAcyclic(ins, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rr.FellBack {
 		t.Fatal("repair with no previous word should report FellBack")
 	}
-	fullT, _, err := SolveAcyclic(ins)
+	fullT, _, _, err := SolveAcyclic(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestRepairCheaperThanFullSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := NewWorkspace()
-	_, word, err := OptimalAcyclicThroughputWithWorkspace(ins, ws)
+	_, word, err := OptimalAcyclicThroughput(ins, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRepairCheaperThanFullSolve(t *testing.T) {
 	}
 
 	before := ws.Stats()
-	if rr, err := RepairAcyclicWithWorkspace(ins, word, ws); err != nil {
+	if rr, err := RepairAcyclic(ins, word, ws); err != nil {
 		t.Fatal(err)
 	} else if rr.FellBack {
 		t.Skip("repair fell back on this instance; probe-count comparison not meaningful")
@@ -184,7 +184,7 @@ func TestRepairCheaperThanFullSolve(t *testing.T) {
 	repairProbes := ws.Stats().Sub(before).GreedyTests
 
 	before = ws.Stats()
-	if _, _, err := SolveAcyclicWithWorkspace(ins, ws); err != nil {
+	if _, _, _, err := SolveAcyclic(ins, ws); err != nil {
 		t.Fatal(err)
 	}
 	fullProbes := ws.Stats().Sub(before).GreedyTests

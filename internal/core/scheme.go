@@ -299,26 +299,22 @@ func SchemeDepth(s *Scheme) int {
 }
 
 // Throughput computes T = min_i maxflow(C0 → Ci) with the float64
-// max-flow solver (the paper's definition of scheme throughput).
-func (s *Scheme) Throughput() float64 {
-	return s.ThroughputWithWorkspace(nil)
+// max-flow solver (the paper's definition of scheme throughput). The
+// flow network, the Dinic solver state and the target list all come
+// from ws (nil: a private workspace), so repeated verification (every
+// solver runs one per instance, sweeps run thousands) allocates nothing
+// once the workspace is warm.
+func (s *Scheme) Throughput(ws *Workspace) float64 {
+	return s.ThroughputCapped(ws, math.Inf(1))
 }
 
-// ThroughputWithWorkspace is Throughput on reusable scratch: the flow
-// network, the Dinic solver state and the target list all come from ws,
-// so repeated verification (every solver runs one per instance, sweeps
-// run thousands) allocates nothing once the workspace is warm.
-func (s *Scheme) ThroughputWithWorkspace(ws *Workspace) float64 {
-	return s.ThroughputCappedWithWorkspace(ws, math.Inf(1))
-}
-
-// ThroughputCappedWithWorkspace computes min(cap, T): every per-target
-// max-flow query stops as soon as it proves flow ≥ cap, so verifying a
-// scheme against a throughput the caller already claims (the repair
-// path) skips the exact-value computation on every target with slack.
-// A result strictly below cap is the exact throughput — the minimum
+// ThroughputCapped computes min(cap, T): every per-target max-flow
+// query stops as soon as it proves flow ≥ cap, so verifying a scheme
+// against a throughput the caller already claims (the repair path)
+// skips the exact-value computation on every target with slack. A
+// result strictly below cap is the exact throughput — the minimum
 // target ran to exhaustion.
-func (s *Scheme) ThroughputCappedWithWorkspace(ws *Workspace, cap float64) float64 {
+func (s *Scheme) ThroughputCapped(ws *Workspace, cap float64) float64 {
 	ws = ws.ensure()
 	total := s.ins.Total()
 	if total <= 1 {

@@ -92,11 +92,11 @@ func TestSchemeThroughputExactMatchesFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
 		ins := randomMixedInstance(rng, 2+rng.Intn(5), rng.Intn(5))
-		_, s, err := SolveAcyclic(ins)
+		_, s, _, err := SolveAcyclic(ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := s.Throughput()
+		f := s.Throughput(nil)
 		e, _ := s.ThroughputExact().Float64()
 		if math.Abs(f-e) > 1e-6*(1+f) {
 			t.Fatalf("trial %d: float %v vs exact %v", trial, f, e)
@@ -136,7 +136,7 @@ func TestDegreeLowerBoundPanicsOnZeroT(t *testing.T) {
 func TestDegreeSlack(t *testing.T) {
 	ins := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
 	word, _ := GreedyTest(ins, 4)
-	s, err := BuildScheme(ins, word, 4)
+	s, err := BuildScheme(ins, word, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDegreeSlack(t *testing.T) {
 func TestSchemeGraphAndEdgesDeterministic(t *testing.T) {
 	ins := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
 	word, _ := GreedyTest(ins, 4)
-	s, err := BuildScheme(ins, word, 4)
+	s, err := BuildScheme(ins, word, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSchemeGraphAndEdgesDeterministic(t *testing.T) {
 
 func TestSchemeStringAndEmptyThroughput(t *testing.T) {
 	solo := NewScheme(platform.MustInstance(3, nil, nil))
-	if thr := solo.Throughput(); thr != 0 {
+	if thr := solo.Throughput(nil); thr != 0 {
 		t.Fatalf("no-receiver throughput %v", thr)
 	}
 	if s := solo.String(); !strings.Contains(s, "Scheme{") {

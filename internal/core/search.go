@@ -32,19 +32,13 @@ func searchDone(lo, hi float64) bool { return hi-lo <= 4*tol(hi) }
 // is the larger of its exact optimum WordThroughput(word) and the bound
 // the search found it feasible at (refineWord, claimAtTStar), so it may
 // sit up to tol above what the word carries.
-func OptimalAcyclicThroughput(ins *platform.Instance) (float64, Word, error) {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
-	return OptimalAcyclicThroughputWithWorkspace(ins, ws)
-}
-
-// OptimalAcyclicThroughputWithWorkspace is the dichotomic search on
-// reusable scratch: feasibility probes write their candidate words into
-// the workspace's double buffer (the current survivor lives in one
-// buffer while probes overwrite the other) instead of allocating one
-// word per probe. Only the winning word is copied out, so the returned
-// Word is stable and safe to retain.
-func OptimalAcyclicThroughputWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, Word, error) {
+//
+// The probes run on ws (nil: a private workspace): they write their
+// candidate words into its double buffer (the current survivor lives in
+// one buffer while probes overwrite the other) instead of allocating
+// one word per probe. Only the winning word is copied out, so the
+// returned Word is stable and safe to retain.
+func OptimalAcyclicThroughput(ins *platform.Instance, ws *Workspace) (float64, Word, error) {
 	ws = ws.ensure()
 	if ins.Total() == 1 {
 		return ins.B0, Word{}, nil
@@ -124,7 +118,7 @@ func cloneWord(w Word) Word { return append(Word(nil), w...) }
 // GreedyTest accepts with the tol(lo) slack, so the optimum may also sit
 // up to tol(lo) below lo, and the claim is then lo.
 func refineWord(ins *platform.Instance, w Word, lo float64, ws *Workspace) float64 {
-	if t := WordThroughputWithWorkspace(ins, w, ws); t > lo {
+	if t := WordThroughput(ins, w, ws); t > lo {
 		return t
 	}
 	return lo
@@ -155,7 +149,7 @@ const tStarEvalLetters = 300
 // every instance the test suite cross-checks against exhaustive
 // enumeration.
 func OptimalAcyclicThroughputExact(ins *platform.Instance) (*big.Rat, Word, error) {
-	_, w, err := OptimalAcyclicThroughput(ins)
+	_, w, err := OptimalAcyclicThroughput(ins, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -163,17 +157,10 @@ func OptimalAcyclicThroughputExact(ins *platform.Instance) (*big.Rat, Word, erro
 }
 
 // FeasibleAcyclic reports whether throughput T is acyclically achievable,
-// i.e. T ≤ T*_ac (Theorem 4.1's linear-time decision).
-func FeasibleAcyclic(ins *platform.Instance, T float64) bool {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
-	return FeasibleAcyclicWithWorkspace(ins, T, ws)
-}
-
-// FeasibleAcyclicWithWorkspace is the Algorithm 2 decision on reusable
-// scratch — the witness word lands in the workspace buffer and is
-// discarded, so repeated probing allocates nothing.
-func FeasibleAcyclicWithWorkspace(ins *platform.Instance, T float64, ws *Workspace) bool {
+// i.e. T ≤ T*_ac (Theorem 4.1's linear-time decision). The witness word
+// lands in ws's buffer (nil: a private workspace) and is discarded, so
+// repeated probing on one workspace allocates nothing.
+func FeasibleAcyclic(ins *platform.Instance, T float64, ws *Workspace) bool {
 	_, ok := ws.ensure().probeWord(ins, T)
 	return ok
 }

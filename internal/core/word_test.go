@@ -143,7 +143,7 @@ func TestQuickWordThroughputDominatedByOptimum(t *testing.T) {
 			nn = 1
 		}
 		ins := randomMixedInstance(rng, nn, mm)
-		opt, _, err := OptimalAcyclicThroughput(ins)
+		opt, _, err := OptimalAcyclicThroughput(ins, nil)
 		if err != nil {
 			return false
 		}
@@ -154,7 +154,7 @@ func TestQuickWordThroughputDominatedByOptimum(t *testing.T) {
 			word = append(word, platform.Guarded)
 		}
 		rng.Shuffle(len(word), func(i, j int) { word[i], word[j] = word[j], word[i] })
-		return WordThroughput(ins, word) <= opt*(1+1e-9)+1e-12
+		return WordThroughput(ins, word, nil) <= opt*(1+1e-9)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -174,7 +174,7 @@ func TestWordThroughputAgreesWithExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := WordThroughput(ins, w)
+		got := WordThroughput(ins, w, nil)
 		exact, _ := WordThroughputExact(ins, w).Float64()
 		if rel := math.Abs(got-exact) / exact; rel > 1e-14 {
 			t.Fatalf("trial %d (%d letters): hull %v vs exact %v, %.3g relative", trial, len(w), got, exact, rel)

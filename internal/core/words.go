@@ -75,13 +75,8 @@ func CanonicalWords(ins *platform.Instance) []Word {
 
 // BestCanonicalThroughput returns max(T*_ac(ω1), T*_ac(ω2)) together with
 // the winning word — the "blue line" series of the paper's Figure 19.
-func BestCanonicalThroughput(ins *platform.Instance) (float64, Word, error) {
-	return BestCanonicalThroughputWithWorkspace(ins, nil)
-}
-
-// BestCanonicalThroughputWithWorkspace evaluates the canonical words on
-// reusable per-word scratch.
-func BestCanonicalThroughputWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, Word, error) {
+// Each word is evaluated on ws (nil: a private workspace).
+func BestCanonicalThroughput(ins *platform.Instance, ws *Workspace) (float64, Word, error) {
 	cands := CanonicalWords(ins)
 	if len(cands) == 0 {
 		return 0, nil, fmt.Errorf("core: instance %v admits no canonical word", ins)
@@ -89,7 +84,7 @@ func BestCanonicalThroughputWithWorkspace(ins *platform.Instance, ws *Workspace)
 	bestT := -1.0
 	var bestW Word
 	for _, w := range cands {
-		if t := WordThroughputWithWorkspace(ins, w, ws); t > bestT {
+		if t := WordThroughput(ins, w, ws); t > bestT {
 			bestT, bestW = t, w
 		}
 	}
@@ -115,12 +110,12 @@ func TheoremWord(ins *platform.Instance) (Word, error) {
 	return Omega2(n, m)
 }
 
-// TheoremWordThroughputWithWorkspace evaluates the TheoremWord series on
-// reusable per-word scratch.
-func TheoremWordThroughputWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, Word, error) {
+// TheoremWordThroughput evaluates the TheoremWord series, T*_ac of the
+// Theorem 6.2 word, on ws (nil: a private workspace).
+func TheoremWordThroughput(ins *platform.Instance, ws *Workspace) (float64, Word, error) {
 	w, err := TheoremWord(ins)
 	if err != nil {
 		return 0, nil, err
 	}
-	return WordThroughputWithWorkspace(ins, w, ws), w, nil
+	return WordThroughput(ins, w, ws), w, nil
 }

@@ -73,16 +73,10 @@ func WordFeasible(ins *platform.Instance, w Word, T float64) bool {
 // search and divides on that one candidate — the same float operations
 // the full enumeration (OrderThroughput, WordThroughputExact) performs
 // on it. One pass, O(L log L), at every word length.
-func WordThroughput(ins *platform.Instance, w Word) float64 {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
-	return WordThroughputWithWorkspace(ins, w, ws)
-}
-
-// WordThroughputWithWorkspace is WordThroughput with the hull stack taken
-// from ws, so per-word evaluation inside search and repair loops stops
-// allocating.
-func WordThroughputWithWorkspace(ins *platform.Instance, w Word, ws *Workspace) float64 {
+//
+// The hull stack comes from ws (nil: a private workspace), so per-word
+// evaluation inside search and repair loops allocates nothing.
+func WordThroughput(ins *platform.Instance, w Word, ws *Workspace) float64 {
 	if err := w.Validate(ins); err != nil {
 		panic(err)
 	}

@@ -14,10 +14,10 @@ import (
 // caller running thousands of solves (sweeps, Figure 7/19 grids) reuses
 // one set of allocations instead of re-allocating per call.
 //
-// Every exported ...WithWorkspace function accepts a nil workspace and
-// allocates a private one, so the plain wrappers (Throughput,
-// BuildScheme, OptimalAcyclicThroughput, ...) are one-line delegations
-// and no existing caller changes behavior.
+// Every exported function that runs on scratch (OptimalAcyclicThroughput,
+// BuildScheme, Scheme.Throughput, ...) takes a workspace as its last
+// argument; a nil workspace means a private one, allocated for that
+// call alone.
 //
 // A Workspace is not safe for concurrent use; internal/engine leases one
 // per worker from the package pool (AcquireWorkspace).
@@ -49,7 +49,7 @@ type pendingRate struct {
 
 // wCand is one W(π) candidate of the Lemma 4.4 closed forms, the counts
 // (i', S^G_{j'}) after a ○ letter: a point of the lower hull that
-// WordThroughputWithWorkspace keeps.
+// WordThroughput keeps.
 type wCand struct {
 	iS   int
 	gSum float64
@@ -139,11 +139,11 @@ func (ws *Workspace) Prealloc(total int) {
 	ws.flow.Prealloc(total)
 }
 
-// wsPool is the one workspace pool: the convenience wrappers
-// (OptimalAcyclicThroughput, SolveAcyclic, ...) draw private scratch
-// from it, and internal/engine leases its per-worker workspaces from it,
-// so every caller amortizes scratch storage across calls instead of
-// paying a cold allocation set per solve.
+// wsPool is the one workspace pool: internal/engine leases its
+// per-worker workspaces from it, and so do the root package's search,
+// solve and repair conveniences, so those callers amortize scratch
+// storage across calls instead of paying a cold allocation set per
+// solve.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
 // AcquireWorkspace takes a workspace from the pool; return it with
@@ -237,7 +237,7 @@ func (ws *Workspace) noteWordBuffer(w Word) {
 // keepWord (or clone it) before the next probe if it must survive.
 func (ws *Workspace) probeWord(ins *platform.Instance, T float64) (Word, bool) {
 	ws.stats.GreedyTests++
-	w, ok := greedyTestInto(ins, T, ws.scratchWord())
+	w, _, ok := greedyTest(ins, T, false, ws.scratchWord())
 	ws.noteWordBuffer(w)
 	return w, ok
 }

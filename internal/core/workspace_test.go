@@ -21,16 +21,16 @@ func workspaceTestInstance(seed int64, n, m int) *platform.Instance {
 	return platform.MustInstance(50+50*rng.Float64(), open, guarded)
 }
 
-// TestWithWorkspaceMatchesPlain: every ...WithWorkspace variant returns
-// byte-identical results to its plain wrapper, with the workspace reused
-// (warm and dirty) across instances.
+// TestWithWorkspaceMatchesPlain: every workspace-taking function returns
+// byte-identical results on a nil (private) workspace and on one
+// workspace reused (warm and dirty) across instances.
 func TestWithWorkspaceMatchesPlain(t *testing.T) {
 	ws := NewWorkspace()
 	for seed := int64(1); seed <= 30; seed++ {
 		ins := workspaceTestInstance(seed, 4+int(seed)%8, int(seed)%6)
 
-		tPlain, wPlain, errPlain := OptimalAcyclicThroughput(ins)
-		tWS, wWS, errWS := OptimalAcyclicThroughputWithWorkspace(ins, ws)
+		tPlain, wPlain, errPlain := OptimalAcyclicThroughput(ins, nil)
+		tWS, wWS, errWS := OptimalAcyclicThroughput(ins, ws)
 		if (errPlain == nil) != (errWS == nil) {
 			t.Fatalf("seed %d: search errs %v vs %v", seed, errPlain, errWS)
 		}
@@ -41,17 +41,17 @@ func TestWithWorkspaceMatchesPlain(t *testing.T) {
 			t.Fatalf("seed %d: search (%v, %s) vs workspace (%v, %s)", seed, tPlain, wPlain, tWS, wWS)
 		}
 
-		if FeasibleAcyclic(ins, tPlain) != FeasibleAcyclicWithWorkspace(ins, tPlain, ws) {
+		if FeasibleAcyclic(ins, tPlain, nil) != FeasibleAcyclic(ins, tPlain, ws) {
 			t.Fatalf("seed %d: feasibility diverges at T=%v", seed, tPlain)
 		}
 
-		if a, b := WordThroughput(ins, wPlain), WordThroughputWithWorkspace(ins, wPlain, ws); math.Float64bits(a) != math.Float64bits(b) {
+		if a, b := WordThroughput(ins, wPlain, nil), WordThroughput(ins, wPlain, ws); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("seed %d: word throughput %v vs %v", seed, a, b)
 		}
 
 		build := tPlain * (1 - 1e-12)
-		sPlain, errPlain := BuildScheme(ins, wPlain, build)
-		sWS, errWS := BuildSchemeWithWorkspace(ins, wPlain, build, ws)
+		sPlain, errPlain := BuildScheme(ins, wPlain, build, nil)
+		sWS, errWS := BuildScheme(ins, wPlain, build, ws)
 		if (errPlain == nil) != (errWS == nil) {
 			t.Fatalf("seed %d: build errs %v vs %v", seed, errPlain, errWS)
 		}
@@ -65,14 +65,14 @@ func TestWithWorkspaceMatchesPlain(t *testing.T) {
 					t.Fatalf("seed %d edge %d: %+v vs %+v", seed, k, ePlain[k], eWS[k])
 				}
 			}
-			if a, b := sPlain.Throughput(), sWS.ThroughputWithWorkspace(ws); math.Float64bits(a) != math.Float64bits(b) {
+			if a, b := sPlain.Throughput(nil), sWS.Throughput(ws); math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("seed %d: verify %v vs %v", seed, a, b)
 			}
 		}
 
 		T := OptimalCyclicThroughput(ins)
-		pPlain, aPlain, errPlain := PackCyclicGuarded(ins, T)
-		pWS, aWS, errWS := PackCyclicGuardedWithWorkspace(ins, T, ws)
+		pPlain, aPlain, errPlain := PackCyclicGuarded(ins, T, nil)
+		pWS, aWS, errWS := PackCyclicGuarded(ins, T, ws)
 		if (errPlain == nil) != (errWS == nil) {
 			t.Fatalf("seed %d: pack errs %v vs %v", seed, errPlain, errWS)
 		}
@@ -94,14 +94,14 @@ func TestWithWorkspaceMatchesPlain(t *testing.T) {
 }
 
 // TestCyclicOpenWithWorkspaceMatchesPlain covers the Theorem 5.2
-// constructor's workspace variant (open-only instances).
+// constructor the same way (open-only instances).
 func TestCyclicOpenWithWorkspaceMatchesPlain(t *testing.T) {
 	ws := NewWorkspace()
 	for seed := int64(1); seed <= 20; seed++ {
 		ins := workspaceTestInstance(100+seed, 5+int(seed), 0)
 		T := OptimalCyclicThroughput(ins)
-		sPlain, errPlain := CyclicOpen(ins, T)
-		sWS, errWS := CyclicOpenWithWorkspace(ins, T, ws)
+		sPlain, errPlain := CyclicOpen(ins, T, nil)
+		sWS, errWS := CyclicOpen(ins, T, ws)
 		if (errPlain == nil) != (errWS == nil) {
 			t.Fatalf("seed %d: errs %v vs %v", seed, errPlain, errWS)
 		}
@@ -125,22 +125,22 @@ func TestCyclicOpenWithWorkspaceMatchesPlain(t *testing.T) {
 // allocates nothing.
 func TestThroughputWorkspaceZeroSteadyStateAllocs(t *testing.T) {
 	ins := workspaceTestInstance(7, 30, 30)
-	_, s, err := SolveAcyclic(ins)
+	_, s, _, err := SolveAcyclic(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := NewWorkspace()
-	s.ThroughputWithWorkspace(ws) // warm up
+	s.Throughput(ws) // warm up
 	allocs := testing.AllocsPerRun(20, func() {
-		s.ThroughputWithWorkspace(ws)
+		s.Throughput(ws)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state ThroughputWithWorkspace allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state Throughput allocates %.1f/op, want 0", allocs)
 	}
-	if FeasibleAcyclicWithWorkspace(ins, 1, ws); testing.AllocsPerRun(20, func() {
-		FeasibleAcyclicWithWorkspace(ins, 1, ws)
+	if FeasibleAcyclic(ins, 1, ws); testing.AllocsPerRun(20, func() {
+		FeasibleAcyclic(ins, 1, ws)
 	}) != 0 {
-		t.Fatal("steady-state FeasibleAcyclicWithWorkspace allocates")
+		t.Fatal("steady-state FeasibleAcyclic allocates")
 	}
 	if got := ws.Stats(); got.FlowEvals == 0 || got.GreedyTests == 0 {
 		t.Fatalf("stats not recorded: %+v", got)
@@ -151,7 +151,7 @@ func TestThroughputWorkspaceZeroSteadyStateAllocs(t *testing.T) {
 // brute-force Rate(i, j) scan over every sender.
 func TestInEdgesMatchesGraph(t *testing.T) {
 	ins := workspaceTestInstance(13, 10, 10)
-	_, s, err := SolveAcyclic(ins)
+	_, s, _, err := SolveAcyclic(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func countingRegistry(t *testing.T, calls *atomic.Int64) *Registry {
 	r.MustRegister(NewSolver("acyclic", CapExact|CapHandlesGuarded|CapBuildsScheme,
 		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
 			calls.Add(1)
-			T, s, err := core.SolveAcyclicWithWorkspace(ins, ws)
+			T, s, _, err := core.SolveAcyclic(ins, ws)
 			if err != nil {
 				return Result{}, err
 			}
@@ -482,7 +482,7 @@ func mockIncRegistry(solves, repairs *atomic.Int64, lastPrev *core.Word, fellBac
 	r.MustRegister(NewIncrementalSolver("acyclic", CapExact|CapHandlesGuarded|CapBuildsScheme,
 		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
 			solves.Add(1)
-			T, s, w, err := core.SolveAcyclicWordWithWorkspace(ins, ws)
+			T, s, w, err := core.SolveAcyclic(ins, ws)
 			if err != nil {
 				return Result{}, err
 			}
@@ -496,7 +496,7 @@ func mockIncRegistry(solves, repairs *atomic.Int64, lastPrev *core.Word, fellBac
 			if repairErr != nil {
 				return core.RepairResult{}, repairErr
 			}
-			T, s, w, err := core.SolveAcyclicWordWithWorkspace(ins, ws)
+			T, s, w, err := core.SolveAcyclic(ins, ws)
 			if err != nil {
 				return core.RepairResult{}, err
 			}

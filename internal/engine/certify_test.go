@@ -34,7 +34,7 @@ func TestColdToleranceFixturesCertify(t *testing.T) {
 			t.Fatalf("refused: %v", err)
 		}
 		thr := plan.Throughput * (1 - req.Tolerance)
-		if dinic := plan.Scheme.Throughput(); floatShort && !(dinic < thr) {
+		if dinic := plan.Scheme.Throughput(nil); floatShort && !(dinic < thr) {
 			t.Fatalf("float max-flow %v meets the threshold %v: the case no longer tests the exact path", dinic, thr)
 		}
 		exactThr := new(big.Rat).Sub(big.NewRat(1, 1), new(big.Rat).SetFloat64(req.Tolerance))
@@ -95,9 +95,9 @@ func TestColdToleranceFixturesCertify(t *testing.T) {
 // carry less than it claims. A claim is the larger of the winning
 // word's exact optimum and the search's feasible bound, which GreedyTest
 // accepts with the tol slack, so it may sit up to core.Eps·T above what
-// the word carries; core.BuildSchemeWithWorkspace's draw stops once a
-// receiver's unmet need is at most core.Eps·T, so the build accepts that
-// much. Summation rounding adds a few ulps.
+// the word carries; core.BuildScheme's draw stops once a receiver's
+// unmet need is at most core.Eps·T, so the build accepts that much.
+// Summation rounding adds a few ulps.
 //
 // Cold seed 63's op 982 (539 PlanetLab receivers, tolerance 1e-9) was
 // refused with a 422 while words of more than 300 letters were bisected:
@@ -160,7 +160,7 @@ func TestAcyclicShortfallWithinTwoEps(t *testing.T) {
 func TestToleranceChecksRepairResults(t *testing.T) {
 	const tol = 1e-9
 	ins := generator.Figure1()
-	T, s, w, err := core.SolveAcyclicWordWithWorkspace(ins, nil)
+	T, s, w, err := core.SolveAcyclic(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func TestSolversOnFigure1(t *testing.T) {
 				t.Fatalf("%s: degree stats do not match scheme", name)
 			}
 			// An achieved throughput must be certified by max-flow.
-			if flow := res.Scheme.Throughput(); flow < res.Throughput-1e-6 {
+			if flow := res.Scheme.Throughput(nil); flow < res.Throughput-1e-6 {
 				t.Fatalf("%s: scheme max-flow %v below claimed throughput %v", name, flow, res.Throughput)
 			}
 			if !s.Capabilities().Has(CapCyclic) && !res.Scheme.IsAcyclic() {

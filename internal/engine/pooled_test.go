@@ -153,3 +153,20 @@ func TestResultEvalsCounters(t *testing.T) {
 		t.Fatalf("warm workspace still grew scratch: %+v", last.Evals)
 	}
 }
+
+// TestExhaustiveCountsWordEvals: the exhaustive solver evaluates every
+// word on the workspace the engine hands it, so Result.Evals counts all
+// of them: Figure 1 (n = 2, m = 3) has C(5,2) = 10 interleavings.
+func TestExhaustiveCountsWordEvals(t *testing.T) {
+	s, err := Get("exhaustive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve(context.Background(), generator.Figure1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evals.WordEvals != 10 {
+		t.Fatalf("exhaustive on Figure 1 reports %d word evaluations, want 10: %+v", res.Evals.WordEvals, res.Evals)
+	}
+}

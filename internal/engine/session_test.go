@@ -144,7 +144,7 @@ func TestSessionRepairAccounting(t *testing.T) {
 		calls := 0
 		repair := func(ins *platform.Instance, prev core.Word, ws *core.Workspace) (core.RepairResult, error) {
 			calls++
-			core.FeasibleAcyclicWithWorkspace(ins, 1, ws) // one eval per call
+			core.FeasibleAcyclic(ins, 1, ws) // one eval per call
 			return core.RepairResult{T: 1, Word: core.Word{platform.Open}, Verified: 1,
 				FellBack: len(prev) == 0 || calls == 3}, nil
 		}

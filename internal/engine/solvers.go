@@ -28,18 +28,18 @@ func init() {
 		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
 			// Keep the witness word: it is the warm start a Session (or
 			// the plan store's neighbor index) repairs from later.
-			T, s, w, err := core.SolveAcyclicWordWithWorkspace(ins, ws)
+			T, s, w, err := core.SolveAcyclic(ins, ws)
 			if err != nil {
 				return Result{}, err
 			}
 			return Result{Throughput: T, Scheme: s, Word: w}, nil
 		},
-		core.RepairAcyclicWithWorkspace))
+		core.RepairAcyclic))
 
 	Default.MustRegister(NewSolver("acyclic-search",
 		CapExact|CapHandlesGuarded,
 		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
-			T, w, err := core.OptimalAcyclicThroughputWithWorkspace(ins, ws)
+			T, w, err := core.OptimalAcyclicThroughput(ins, ws)
 			if err != nil {
 				return Result{}, err
 			}
@@ -69,7 +69,7 @@ func init() {
 	Default.MustRegister(NewSolver("cyclic-open",
 		CapExact|CapBuildsScheme|CapCyclic,
 		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
-			T, s, err := core.SolveCyclicOpenWithWorkspace(ins, ws)
+			T, s, err := core.SolveCyclicOpen(ins, ws)
 			if err != nil {
 				return Result{}, err
 			}
@@ -79,7 +79,7 @@ func init() {
 	Default.MustRegister(NewSolver("cyclic-pack",
 		CapHandlesGuarded|CapBuildsScheme|CapCyclic|CapAnytime,
 		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
-			s, achieved, err := core.PackCyclicGuardedWithWorkspace(ins, core.OptimalCyclicThroughput(ins), ws)
+			s, achieved, err := core.PackCyclicGuarded(ins, core.OptimalCyclicThroughput(ins), ws)
 			if err != nil {
 				return Result{}, err
 			}
@@ -89,11 +89,11 @@ func init() {
 	Default.MustRegister(NewSolver("greedy",
 		CapHandlesGuarded|CapBuildsScheme|CapAnytime,
 		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
-			T, w, err := core.BestCanonicalThroughputWithWorkspace(ins, ws)
+			T, w, err := core.BestCanonicalThroughput(ins, ws)
 			if err != nil {
 				return Result{}, err
 			}
-			T, s, err := core.BuildSchemeShaved(ins, w, T, ws, core.BuildSchemeWithWorkspace)
+			T, s, err := core.BuildSchemeShaved(ins, w, T, ws, core.BuildScheme)
 			if err != nil {
 				return Result{}, err
 			}
@@ -103,11 +103,11 @@ func init() {
 	Default.MustRegister(NewSolver("exhaustive",
 		CapExact|CapHandlesGuarded|CapBuildsScheme,
 		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
-			T, w, err := core.ExhaustiveAcyclicOptimumFloat(ins)
+			T, w, err := core.ExhaustiveAcyclicOptimumFloat(ins, ws)
 			if err != nil {
 				return Result{}, err
 			}
-			T, s, err := core.BuildSchemeShaved(ins, w, T, ws, core.BuildSchemeWithWorkspace)
+			T, s, err := core.BuildSchemeShaved(ins, w, T, ws, core.BuildScheme)
 			if err != nil {
 				return Result{}, err
 			}
@@ -117,7 +117,7 @@ func init() {
 	Default.MustRegister(NewSolver("depth",
 		CapExact|CapHandlesGuarded|CapBuildsScheme,
 		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
-			T, w, err := core.OptimalAcyclicThroughputWithWorkspace(ins, ws)
+			T, w, err := core.OptimalAcyclicThroughput(ins, ws)
 			if err != nil {
 				return Result{}, err
 			}

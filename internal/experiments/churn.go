@@ -1,12 +1,6 @@
 package experiments
 
-import (
-	"context"
-	"strings"
-
-	"repro/internal/engine"
-	"repro/internal/sim"
-)
+import "repro/internal/engine"
 
 // ---------------------------------------------------------------------------
 // Churn sweep (dynamic-platform figure)
@@ -18,7 +12,8 @@ import (
 // engine.Session. The figure plots throughput-over-time (one line per
 // solver, normalized by the evolving cyclic optimum T*) and the
 // cumulative evaluation counters — the solve-latency-under-change
-// workload the static figures cannot show.
+// workload the static figures cannot show. `bmpcast sim -solvers all
+// -format csv` drives it (sim.GenerateTrace, sim.Run).
 
 // ChurnSolvers returns the registry solvers the churn sweep re-solves
 // with after every event: every guarded-capable algorithm except the
@@ -33,28 +28,4 @@ func ChurnSolvers() []string {
 		names = append(names, s.Name())
 	}
 	return names
-}
-
-// ChurnSweep generates the seeded trace and replays it with the given
-// solvers (default ChurnSolvers). The returned timeline is the figure's
-// data: Entries[e].Solvers[s].Ratio over e is the throughput-over-time
-// line of solver s.
-func ChurnSweep(ctx context.Context, cfg sim.TraceConfig, solvers []string) (*sim.Timeline, error) {
-	if len(solvers) == 0 {
-		solvers = ChurnSolvers()
-	}
-	tr, err := sim.GenerateTrace(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(ctx, tr, sim.RunConfig{Solvers: solvers})
-}
-
-// ChurnCSV renders the timeline as the flat CSV the plotting scripts
-// consume (one row per event × solver).
-func ChurnCSV(tl *sim.Timeline) string {
-	var sb strings.Builder
-	// WriteCSV to a strings.Builder cannot fail.
-	_ = tl.WriteCSV(&sb)
-	return sb.String()
 }

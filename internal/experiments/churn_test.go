@@ -34,14 +34,18 @@ func TestChurnSolvers(t *testing.T) {
 
 func TestChurnSweep(t *testing.T) {
 	cfg := sim.TraceConfig{Nodes: 12, POpen: 0.7, Events: 10, Seed: 4}
-	tl, err := ChurnSweep(context.Background(), cfg, nil)
+	tr, err := sim.GenerateTrace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solvers := ChurnSolvers()
+	tl, err := sim.Run(context.Background(), tr, sim.RunConfig{Solvers: solvers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tl.Entries) != cfg.Events+1 {
 		t.Fatalf("got %d entries, want %d", len(tl.Entries), cfg.Events+1)
 	}
-	solvers := ChurnSolvers()
 	for _, e := range tl.Entries {
 		if len(e.Solvers) != len(solvers) {
 			t.Fatalf("event %d has %d solver points, want %d", e.Event, len(e.Solvers), len(solvers))
@@ -63,8 +67,11 @@ func TestChurnSweep(t *testing.T) {
 			t.Fatalf("event %d: greedy %v beats optimal acyclic %v", e.Event, greedyT, acyclicT)
 		}
 	}
-	csv := ChurnCSV(tl)
-	lines := strings.Count(strings.TrimSpace(csv), "\n") + 1
+	var csv strings.Builder
+	if err := tl.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Count(strings.TrimSpace(csv.String()), "\n") + 1
 	if want := 1 + len(tl.Entries)*len(solvers); lines != want {
 		t.Fatalf("CSV has %d lines, want %d", lines, want)
 	}

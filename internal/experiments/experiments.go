@@ -77,15 +77,12 @@ type Figure7Cell struct {
 // exploration of "all possible tight and homogeneous instances").
 // The surface floor is 5/7 and the asymptotic valley ≈ 0.925 runs along
 // m ≈ ((√41−3)/8)·n ≈ 0.425·n.
-func Figure7(maxN, maxM, stride, deltaSamples int) ([]Figure7Cell, error) {
-	return Figure7Ctx(context.Background(), maxN, maxM, stride, deltaSamples)
-}
-
-// Figure7Ctx is Figure7 with cancellation. Cells are solved on the
-// engine worker pool (one job per grid cell, each resolving the
-// registered acyclic-search solver per Δ-sample) and land pre-sorted in
-// (n, m) order because the pool preserves job indexing.
-func Figure7Ctx(ctx context.Context, maxN, maxM, stride, deltaSamples int) ([]Figure7Cell, error) {
+//
+// Cells are solved on the engine worker pool until ctx is canceled (one
+// job per grid cell, each resolving the registered acyclic-search
+// solver per Δ-sample) and land pre-sorted in (n, m) order because the
+// pool preserves job indexing.
+func Figure7(ctx context.Context, maxN, maxM, stride, deltaSamples int) ([]Figure7Cell, error) {
 	if stride < 1 {
 		stride = 1
 	}
@@ -200,15 +197,10 @@ type AvgCaseCell struct {
 
 // AverageCase runs the Appendix XII study and returns one cell per
 // (distribution, p, n) combination, in configuration order.
-func AverageCase(cfg AvgCaseConfig) ([]AvgCaseCell, error) {
-	return AverageCaseCtx(context.Background(), cfg)
-}
-
-// AverageCaseCtx is AverageCase with cancellation. Repetitions run on
-// the engine worker pool; each repetition derives its own seeded
-// *rand.Rand via RepRNG, so results are identical run-to-run and
-// independent of worker scheduling.
-func AverageCaseCtx(ctx context.Context, cfg AvgCaseConfig) ([]AvgCaseCell, error) {
+// Repetitions run on the engine worker pool until ctx is canceled; each
+// repetition derives its own seeded *rand.Rand via RepRNG, so results
+// are identical run-to-run and independent of worker scheduling.
+func AverageCase(ctx context.Context, cfg AvgCaseConfig) ([]AvgCaseCell, error) {
 	if cfg.Reps < 1 {
 		return nil, fmt.Errorf("experiments: Reps must be ≥ 1")
 	}
@@ -268,17 +260,17 @@ func avgCaseOne(dist distribution.Distribution, p float64, n int, rng *rand.Rand
 	if tstar <= 0 {
 		return fmt.Errorf("experiments: degenerate instance with T* = %v", tstar)
 	}
-	tac, _, err := core.OptimalAcyclicThroughputWithWorkspace(ins, ws)
+	tac, _, err := core.OptimalAcyclicThroughput(ins, ws)
 	if err != nil {
 		return err
 	}
 	*opt = tac / tstar
-	best, _, err := core.BestCanonicalThroughputWithWorkspace(ins, ws)
+	best, _, err := core.BestCanonicalThroughput(ins, ws)
 	if err != nil {
 		return err
 	}
 	*omega = best / tstar
-	tw, _, err := core.TheoremWordThroughputWithWorkspace(ins, ws)
+	tw, _, err := core.TheoremWordThroughput(ins, ws)
 	if err != nil {
 		return err
 	}
@@ -308,7 +300,8 @@ func AvgCaseCSV(cells []AvgCaseCell) string {
 func WorstCaseReport() (string, error) {
 	var sb strings.Builder
 	ins := generator.WorstCase57(1.0 / 14)
-	tac, w, err := core.OptimalAcyclicThroughput(ins)
+	ws := core.NewWorkspace() // one workspace for every search below
+	tac, w, err := core.OptimalAcyclicThroughput(ins, ws)
 	if err != nil {
 		return "", err
 	}
@@ -320,7 +313,7 @@ func WorstCaseReport() (string, error) {
 	fmt.Fprintf(&sb, "Theorem 6.3 family I(17/40, k): limit (1+√41)/8 = %.6f\n", core.AsymptoticWorstCaseRatio)
 	for _, k := range []int{1, 2, 4, 8} {
 		fam := generator.Sqrt41Default(k)
-		tacK, _, err := core.OptimalAcyclicThroughput(fam)
+		tacK, _, err := core.OptimalAcyclicThroughput(fam, ws)
 		if err != nil {
 			return "", err
 		}
@@ -341,7 +334,7 @@ type RatioForInstance struct {
 // Ratios computes cyclic and acyclic optima for an instance.
 func Ratios(ins *platform.Instance) (RatioForInstance, error) {
 	tstar := core.OptimalCyclicThroughput(ins)
-	tac, w, err := core.OptimalAcyclicThroughput(ins)
+	tac, w, err := core.OptimalAcyclicThroughput(ins, nil)
 	if err != nil {
 		return RatioForInstance{}, err
 	}

@@ -81,7 +81,7 @@ func TestChurnRepairBySolvingReducedInstance(t *testing.T) {
 	// departure removes demand (one fewer receiver at rate T) along with
 	// its capacity, so no monotonicity is asserted here.
 	reduced := platform.MustInstance(10, []float64{8, 4}, []float64{3, 2})
-	tReduced, scheme, err := core.SolveAcyclic(reduced)
+	tReduced, scheme, _, err := core.SolveAcyclic(reduced, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

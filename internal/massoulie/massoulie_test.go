@@ -27,7 +27,7 @@ func TestSimulateSingleEdge(t *testing.T) {
 
 func TestSimulateFigure1Acyclic(t *testing.T) {
 	ins := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
-	T, s, err := core.SolveAcyclic(ins)
+	T, s, _, err := core.SolveAcyclic(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSimulateFigure1Acyclic(t *testing.T) {
 
 func TestSimulateCyclicOverlay(t *testing.T) {
 	ins := platform.MustInstance(5, []float64{5, 4, 4, 4, 3}, nil)
-	T, s, err := core.SolveCyclicOpen(ins)
+	T, s, err := core.SolveCyclicOpen(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSimulateRandomOverlays(t *testing.T) {
 			guarded[i] = 1 + 10*rng.Float64()
 		}
 		ins := platform.MustInstance(5+10*rng.Float64(), open, guarded)
-		T, s, err := core.SolveAcyclic(ins)
+		T, s, _, err := core.SolveAcyclic(ins, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -99,7 +99,10 @@ func TestSimulateDeterministicPerSeed(t *testing.T) {
 	fig1 := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
 	guarded := platform.MustInstance(10, []float64{7, 3, 9, 2}, []float64{6, 1, 4})
 	acyclic := func(ins *platform.Instance) func() (float64, *core.Scheme, error) {
-		return func() (float64, *core.Scheme, error) { return core.SolveAcyclic(ins) }
+		return func() (float64, *core.Scheme, error) {
+			T, s, _, err := core.SolveAcyclic(ins, nil)
+			return T, s, err
+		}
 	}
 	cases := []struct {
 		name       string
@@ -111,10 +114,10 @@ func TestSimulateDeterministicPerSeed(t *testing.T) {
 		{"figure 1", acyclic(fig1), 5, 103, 0x3fef000000000000},
 		{"guarded", acyclic(guarded), 6, 104, 0x3feeaaaaaaaaaaab},
 		{"cyclic open", func() (float64, *core.Scheme, error) {
-			return core.SolveCyclicOpen(platform.MustInstance(5, []float64{5, 4, 4, 4, 3}, nil))
+			return core.SolveCyclicOpen(platform.MustInstance(5, []float64{5, 4, 4, 4, 3}, nil), nil)
 		}, -1, 128, 0x3fe9249249249249},
 		{"cyclic pack", func() (float64, *core.Scheme, error) {
-			s, T, err := core.PackCyclicGuarded(guarded, core.OptimalCyclicThroughput(guarded))
+			s, T, err := core.PackCyclicGuarded(guarded, core.OptimalCyclicThroughput(guarded), nil)
 			return T, s, err
 		}, -1, 107, 0x3fee2be2be2be2be},
 	}
@@ -181,7 +184,7 @@ func TestSimulateStarvedOverlayDoesNotComplete(t *testing.T) {
 
 func TestDelayBoundedByDepth(t *testing.T) {
 	ins := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
-	T, s, err := core.SolveAcyclic(ins)
+	T, s, _, err := core.SolveAcyclic(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 func solved(t *testing.T, ins *platform.Instance) (*core.Scheme, float64, []trees.Tree) {
 	t.Helper()
-	T, s, err := core.SolveAcyclic(ins)
+	T, s, _, err := core.SolveAcyclic(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -168,7 +167,7 @@ func Run(ctx context.Context, tr *Trace, rc RunConfig) (*Timeline, error) {
 				// Verification runs on a separate pooled workspace so the
 				// session counters measure solve cost only.
 				vws := engine.AcquireWorkspace()
-				sp.Verified = res.Scheme.ThroughputWithWorkspace(vws)
+				sp.Verified = res.Scheme.Throughput(vws)
 				engine.ReleaseWorkspace(vws)
 			}
 			if rc.Timing {
@@ -200,17 +199,6 @@ func Run(ctx context.Context, tr *Trace, rc RunConfig) (*Timeline, error) {
 		tl.Stats[ses.Solver()] = Summarize(ses.Stats())
 	}
 	return tl, nil
-}
-
-// WriteJSON emits the timeline as indented JSON. Everything in the
-// timeline is deterministic (map keys are sorted by encoding/json,
-// floats use the shortest exact representation), so the same trace and
-// config produce byte-identical output — the CI sim-smoke step diffs
-// this against a committed golden file.
-func (tl *Timeline) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tl)
 }
 
 // WriteCSV emits one row per (entry, solver), flat for plotting the

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -65,7 +66,7 @@ func TestTimelineByteIdenticalAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tl.WriteJSON(&bufs[i]); err != nil {
+		if err := json.NewEncoder(&bufs[i]).Encode(tl); err != nil {
 			t.Fatal(err)
 		}
 	}

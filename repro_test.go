@@ -37,7 +37,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	// Max-flow verification uses an Eps-guarded Dinic, so allow float
 	// slack proportional to the path count.
-	if thr := scheme.Throughput(); math.Abs(thr-4) > 1e-6 {
+	if thr := scheme.Throughput(nil); math.Abs(thr-4) > 1e-6 {
 		t.Fatalf("scheme throughput %v", thr)
 	}
 	ts, err := repro.DecomposeTrees(scheme, T)
@@ -108,7 +108,7 @@ func TestFacadeCyclicOpen(t *testing.T) {
 	if math.Abs(T-5) > 1e-9 {
 		t.Fatalf("T = %v", T)
 	}
-	if thr := s.Throughput(); math.Abs(thr-5) > 1e-9 {
+	if thr := s.Throughput(nil); math.Abs(thr-5) > 1e-9 {
 		t.Fatalf("throughput %v", thr)
 	}
 	a, err := repro.AcyclicOpen(ins, repro.AcyclicOpenOptimalThroughput(ins))

@@ -57,7 +57,7 @@ func TestEndToEndStress(t *testing.T) {
 		if !scheme.IsAcyclic() {
 			t.Fatalf("trial %d: acyclic solver emitted a cycle", trial)
 		}
-		if thr := scheme.Throughput(); thr < tac*(1-1e-6) {
+		if thr := scheme.Throughput(nil); thr < tac*(1-1e-6) {
 			t.Fatalf("trial %d: max-flow %v < T*_ac %v", trial, thr, tac)
 		}
 
