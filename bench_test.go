@@ -684,9 +684,10 @@ func BenchmarkServiceSolveCached(b *testing.B) {
 //	       admission policy skips the re-spill.
 //
 // (BenchmarkServiceSolveCached's cold is deliberately *not* the
-// reference: it disables the cache, so it skips the canonical-key
-// encode, cache insert, neighbor scan, and store spill that every
-// production miss pays.) Each iteration checks the X-Bmpcast-Cache
+// reference: it runs the cached miss path, canonical-key encode and
+// cache insert included, but its service has no plan store, so it
+// skips the neighbor scan and the store spill that a store-enabled
+// miss pays.) Each iteration checks the X-Bmpcast-Cache
 // label, so the benchmark fails loudly if a tier stops engaging. The
 // acceptance bar is warm strictly between hot (BenchmarkServiceSolve-
 // Cached/hot) and cold. Gated in CI via BENCH_baseline.json.

@@ -122,47 +122,13 @@ type Client struct {
 	ring      *cluster.Ring
 }
 
-// Option tunes a Config under construction (the functional-option
-// style predating Config; options remain first-class and are applied
-// on top of the config New builds).
-type Option func(*Config)
-
-// WithHTTPClient substitutes the underlying *http.Client (timeouts,
-// transports, instrumentation).
-func WithHTTPClient(h *http.Client) Option { return func(c *Config) { c.HTTPClient = h } }
-
-// WithRetry sets how many times an idempotent call is retried after a
-// transport error or 5xx response (default 2), and the initial backoff
-// delay, doubled per retry cycle (default 100ms). retries 0 disables
-// retrying.
-func WithRetry(retries int, backoff time.Duration) Option {
-	return func(c *Config) {
-		if retries == 0 {
-			retries = -1 // Config's explicit "no retries"
-		}
-		c.Retry = Retry{Retries: retries, Backoff: backoff}
-	}
-}
-
-// WithHedge enables hedged requests: a second attempt races against
-// the next replica in ring order after the owner has been silent for
-// after. Meaningful only with multiple endpoints.
-func WithHedge(after time.Duration) Option {
-	return func(c *Config) { c.Hedge = Hedge{After: after} }
-}
-
 // New builds a client for the single service at base (e.g.
-// "http://127.0.0.1:8080"; a trailing slash is tolerated). It is the
-// compatibility constructor — New(base, opts...) is exactly
-// NewFromConfig(Config{Endpoints: []string{base}}) with opts applied;
-// new code with more than one endpoint should use NewFromConfig
-// directly (see DESIGN.md for the migration path).
-func New(base string, opts ...Option) *Client {
-	cfg := Config{Endpoints: []string{base}}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	c, err := NewFromConfig(cfg)
+// "http://127.0.0.1:8080"; a trailing slash is tolerated) with every
+// other setting at its default: it is
+// NewFromConfig(Config{Endpoints: []string{base}}). Retries, hedging,
+// an HTTP client or more endpoints are Config fields.
+func New(base string) *Client {
+	c, err := NewFromConfig(Config{Endpoints: []string{base}})
 	if err != nil {
 		// Unreachable: the one constructor error is "no endpoints" and
 		// base is always present (an unresolvable base fails per-call,

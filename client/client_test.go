@@ -29,7 +29,21 @@ func newService(t *testing.T) (*service.Server, *client.Client) {
 	srv := service.New(service.Config{Workers: 4})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
-	return srv, client.New(ts.URL, client.WithRetry(2, time.Millisecond))
+	return srv, newClient(t, ts.URL, 2, time.Millisecond)
+}
+
+// newClient builds a one-endpoint client that retries idempotent calls
+// retries times (negative: never), backing off from backoff.
+func newClient(t *testing.T, base string, retries int, backoff time.Duration) *client.Client {
+	t.Helper()
+	c, err := client.NewFromConfig(client.Config{
+		Endpoints: []string{base},
+		Retry:     client.Retry{Retries: retries, Backoff: backoff},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestSolveMatchesLocalExecute(t *testing.T) {
@@ -216,7 +230,7 @@ func TestRetryRidesThroughTransientFailures(t *testing.T) {
 	ts := httptest.NewServer(proxy)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
-	c := client.New(ts.URL, client.WithRetry(3, time.Millisecond))
+	c := newClient(t, ts.URL, 3, time.Millisecond)
 	plan, err := c.Solve(context.Background(), engine.NewRequest(fig1(), engine.WithSolver("acyclic")))
 	if err != nil {
 		t.Fatalf("solve through flaky proxy: %v", err)
@@ -234,7 +248,7 @@ func TestRetryGivesUpWithinBudget(t *testing.T) {
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
 	t.Cleanup(always.Close)
-	c := client.New(always.URL, client.WithRetry(1, time.Millisecond))
+	c := newClient(t, always.URL, 1, time.Millisecond)
 	_, err := c.Solve(context.Background(), engine.NewRequest(fig1()))
 	if err == nil {
 		t.Fatal("solve against a dead service succeeded")
@@ -249,7 +263,7 @@ func TestTypedFailuresAreNotRetried(t *testing.T) {
 		srv.ServeHTTP(w, r)
 	}))
 	t.Cleanup(func() { counting.Close(); srv.Close() })
-	c := client.New(counting.URL, client.WithRetry(3, time.Millisecond))
+	c := newClient(t, counting.URL, 3, time.Millisecond)
 	_, err := c.Solve(context.Background(), engine.NewRequest(fig1(), engine.WithSolver("nope")))
 	if !errors.Is(err, engine.ErrUnknownSolver) {
 		t.Fatal(err)
@@ -264,7 +278,7 @@ func TestContextCancelsBackoff(t *testing.T) {
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
 	t.Cleanup(always.Close)
-	c := client.New(always.URL, client.WithRetry(5, time.Hour)) // backoff would block for hours
+	c := newClient(t, always.URL, 5, time.Hour) // backoff would block for hours
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -288,7 +302,7 @@ func TestStreamDisconnectLeavesNoWorkspaceLeaked(t *testing.T) {
 	srv := service.New(service.Config{Workers: 4})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
-	c := client.New(ts.URL, client.WithRetry(2, time.Millisecond))
+	c := newClient(t, ts.URL, 2, time.Millisecond)
 	ctx := context.Background()
 	var reqs []client.Request
 	for i := 0; i < 8; i++ {
@@ -362,7 +376,7 @@ func TestHealthz(t *testing.T) {
 	if err := c.Healthz(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	dead := client.New("http://127.0.0.1:1", client.WithRetry(0, time.Millisecond))
+	dead := newClient(t, "http://127.0.0.1:1", -1, time.Millisecond)
 	if err := dead.Healthz(context.Background()); err == nil {
 		t.Fatal("healthz against nothing succeeded")
 	}

@@ -64,6 +64,16 @@ func (q *queue) totalRem() float64 {
 // The supplier queues come from ws (nil: a private workspace); the
 // scheme itself is freshly allocated, since it escapes to the caller.
 func BuildScheme(ins *platform.Instance, w Word, T float64, ws *Workspace) (*Scheme, error) {
+	return buildWord(ins, w, T, ws, nil)
+}
+
+// buildWord is Lemma 4.6's walk, shared by both builders: it serves
+// the nodes in word order under the conservative class discipline and
+// stops a receiver's draw once its unmet need is at most tol(T). Only
+// the supplier a draw takes from differs: with a nil depth the
+// earliest placed one (BuildScheme), otherwise the shallowest one
+// (drawShallowest, which keeps each node's depth in depth).
+func buildWord(ins *platform.Instance, w Word, T float64, ws *Workspace, depth []int) (*Scheme, error) {
 	if err := w.Validate(ins); err != nil {
 		return nil, err
 	}
@@ -97,6 +107,9 @@ func BuildScheme(ins *platform.Instance, w Word, T float64, ws *Workspace) (*Sch
 	open.push(0, ins.B0)
 
 	draw := func(q *queue, to int, need float64) float64 {
+		if depth != nil {
+			return drawShallowest(scheme, q, to, need, eps, depth)
+		}
 		for need > eps {
 			sup := q.front(eps)
 			if sup == nil {

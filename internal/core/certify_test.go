@@ -67,10 +67,7 @@ var certifySolvers = []struct {
 		if err != nil {
 			return 0, nil, err
 		}
-		return BuildSchemeShaved(ins, w, T, ws,
-			func(ins *platform.Instance, w Word, T float64, _ *Workspace) (*Scheme, error) {
-				return BuildSchemeDepthAware(ins, w, T)
-			})
+		return BuildSchemeShaved(ins, w, T, ws, BuildSchemeDepthAware)
 	}},
 }
 

@@ -40,9 +40,9 @@ import (
 // (≤ T). Tests measure the optimality gap; on every instance family we
 // draw it is < 1e-6 relative.
 //
-// The residual-capacity vector, the per-peel supplier pools, the
-// pending rate list and every feasibility probe's word buffer come from
-// ws (nil: a private workspace).
+// The residual-capacity vector, the filling's supplier stacks and every
+// feasibility probe's word buffer come from ws (nil: a private
+// workspace).
 func PackCyclicGuarded(ins *platform.Instance, T float64, ws *Workspace) (*Scheme, float64, error) {
 	if T <= 0 {
 		return nil, 0, fmt.Errorf("core: PackCyclicGuarded needs positive throughput, got %v", T)
@@ -215,72 +215,92 @@ func frugalWords(rIns *platform.Instance) []Word {
 	return ws
 }
 
-// classSpends simulates the conservative source-last filling for
-// (word, w) and returns the bandwidth consumed from the source, from the
-// ordinary open nodes, and from the guarded nodes (∞ source spend when
-// the filling fails). Pool storage comes from the workspace: the
-// bisection probes this ~180 times per peel round.
+// classSpends runs the conservative source-last filling for (word, w)
+// and returns the bandwidth consumed from the source, from the ordinary
+// open nodes, and from the guarded nodes (∞ source spend when the
+// filling fails). The bisection probes this ~180 times per peel round,
+// so the tally allocates nothing.
 func classSpends(rIns *platform.Instance, word Word, w float64, ws *Workspace) (src, open, guarded float64) {
-	eps := tol(w)
-	// Pools hold remaining capacities; the source sits at the bottom of
-	// the open pool, ordinary suppliers stack on top (drained first).
-	openPool := append(ws.poolA[:0], rIns.B0)
-	guardedPool := ws.poolB[:0]
-	defer func() {
-		ws.poolA = openPool[:0]
-		ws.poolB = guardedPool[:0]
-	}()
-	draw := func(pool []float64, need float64, fromOpen bool) ([]float64, float64) {
-		for need > eps {
-			top := -1
-			for k := len(pool) - 1; k >= 0; k-- {
-				if pool[k] > eps {
-					top = k
-					break
-				}
-			}
-			if top < 0 {
-				return pool, need
-			}
-			take := math.Min(need, pool[top])
-			if fromOpen {
-				if top == 0 {
-					src += take
-				} else {
-					open += take
-				}
-			} else {
-				guarded += take
-			}
-			pool[top] -= take
-			need -= take
+	n := rIns.N()
+	ok := fillLatestFirst(rIns, word, w, ws, func(from, _ int, r float64) {
+		switch {
+		case from == 0:
+			src += r
+		case from <= n:
+			open += r
+		default:
+			guarded += r
 		}
-		return pool, 0
+	})
+	if !ok {
+		return math.Inf(1), open, guarded
+	}
+	return src, open, guarded
+}
+
+// fillLatestFirst is the guarded packer's conservative filling of word
+// at rate w on the residual instance: nodes are served in word order,
+// guarded receivers from open capacity, open receivers from guarded
+// capacity first, then open. Within a class it drains the latest
+// placed supplier first and the source last (the source sits at the
+// bottom of the open stack). It reports every transfer to take, in
+// draw order and in residual ids (source 0, open rank i as 1+i,
+// guarded rank j as 1+n+j), and returns false when a receiver falls
+// short; the transfers reported before that stand. The supplier
+// stacks reuse the workspace's queues.
+func fillLatestFirst(rIns *platform.Instance, word Word, w float64, ws *Workspace,
+	take func(from, to int, r float64)) bool {
+
+	eps := tol(w)
+	n := rIns.N()
+	open := append(ws.openQ[:0], supplier{id: 0, rem: rIns.B0})
+	guarded := ws.guardedQ[:0]
+	defer func() {
+		ws.openQ = open[:0]
+		ws.guardedQ = guarded[:0]
+	}()
+	// draw pops suppliers drained to eps off the top of the stack: a
+	// drained supplier never recovers, so none is ever picked again.
+	draw := func(stack []supplier, to int, need float64) ([]supplier, float64) {
+		for need > eps {
+			top := len(stack) - 1
+			for top >= 0 && stack[top].rem <= eps {
+				top--
+			}
+			stack = stack[:top+1]
+			if top < 0 {
+				return stack, need
+			}
+			r := min(need, stack[top].rem)
+			take(stack[top].id, to, r)
+			stack[top].rem -= r
+			need -= r
+		}
+		return stack, 0
 	}
 	i, j := 0, 0
 	for _, l := range word {
+		var rest float64
 		if l == platform.Guarded {
-			var rest float64
-			openPool, rest = draw(openPool, w, true)
-			if rest > eps {
-				return math.Inf(1), open, guarded
+			to := 1 + n + j
+			if open, rest = draw(open, to, w); rest > eps {
+				return false
 			}
-			guardedPool = append(guardedPool, rIns.GuardedBW[j])
+			guarded = append(guarded, supplier{id: to, rem: rIns.GuardedBW[j]})
 			j++
 		} else {
-			var rest float64
-			guardedPool, rest = draw(guardedPool, w, false)
-			if rest > eps {
-				openPool, rest = draw(openPool, rest, true)
+			to := 1 + i
+			if guarded, rest = draw(guarded, to, w); rest > eps {
+				open, rest = draw(open, to, rest)
 			}
 			if rest > eps {
-				return math.Inf(1), open, guarded
+				return false
 			}
-			openPool = append(openPool, rIns.OpenBW[i])
+			open = append(open, supplier{id: to, rem: rIns.OpenBW[i]})
 			i++
 		}
 	}
-	return src, open, guarded
+	return true
 }
 
 // residualInstance builds the sorted residual instance plus the maps
@@ -310,82 +330,36 @@ func residualInstance(ins *platform.Instance, resid []float64) (*platform.Instan
 	return rIns, openIDs, guardedIDs
 }
 
-// peelOnce runs the conservative filling for (word, w) on the residual
-// instance, draining ordinary suppliers latest-first and the source
-// last, and transcribes the resulting rates into the accumulated scheme
-// under original node ids. It returns false if the filling failed (in
-// which case nothing was committed — the caller simply stops peeling).
-// Supplier stacks and the pending rate list reuse workspace storage
-// (the supplier queues are idle here: nothing below this frame builds a
-// scheme from a word).
+// peelOnce runs the packer's filling for (word, w) on the residual
+// instance and transcribes the resulting rates into the accumulated
+// scheme under original node ids, debiting their residual capacities.
+// It returns false if the filling failed, in which case nothing was
+// committed (the caller simply stops peeling): a dry run checks the
+// filling first, and only then does a second, identical run commit.
 func peelOnce(scheme *Scheme, rIns *platform.Instance, word Word, w float64,
 	resid []float64, openIDs, guardedIDs []int, ws *Workspace) bool {
 
-	eps := tol(w)
-	openPool := ws.openQ[:0] // stacks: drain from the back
-	guardedPool := ws.guardedQ[:0]
-	pending := ws.pending[:0]
-	defer func() {
-		ws.openQ = openPool[:0]
-		ws.guardedQ = guardedPool[:0]
-		ws.pending = pending[:0]
-	}()
-	openPool = append(openPool, supplier{id: 0, rem: resid[0]})
-
-	draw := func(pool []supplier, to int, need float64) ([]supplier, float64) {
-		for need > eps {
-			top := -1
-			for k := len(pool) - 1; k >= 0; k-- {
-				if pool[k].rem > eps {
-					top = k
-					break
-				}
-			}
-			if top < 0 {
-				return pool, need
-			}
-			take := math.Min(need, pool[top].rem)
-			pending = append(pending, pendingRate{from: pool[top].id, to: to, r: take})
-			pool[top].rem -= take
-			need -= take
-		}
-		return pool, 0
+	if !fillLatestFirst(rIns, word, w, ws, func(int, int, float64) {}) {
+		return false
 	}
-
-	nextOpen, nextGuarded := 0, 0
-	for _, l := range word {
-		if l == platform.Guarded {
-			id := guardedIDs[nextGuarded]
-			nextGuarded++
-			var rest float64
-			openPool, rest = draw(openPool, id, w)
-			if rest > eps {
-				return false
-			}
-			guardedPool = append(guardedPool, supplier{id: id, rem: resid[id]})
-		} else {
-			id := openIDs[nextOpen]
-			nextOpen++
-			var rest float64
-			guardedPool, rest = draw(guardedPool, id, w)
-			if rest > eps {
-				openPool, rest = draw(openPool, id, rest)
-			}
-			if rest > eps {
-				return false
-			}
-			// Keep the source at the bottom of the stack: ordinary
-			// nodes are pushed on top and therefore drained first.
-			openPool = append(openPool, supplier{id: id, rem: resid[id]})
+	n := rIns.N()
+	orig := func(id int) int {
+		switch {
+		case id == 0:
+			return 0
+		case id <= n:
+			return openIDs[id-1]
+		default:
+			return guardedIDs[id-1-n]
 		}
 	}
-	// Commit: transcribe rates and debit residual capacities.
-	for _, p := range pending {
-		scheme.Add(p.from, p.to, p.r)
-		resid[p.from] -= p.r
-		if resid[p.from] < 0 {
-			resid[p.from] = 0
+	fillLatestFirst(rIns, word, w, ws, func(from, to int, r float64) {
+		from = orig(from)
+		scheme.Add(from, orig(to), r)
+		resid[from] -= r
+		if resid[from] < 0 {
+			resid[from] = 0
 		}
-	}
+	})
 	return true
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/platform"
@@ -22,78 +21,35 @@ import (
 // trades the Lemma 4.6 degree bounds — which the earliest-first rule is
 // needed for — against shallower trees; tests measure the trade and the
 // ablation benchmark quantifies it.
-func BuildSchemeDepthAware(ins *platform.Instance, w Word, T float64) (*Scheme, error) {
-	if err := w.Validate(ins); err != nil {
-		return nil, err
-	}
-	if T <= 0 {
-		return nil, fmt.Errorf("core: BuildSchemeDepthAware needs positive throughput, got %v", T)
-	}
-	eps := tol(T)
-	scheme := NewScheme(ins)
-	depth := make([]int, ins.Total())
+//
+// It runs BuildScheme's walk, supplier queues from ws included (nil: a
+// private workspace); only the draw differs.
+func BuildSchemeDepthAware(ins *platform.Instance, w Word, T float64, ws *Workspace) (*Scheme, error) {
+	return buildWord(ins, w, T, ws, make([]int, ins.Total()))
+}
 
-	type pool struct {
-		ids []int
-		rem map[int]float64
-	}
-	newPool := func() *pool { return &pool{rem: make(map[int]float64)} }
-	openSup, guardedSup := newPool(), newPool()
-	openSup.ids = append(openSup.ids, 0)
-	openSup.rem[0] = ins.B0
-
-	// draw satisfies `need` for receiver `to` from the pool, always
-	// taking from the currently shallowest supplier (ties: earliest).
-	draw := func(p *pool, to int, need float64) float64 {
-		for need > eps {
-			best := -1
-			for _, id := range p.ids {
-				if p.rem[id] <= eps {
-					continue
-				}
-				if best < 0 || depth[id] < depth[best] {
-					best = id
-				}
-			}
-			if best < 0 {
-				return need
-			}
-			take := math.Min(need, p.rem[best])
-			scheme.Add(best, to, take)
-			p.rem[best] -= take
-			need -= take
-			if d := depth[best] + 1; d > depth[to] {
-				depth[to] = d
+// drawShallowest feeds need to receiver to from q, always taking from
+// the supplier of least depth with capacity left (ties: the earliest),
+// and raises depth[to] to one more than each supplier it uses. It
+// returns the need left unmet when q runs dry.
+func drawShallowest(s *Scheme, q *queue, to int, need, eps float64, depth []int) float64 {
+	for need > eps {
+		best := q.front(eps)
+		if best == nil {
+			return need
+		}
+		for k := q.head + 1; k < len(q.items); k++ {
+			if sup := &q.items[k]; sup.rem > eps && depth[sup.id] < depth[best.id] {
+				best = sup
 			}
 		}
-		return 0
-	}
-
-	nextOpen, nextGuarded := 1, ins.N()+1
-	for pos, l := range w {
-		if l == platform.Guarded {
-			id := nextGuarded
-			nextGuarded++
-			if rest := draw(openSup, id, T); rest > eps {
-				return nil, fmt.Errorf("core: word %s infeasible at T=%v: guarded node %d (position %d) short by %v",
-					w, T, id, pos, rest)
-			}
-			guardedSup.ids = append(guardedSup.ids, id)
-			guardedSup.rem[id] = ins.Bandwidth(id)
-		} else {
-			id := nextOpen
-			nextOpen++
-			rest := draw(guardedSup, id, T)
-			if rest > eps {
-				rest = draw(openSup, id, rest)
-			}
-			if rest > eps {
-				return nil, fmt.Errorf("core: word %s infeasible at T=%v: open node %d (position %d) short by %v",
-					w, T, id, pos, rest)
-			}
-			openSup.ids = append(openSup.ids, id)
-			openSup.rem[id] = ins.Bandwidth(id)
+		take := math.Min(need, best.rem)
+		s.Add(best.id, to, take)
+		best.rem -= take
+		need -= take
+		if d := depth[best.id] + 1; d > depth[to] {
+			depth[to] = d
 		}
 	}
-	return scheme, nil
+	return 0
 }

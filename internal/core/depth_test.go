@@ -25,7 +25,7 @@ func TestDepthAwareSameFeasibility(t *testing.T) {
 		}
 		T *= 1 - 1e-12
 		a, errA := BuildScheme(ins, w, T, nil)
-		b, errB := BuildSchemeDepthAware(ins, w, T)
+		b, errB := BuildSchemeDepthAware(ins, w, T, nil)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: feasibility differs: earliest=%v depth-aware=%v", trial, errA, errB)
 		}
@@ -66,7 +66,7 @@ func TestDepthAwareNeverDeeper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := BuildSchemeDepthAware(ins, w, T)
+		b, err := BuildSchemeDepthAware(ins, w, T, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,14 +89,14 @@ func TestDepthAwareNeverDeeper(t *testing.T) {
 func TestDepthAwareRejects(t *testing.T) {
 	ins := platform.MustInstance(4, []float64{2}, []float64{1})
 	w, _ := ParseWord("og")
-	if _, err := BuildSchemeDepthAware(ins, w, 0); err == nil {
+	if _, err := BuildSchemeDepthAware(ins, w, 0, nil); err == nil {
 		t.Error("expected error for T=0")
 	}
-	if _, err := BuildSchemeDepthAware(ins, w, 100); err == nil {
+	if _, err := BuildSchemeDepthAware(ins, w, 100, nil); err == nil {
 		t.Error("expected error for infeasible T")
 	}
 	bad, _ := ParseWord("oo")
-	if _, err := BuildSchemeDepthAware(ins, bad, 1); err == nil {
+	if _, err := BuildSchemeDepthAware(ins, bad, 1, nil); err == nil {
 		t.Error("expected error for mismatched word")
 	}
 }

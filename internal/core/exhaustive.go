@@ -18,40 +18,21 @@ const maxExhaustiveLetters = 22
 // truth the fast GreedyTest path is validated against; it errors out on
 // instances with more than maxExhaustiveLetters receivers.
 func ExhaustiveAcyclicOptimum(ins *platform.Instance) (*big.Rat, Word, error) {
-	n, m := ins.N(), ins.M()
-	if n+m > maxExhaustiveLetters {
-		return nil, nil, fmt.Errorf("core: exhaustive search limited to %d receivers, got %d", maxExhaustiveLetters, n+m)
-	}
-	if n+m == 0 {
+	if ins.N()+ins.M() == 0 {
 		r := new(big.Rat)
 		r.SetFloat64(ins.B0)
 		return r, Word{}, nil
 	}
 	var best *big.Rat
 	var bestWord Word
-	word := make(Word, 0, n+m)
-	var rec func(openLeft, guardedLeft int)
-	rec = func(openLeft, guardedLeft int) {
-		if openLeft == 0 && guardedLeft == 0 {
-			t := WordThroughputExact(ins, word)
-			if best == nil || t.Cmp(best) > 0 {
-				best = t
-				bestWord = append(Word(nil), word...)
-			}
-			return
+	err := eachWord(ins.N(), ins.M(), func(w Word) {
+		if t := WordThroughputExact(ins, w); best == nil || t.Cmp(best) > 0 {
+			best, bestWord = t, append(Word(nil), w...)
 		}
-		if openLeft > 0 {
-			word = append(word, platform.Open)
-			rec(openLeft-1, guardedLeft)
-			word = word[:len(word)-1]
-		}
-		if guardedLeft > 0 {
-			word = append(word, platform.Guarded)
-			rec(openLeft, guardedLeft-1)
-			word = word[:len(word)-1]
-		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	rec(n, m)
 	return best, bestWord, nil
 }
 
@@ -59,24 +40,36 @@ func ExhaustiveAcyclicOptimum(ins *platform.Instance) (*big.Rat, Word, error) {
 // cheaper evaluation), used by the exhaustive solver and the worst-case
 // explorer. Every word is evaluated on ws (nil: a private workspace).
 func ExhaustiveAcyclicOptimumFloat(ins *platform.Instance, ws *Workspace) (float64, Word, error) {
-	n, m := ins.N(), ins.M()
-	if n+m > maxExhaustiveLetters {
-		return 0, nil, fmt.Errorf("core: exhaustive search limited to %d receivers, got %d", maxExhaustiveLetters, n+m)
-	}
-	if n+m == 0 {
+	if ins.N()+ins.M() == 0 {
 		return ins.B0, Word{}, nil
 	}
 	ws = ws.ensure()
 	best := -1.0
 	var bestWord Word
+	err := eachWord(ins.N(), ins.M(), func(w Word) {
+		if t := WordThroughput(ins, w, ws); t > best {
+			best, bestWord = t, append(Word(nil), w...)
+		}
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	return best, bestWord, nil
+}
+
+// eachWord calls visit on each of the C(n+m, m) words of n open and m
+// guarded letters, in lexicographic order with open before guarded.
+// visit must not keep the word: its buffer is reused. It errors out,
+// visiting nothing, beyond maxExhaustiveLetters letters.
+func eachWord(n, m int, visit func(Word)) error {
+	if n+m > maxExhaustiveLetters {
+		return fmt.Errorf("core: exhaustive search limited to %d receivers, got %d", maxExhaustiveLetters, n+m)
+	}
 	word := make(Word, 0, n+m)
 	var rec func(openLeft, guardedLeft int)
 	rec = func(openLeft, guardedLeft int) {
 		if openLeft == 0 && guardedLeft == 0 {
-			if t := WordThroughput(ins, word, ws); t > best {
-				best = t
-				bestWord = append(Word(nil), word...)
-			}
+			visit(word)
 			return
 		}
 		if openLeft > 0 {
@@ -91,5 +84,5 @@ func ExhaustiveAcyclicOptimumFloat(ins *platform.Instance, ws *Workspace) (float
 		}
 	}
 	rec(n, m)
-	return best, bestWord, nil
+	return nil
 }

@@ -9,7 +9,8 @@ import (
 
 // Workspace bundles every scratch buffer the hot constructive and
 // verification paths need — the max-flow solver state, the broadcast
-// target list, the BuildScheme supplier queues, the dichotomic search's
+// target list, the supplier queues of BuildScheme and the guarded
+// packer's filling, the dichotomic search's
 // word double-buffer and the per-word evaluation candidates — so a
 // caller running thousands of solves (sweeps, Figure 7/19 grids) reuses
 // one set of allocations instead of re-allocating per call.
@@ -31,20 +32,11 @@ type Workspace struct {
 	cands    []wCand
 	edges    []Edge
 	resid    []float64
-	poolA    []float64
-	poolB    []float64
-	pending  []pendingRate
 	indeg    []int32   // Certify: in-degrees, then Kahn's counters
 	order    []int32   // Certify: Kahn's release order
 	inRate   []float64 // Certify: float in-rate sums
 	unsure   []int32   // Certify: receivers left to the exact recheck
 	stats    WorkspaceStats
-}
-
-// pendingRate is one uncommitted transfer of the guarded packer's peel.
-type pendingRate struct {
-	from, to int
-	r        float64
 }
 
 // wCand is one W(π) candidate of the Lemma 4.4 closed forms, the counts
@@ -129,12 +121,6 @@ func (ws *Workspace) Prealloc(total int) {
 	}
 	if cap(ws.guardedQ) < total {
 		ws.guardedQ = make([]supplier, 0, total)
-	}
-	if cap(ws.poolA) < total {
-		ws.poolA = make([]float64, 0, total)
-	}
-	if cap(ws.poolB) < total {
-		ws.poolB = make([]float64, 0, total)
 	}
 	ws.flow.Prealloc(total)
 }

@@ -127,30 +127,33 @@ func TestPooledSolvesMatchFreshWorkspace(t *testing.T) {
 }
 
 // TestResultEvalsCounters checks the Result.Evals plumbing: a
-// search-based solve reports its probe and flow-query counts, and a
+// search-based solve reports its probes and its scheme builds (the
+// depth builder's too, on the workspace the engine hands it), and a
 // warm workspace stops growing scratch.
 func TestResultEvalsCounters(t *testing.T) {
 	ins := generator.Figure1()
-	s, err := Get("acyclic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := core.NewWorkspace()
-	var last Result
-	for i := 0; i < 3; i++ {
-		last, err = s.run(context.Background(), ins, nil, false, ws)
+	for _, name := range []string{"acyclic", "depth"} {
+		s, err := Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if last.Evals.GreedyTests == 0 {
-			t.Fatalf("run %d: no greedy probes recorded: %+v", i, last.Evals)
+		ws := core.NewWorkspace()
+		var last Result
+		for i := 0; i < 3; i++ {
+			last, err = s.run(context.Background(), ins, nil, false, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if last.Evals.GreedyTests == 0 {
+				t.Fatalf("%s run %d: no greedy probes recorded: %+v", name, i, last.Evals)
+			}
+			if last.Evals.Builds == 0 {
+				t.Fatalf("%s run %d: no builds recorded: %+v", name, i, last.Evals)
+			}
 		}
-		if last.Evals.Builds == 0 {
-			t.Fatalf("run %d: no builds recorded: %+v", i, last.Evals)
+		if last.Evals.Grows != 0 {
+			t.Fatalf("%s: warm workspace still grew scratch: %+v", name, last.Evals)
 		}
-	}
-	if last.Evals.Grows != 0 {
-		t.Fatalf("warm workspace still grew scratch: %+v", last.Evals)
 	}
 }
 

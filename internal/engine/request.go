@@ -50,6 +50,9 @@ type Request struct {
 	WantTrees bool
 	// ScheduleBlocks, when positive, also discretizes the decomposition
 	// into a periodic block-transmission schedule with that many blocks.
+	// A schedule carries one transmission per block and receiver, so
+	// Execute refuses (ErrInfeasible, before solving) more blocks than
+	// 2^18 transmissions divided by the receiver count.
 	ScheduleBlocks int
 	// PrevWord, when non-empty, warm-starts CapIncremental solvers from
 	// a previous solution's encoding word (incremental repair after
@@ -143,6 +146,13 @@ func (p *Plan) Ratio() float64 {
 	return p.Throughput / p.TStar
 }
 
+// maxScheduleTransmissions bounds a requested schedule: every block
+// sends the stream to each receiver once, and the plan document lists
+// each transmission, so 1<<18 of them make a document of about 25 MB.
+// ScheduleBlocks comes from outside, and without the bound one small
+// request could make the daemon allocate gigabytes.
+const maxScheduleTransmissions = 1 << 18
+
 // Execute runs a Request against the Default registry.
 func Execute(ctx context.Context, req Request) (*Plan, error) {
 	return Default.Execute(ctx, req)
@@ -184,6 +194,11 @@ func (r *Registry) executeUncached(ctx context.Context, req Request) (*Plan, err
 	needScheme := req.WantScheme || req.WantTrees || req.ScheduleBlocks > 0
 	if needScheme && !s.Capabilities().Has(CapBuildsScheme) {
 		return nil, fmt.Errorf("%w: solver %q does not build schemes", ErrInfeasible, s.Name())
+	}
+	// Divided, not multiplied, so no block count can overflow.
+	if receivers := req.Instance.Total() - 1; req.ScheduleBlocks > maxScheduleTransmissions/max(receivers, 1) {
+		return nil, fmt.Errorf("%w: %d schedule blocks for %d receivers exceed the bound of %d transmissions",
+			ErrInfeasible, req.ScheduleBlocks, receivers, maxScheduleTransmissions)
 	}
 
 	res, err := solveRequest(ctx, s, req)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -135,6 +136,22 @@ func TestExecuteTreesAndSchedule(t *testing.T) {
 	}
 	if plan.Schedule == nil || plan.Schedule.Blocks != 20 {
 		t.Fatalf("schedule missing or wrong block count: %+v", plan.Schedule)
+	}
+}
+
+// TestExecuteRefusesOversizedSchedule: a schedule sends one
+// transmission per block and receiver, so a block count past the
+// transmission bound is refused before the solve, including counts
+// whose transmission total would overflow an int (a small schedule is
+// served: TestExecuteTreesAndSchedule).
+func TestExecuteRefusesOversizedSchedule(t *testing.T) {
+	ins := fig1(t)
+	bound := maxScheduleTransmissions / (ins.Total() - 1)
+	for _, blocks := range []int{bound + 1, 1 << 40, math.MaxInt} {
+		plan, err := Execute(context.Background(), NewRequest(ins, WithSchedule(blocks)))
+		if !errors.Is(err, ErrInfeasible) {
+			t.Fatalf("%d blocks: plan %v, err = %v, want ErrInfeasible", blocks, plan != nil, err)
+		}
 	}
 }
 

@@ -121,10 +121,7 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			T, s, err := core.BuildSchemeShaved(ins, w, T, ws,
-				func(ins *platform.Instance, w core.Word, T float64, _ *core.Workspace) (*core.Scheme, error) {
-					return core.BuildSchemeDepthAware(ins, w, T)
-				})
+			T, s, err := core.BuildSchemeShaved(ins, w, T, ws, core.BuildSchemeDepthAware)
 			if err != nil {
 				return Result{}, err
 			}

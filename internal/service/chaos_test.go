@@ -86,7 +86,13 @@ func TestStreamResumesByteIdenticalAcrossInjectedFaults(t *testing.T) {
 
 	// SDK pass: injected StreamDrop closes the body between items; the
 	// iterator must reconnect from its cursor and deliver 0..items-1.
-	c := client.New(ts.URL, client.WithRetry(8, time.Millisecond))
+	c, err := client.NewFromConfig(client.Config{
+		Endpoints: []string{ts.URL},
+		Retry:     client.Retry{Retries: 8, Backoff: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	stream, err := c.Job(id).Stream(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)

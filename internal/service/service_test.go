@@ -101,6 +101,8 @@ func TestSolveErrorsAreTypedStatuses(t *testing.T) {
 		{`{"v":1,"instance":{"v":1,"b0":5},"solver":"nope"}`, http.StatusBadRequest},
 		{`{"v":1,"instance":{"v":1,"b0":6,"open":[5,5],"guarded":[4,1,1]},"solver":"acyclic-open"}`, http.StatusUnprocessableEntity},
 		{`{"v":1,"instance":{"v":1,"b0":6,"open":[5,5]},"solver":"cyclic-bound","want_trees":true}`, http.StatusUnprocessableEntity},
+		// 2^40 schedule blocks: refused before anything is solved.
+		{`{"v":1,"instance":{"v":1,"b0":6,"open":[5,5],"guarded":[4,1,1]},"schedule_blocks":1099511627776}`, http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		code, body := post(t, ts.URL+"/v1/solve", c.body)

@@ -465,7 +465,7 @@ func Figure1Instance() *Instance { return generator.Figure1() }
 // (the paper's future-work delay objective); same feasibility, shallower
 // trees, weaker degree guarantees.
 func BuildSchemeDepthAware(ins *Instance, w Word, T float64) (*Scheme, error) {
-	return core.BuildSchemeDepthAware(ins, w, T)
+	return core.BuildSchemeDepthAware(ins, w, T, nil)
 }
 
 // SchemeDepth is the longest source-to-leaf hop count of an acyclic
