@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/platform"
 )
@@ -65,7 +64,7 @@ func acyclicOpenFill(ins *platform.Instance, T float64, maxSender int) (*Scheme,
 			if t <= i {
 				panic(fmt.Sprintf("core: Algorithm 1 ordering violated: sender %d would feed receiver %d", i, t))
 			}
-			c := math.Min(need, s)
+			c := min(need, s)
 			scheme.Add(i, t, c)
 			s -= c
 			need -= c

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/platform"
 )
@@ -61,8 +60,9 @@ func (q *queue) totalRem() float64 {
 //
 // It returns an error when the word cannot support throughput T.
 //
-// The supplier queues come from ws (nil: a private workspace); the
-// scheme itself is freshly allocated, since it escapes to the caller.
+// The supplier lists, the transfer record and the layout counts come
+// from ws (nil: a private workspace); the scheme itself is one freshly
+// allocated, exactly sized arc slab, since it escapes to the caller.
 func BuildScheme(ins *platform.Instance, w Word, T float64, ws *Workspace) (*Scheme, error) {
 	return buildWord(ins, w, T, ws, nil)
 }
@@ -72,7 +72,8 @@ func BuildScheme(ins *platform.Instance, w Word, T float64, ws *Workspace) (*Sch
 // stops a receiver's draw once its unmet need is at most tol(T). Only
 // the supplier a draw takes from differs: with a nil depth the
 // earliest placed one (BuildScheme), otherwise the shallowest one
-// (drawShallowest, which keeps each node's depth in depth).
+// (drawShallowest, which keeps each node's depth in depth). Draws record
+// their transfers; a walk that succeeds lays them out once.
 func buildWord(ins *platform.Instance, w Word, T float64, ws *Workspace, depth []int) (*Scheme, error) {
 	if err := w.Validate(ins); err != nil {
 		return nil, err
@@ -84,39 +85,25 @@ func buildWord(ins *platform.Instance, w Word, T float64, ws *Workspace, depth [
 	ws.stats.Builds++
 	eps := tol(T)
 	total := ins.Total()
-	// Theorem 4.1 bounds every outdegree by ⌈b_i/T⌉+3, so one slab
-	// reservation at that size covers the whole construction; a word
-	// from another source that exceeds it merely costs a reallocation.
-	scheme := NewSchemeSized(ins, func(i int) int {
-		b := ins.Bandwidth(i)
-		if b > T*float64(total) {
-			return total - 1 // degree can never exceed the receiver count
-		}
-		c := DegreeLowerBound(b, T) + 3
-		if c > total-1 {
-			c = total - 1
-		}
-		return c
-	})
-	open := queue{items: ws.openQ[:0]}
-	guarded := queue{items: ws.guardedQ[:0]}
-	defer func() {
-		ws.openQ = open.items[:0]
-		ws.guardedQ = guarded.items[:0]
-	}()
+	openItems, guardedItems := ws.supplierLists(ins)
+	open, guarded := queue{items: openItems}, queue{items: guardedItems}
+	if ws.sizeBuild(total) {
+		ws.stats.Grows++
+	}
+	recs := ws.xfers[:0]
 	open.push(0, ins.B0)
 
 	draw := func(q *queue, to int, need float64) float64 {
 		if depth != nil {
-			return drawShallowest(scheme, q, to, need, eps, depth)
+			return drawShallowest(&recs, q, to, need, eps, depth)
 		}
 		for need > eps {
 			sup := q.front(eps)
 			if sup == nil {
 				return need
 			}
-			take := math.Min(need, sup.rem)
-			scheme.Add(sup.id, to, take)
+			take := min(need, sup.rem)
+			recs.add(sup.id, to, take)
 			sup.rem -= take
 			need -= take
 		}
@@ -147,7 +134,59 @@ func buildWord(ins *platform.Instance, w Word, T float64, ws *Workspace, depth [
 			open.push(id, ins.Bandwidth(id))
 		}
 	}
-	return scheme, nil
+	return recs.layout(ins, ws.deg[:total]), nil
+}
+
+// transfer is one rate a Lemma 4.6 walk sends from a supplier to a
+// receiver.
+type transfer struct {
+	from, to int32
+	rate     float64
+}
+
+// transfers is a walk's record, in walk order; layout turns it into the
+// scheme once the walk has succeeded.
+type transfers []transfer
+
+// add records rate from i to j unless Scheme.Add would drop it as dust.
+func (t *transfers) add(i, j int, rate float64) {
+	if !isDust(rate) {
+		*t = append(*t, transfer{from: int32(i), to: int32(j), rate: rate})
+	}
+}
+
+// layout lays the record out as the scheme that adding each transfer
+// with Scheme.Add would give; deg is scratch, one entry per node.
+// One counting pass sizes each node's window of one exact arc slab;
+// then each supplier's open receivers (ids 1..n) are written before its
+// guarded ones. A walk visits each (supplier, receiver) pair at most
+// once, and a supplier's receivers of one class arrive in word order,
+// which is increasing id order, so every adjacency comes out sorted by
+// destination. Windows are three-index slices: a later Add reallocates
+// instead of writing into the neighbour's window.
+func (t transfers) layout(ins *platform.Instance, deg []int32) *Scheme {
+	clear(deg)
+	for _, r := range t {
+		deg[r.from]++
+	}
+	s := NewScheme(ins)
+	slab := make([]arc, len(t))
+	off := int32(0)
+	for i, d := range deg {
+		s.out[i] = slab[off : off+d : off+d]
+		deg[i] = off // now the node's write cursor
+		off += d
+	}
+	n := int32(ins.N())
+	for _, openPass := range [2]bool{true, false} {
+		for _, r := range t {
+			if (r.to <= n) == openPass {
+				slab[deg[r.from]] = arc{to: int(r.to), rate: r.rate}
+				deg[r.from]++
+			}
+		}
+	}
+	return s
 }
 
 // SolveAcyclic computes the optimal acyclic throughput and materializes

@@ -247,18 +247,14 @@ func classSpends(rIns *platform.Instance, word Word, w float64, ws *Workspace) (
 // draw order and in residual ids (source 0, open rank i as 1+i,
 // guarded rank j as 1+n+j), and returns false when a receiver falls
 // short; the transfers reported before that stand. The supplier
-// stacks reuse the workspace's queues.
+// stacks are the workspace's supplier lists.
 func fillLatestFirst(rIns *platform.Instance, word Word, w float64, ws *Workspace,
 	take func(from, to int, r float64)) bool {
 
 	eps := tol(w)
 	n := rIns.N()
-	open := append(ws.openQ[:0], supplier{id: 0, rem: rIns.B0})
-	guarded := ws.guardedQ[:0]
-	defer func() {
-		ws.openQ = open[:0]
-		ws.guardedQ = guarded[:0]
-	}()
+	open, guarded := ws.supplierLists(rIns)
+	open = append(open, supplier{id: 0, rem: rIns.B0})
 	// draw pops suppliers drained to eps off the top of the stack: a
 	// drained supplier never recovers, so none is ever picked again.
 	draw := func(stack []supplier, to int, need float64) ([]supplier, float64) {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/platform"
-)
+import "repro/internal/platform"
 
 // BuildSchemeDepthAware is a depth-optimizing variant of BuildScheme,
 // addressing the paper's closing remark that "optimizing the depth of
@@ -30,9 +26,9 @@ func BuildSchemeDepthAware(ins *platform.Instance, w Word, T float64, ws *Worksp
 
 // drawShallowest feeds need to receiver to from q, always taking from
 // the supplier of least depth with capacity left (ties: the earliest),
-// and raises depth[to] to one more than each supplier it uses. It
-// returns the need left unmet when q runs dry.
-func drawShallowest(s *Scheme, q *queue, to int, need, eps float64, depth []int) float64 {
+// records each transfer in recs, and raises depth[to] to one more than
+// each supplier it uses. It returns the need left unmet when q runs dry.
+func drawShallowest(recs *transfers, q *queue, to int, need, eps float64, depth []int) float64 {
 	for need > eps {
 		best := q.front(eps)
 		if best == nil {
@@ -43,8 +39,8 @@ func drawShallowest(s *Scheme, q *queue, to int, need, eps float64, depth []int)
 				best = sup
 			}
 		}
-		take := math.Min(need, best.rem)
-		s.Add(best.id, to, take)
+		take := min(need, best.rem)
+		recs.add(best.id, to, take)
 		best.rem -= take
 		need -= take
 		if d := depth[best.id] + 1; d > depth[to] {

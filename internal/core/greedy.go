@@ -25,102 +25,103 @@ type TraceStep struct {
 //
 // Runs in Θ(n+m) time, matching Theorem 4.1's linear-time claim.
 func GreedyTest(ins *platform.Instance, T float64) (Word, bool) {
-	w, _, ok := greedyTest(ins, T, false, make(Word, 0, ins.N()+ins.M()))
-	return w, ok
+	return greedyTest(ins, T, make(Word, 0, ins.N()+ins.M()))
 }
 
 // GreedyTestTrace is GreedyTest plus the per-step (O, G, W) table; it
-// reproduces Table I when run on the Figure 1 instance with T = 4.
+// reproduces Table I when run on the Figure 1 instance with T = 4. The
+// table replays the returned word with the probe's own updates, one row
+// per letter, the letter that drove O below zero included.
 func GreedyTestTrace(ins *platform.Instance, T float64) (Word, []TraceStep, bool) {
-	return greedyTest(ins, T, true, make(Word, 0, ins.N()+ins.M()))
+	word, ok := GreedyTest(ins, T)
+	var steps []TraceStep
+	O, G, W := ins.B0, 0.0, 0.0
+	i, j := 0, 0
+	for k, l := range word {
+		if l == platform.Open {
+			O, G, W = placeOpen(O, G, W, T, ins.OpenBW[i])
+			i++
+		} else {
+			O -= T
+			G += ins.GuardedBW[j]
+			j++
+		}
+		steps = append(steps, TraceStep{Prefix: append(Word(nil), word[:k+1]...), Letter: l, O: O, G: G, W: W})
+	}
+	return word, steps, ok
+}
+
+// placeOpen feeds the next open node, of bandwidth b, from guarded
+// capacity first (conservative solutions, Lemma 4.3), then open
+// capacity, and returns the new (O, G, W). Branches instead of
+// math.Max: the operands are never NaN, and the call is not
+// intrinsified.
+func placeOpen(O, G, W, T, b float64) (float64, float64, float64) {
+	fromOpen := T - G
+	if fromOpen < 0 {
+		fromOpen = 0
+	}
+	O += b - fromOpen
+	if G -= T; G < 0 {
+		G = 0
+	}
+	return O, G, W + fromOpen
 }
 
 // greedyTest is the allocation-free core of Algorithm 2: it runs the
 // greedy decision writing letters into word (whose backing array is
 // reused — pass a workspace buffer to probe repeatedly without churn)
-// and returns the possibly-reallocated slice, plus the per-step table
-// when trace is set. The returned word aliases that buffer; callers
-// retaining it across further probes must copy it or park it with
-// Workspace.keepWord.
-func greedyTest(ins *platform.Instance, T float64, trace bool, word Word) (Word, []TraceStep, bool) {
+// and returns the possibly-reallocated slice. On failure the word ends
+// at the letter that failed, if any. The returned word aliases that
+// buffer; callers retaining it across further probes must copy it or
+// park it with Workspace.keepWord.
+func greedyTest(ins *platform.Instance, T float64, word Word) (Word, bool) {
 	n, m := ins.N(), ins.M()
 	if T <= 0 {
-		return nil, nil, false
+		return nil, false
 	}
 	eps := tol(T)
 	// bO[k] = bandwidth of the k-th open node (1-based), bG likewise.
 	// Hoisted locals (slices, T−eps) keep the Θ(n+m) probe loop free of
-	// repeated pointer loads — this loop is the single hottest region of
-	// the whole sweep profile.
+	// repeated pointer loads: this loop runs every letter of every probe
+	// of the dichotomic search.
 	bO, bG := ins.OpenBW, ins.GuardedBW
 	Tme := T - eps
-	O := ins.B0
-	G := 0.0
-	W := 0.0
+	O, G := ins.B0, 0.0
 	i, j := 0, 0 // open and guarded letters already placed
 	word = word[:0]
-	var steps []TraceStep
-
 	for i+j < n+m {
 		if O+G < Tme {
-			return word, steps, false
+			return word, false
 		}
-		letter := platform.Guarded
-		if i != n {
-			switch {
-			case j == m:
-				letter = platform.Open
-			case j == m-1:
-				// One guarded node left: pick whichever of the two
-				// candidate nodes has the larger bandwidth, unless open
-				// capacity cannot cover the guarded node (lines 8-11).
-				if O < Tme || bG[j] < bO[i]-eps {
-					letter = platform.Open
-				}
-			default:
-				// General case (lines 12-13): take ■ unless it is
-				// unaffordable now (O < T) or it would strand the rest
-				// (after ■, O+G drops by T−b■; continuing needs ≥ T).
-				if O < Tme || O+G-T+bG[j] < Tme {
-					letter = platform.Open
-				}
-			}
+		open := false
+		if i < n && j < m-1 {
+			// General case (lines 12-13): take ■ unless it is
+			// unaffordable now (O < T) or it would strand the rest
+			// (after ■, O+G drops by T−b■; continuing needs ≥ T).
+			open = O < Tme || O+G-T+bG[j] < Tme
+		} else if i < n {
+			// No guarded node left, or one: then pick whichever of the
+			// two candidates has the larger bandwidth, unless open
+			// capacity cannot cover the guarded node (lines 8-11).
+			open = j == m || O < Tme || bG[j] < bO[i]-eps
 		}
-		if letter == platform.Guarded {
+		if open {
+			O, G, _ = placeOpen(O, G, 0, T, bO[i])
+			i++
+			word = append(word, platform.Open)
+		} else {
 			// Feed the next guarded node entirely from open capacity.
 			O -= T
 			G += bG[j]
 			j++
-		} else {
-			// Feed the next open node from guarded capacity first
-			// (conservative solutions, Lemma 4.3), then open capacity.
-			// Branches instead of math.Max: the hot probe loop spends a
-			// quarter of its time in the non-intrinsified NaN-aware call,
-			// and the operands here are never NaN.
-			fromOpen := T - G
-			if fromOpen < 0 {
-				fromOpen = 0
-			}
-			W += fromOpen
-			O += bO[i] - fromOpen
-			if G -= T; G < 0 {
-				G = 0
-			}
-			i++
-		}
-		word = append(word, letter)
-		if trace {
-			steps = append(steps, TraceStep{
-				Prefix: append(Word(nil), word...),
-				Letter: letter,
-				O:      O, G: G, W: W,
-			})
+			word = append(word, platform.Guarded)
 		}
 		if O < -eps {
-			return word, steps, false
+			return word, false
 		}
 	}
-	return word, steps, true
+	return word, true
 }
 
 // GreedyTestExact is the exact-rational twin of GreedyTest, used as the

@@ -44,15 +44,21 @@ func (a adjacency) find(j int) (int, bool) {
 	return pos, pos < len(a) && a[pos].to == j
 }
 
-// set writes rate r for destination j, inserting in sorted position. The
-// first insert reserves room for a handful of arcs: the paper's schemes
-// keep outdegrees near ⌈b_i/T⌉+O(1), so most nodes never reallocate.
+// set writes rate r for destination j, inserting in sorted position.
 func (a *adjacency) set(j int, r float64) {
 	pos, ok := a.find(j)
 	if ok {
 		(*a)[pos].rate = r
 		return
 	}
+	a.insert(pos, j, r)
+}
+
+// insert puts a new arc to j at position pos, which must keep the
+// adjacency sorted. The first insert reserves room for a handful of
+// arcs: the paper's schemes keep outdegrees near ⌈b_i/T⌉+O(1), so most
+// nodes never reallocate.
+func (a *adjacency) insert(pos, j int, r float64) {
 	if *a == nil {
 		*a = make(adjacency, 0, 4)
 	}
@@ -90,32 +96,6 @@ func NewScheme(ins *platform.Instance) *Scheme {
 	return &Scheme{ins: ins, out: make([]adjacency, ins.Total())}
 }
 
-// NewSchemeSized returns an empty scheme whose per-node adjacencies are
-// carved from one shared arc slab, with node i reserving degCap(i)
-// slots. Callers that can bound outdegrees up front (BuildScheme knows
-// them from Theorem 4.1) replace Total() little per-node allocations
-// with one slab allocation; a node outgrowing its reservation falls
-// back to an ordinary append-reallocation, so degCap is a sizing hint,
-// not a limit. degCap is consulted twice per node and must be pure.
-func NewSchemeSized(ins *platform.Instance, degCap func(i int) int) *Scheme {
-	total := ins.Total()
-	s := &Scheme{ins: ins, out: make([]adjacency, total)}
-	sum := 0
-	for i := 0; i < total; i++ {
-		sum += degCap(i)
-	}
-	slab := make([]arc, sum)
-	off := 0
-	for i := 0; i < total; i++ {
-		c := degCap(i)
-		// Three-index slices cap each window so overflow reallocates
-		// instead of silently bleeding into the neighbor's reservation.
-		s.out[i] = adjacency(slab[off : off : off+c])
-		off += c
-	}
-	return s
-}
-
 // Instance returns the instance this scheme was built for.
 func (s *Scheme) Instance() *platform.Instance { return s.ins }
 
@@ -129,16 +109,25 @@ func (s *Scheme) Add(i, j int, rate float64) {
 	if rate < 0 {
 		panic(fmt.Sprintf("core: negative rate %v on edge (%d,%d)", rate, i, j))
 	}
-	if rate <= tol(rate) {
+	if isDust(rate) {
 		return
 	}
 	a := &s.out[i]
-	if pos, ok := a.find(j); ok {
-		(*a)[pos].rate += rate
-		return
+	// A destination past the last arc appends without a search.
+	pos := len(*a)
+	if pos > 0 && (*a)[pos-1].to >= j {
+		var ok bool
+		if pos, ok = a.find(j); ok {
+			(*a)[pos].rate += rate
+			return
+		}
 	}
-	a.set(j, rate)
+	a.insert(pos, j, rate)
 }
+
+// isDust reports whether rate lies at or below the numeric floor under
+// which a scheme keeps no edge.
+func isDust(rate float64) bool { return rate <= tol(rate) }
 
 // shift adjusts c[i][j] by delta (possibly negative); used by the cyclic
 // constructor's rerouting steps. Results within tolerance of zero delete
@@ -378,28 +367,40 @@ func (s *Scheme) Validate() error {
 }
 
 // DegreeSlack returns, for a target throughput T, the per-node slack
-// o_i − ⌈b_i/T⌉ for nodes that send anything, and the maximum slack. This
-// is the paper's additive-resource-augmentation measure: Algorithm 1
-// guarantees max slack ≤ 1, Theorem 4.1 ≤ 3 (≤ 1 on guarded nodes),
-// Theorem 5.2 ≤ 2 (with an absolute floor of 4 on the degree itself).
+// o_i − ⌈b_i/T⌉ for nodes that send anything (0 for the others), and
+// the maximum slack. This is the paper's additive-resource-augmentation
+// measure: Algorithm 1 guarantees max slack ≤ 1, Theorem 4.1 ≤ 3 (≤ 1
+// on guarded nodes), Theorem 5.2 ≤ 2 (with an absolute floor of 4 on
+// the degree itself).
 func (s *Scheme) DegreeSlack(T float64) (perNode []int, maxSlack int) {
 	perNode = make([]int, s.ins.Total())
-	maxSlack = math.MinInt
 	for i := range s.out {
-		if len(s.out[i]) == 0 {
-			perNode[i] = 0
-			continue
+		if len(s.out[i]) > 0 {
+			perNode[i] = s.nodeSlack(i, T)
 		}
-		lb := DegreeLowerBound(s.ins.Bandwidth(i), T)
-		perNode[i] = len(s.out[i]) - lb
-		if perNode[i] > maxSlack {
-			maxSlack = perNode[i]
+	}
+	return perNode, s.MaxDegreeSlack(T)
+}
+
+// MaxDegreeSlack returns DegreeSlack's maximum without the per-node
+// slice: the largest o_i − ⌈b_i/T⌉ over the nodes that send anything,
+// 0 when none does.
+func (s *Scheme) MaxDegreeSlack(T float64) int {
+	maxSlack := math.MinInt
+	for i := range s.out {
+		if len(s.out[i]) > 0 {
+			maxSlack = max(maxSlack, s.nodeSlack(i, T))
 		}
 	}
 	if maxSlack == math.MinInt {
-		maxSlack = 0
+		return 0
 	}
-	return perNode, maxSlack
+	return maxSlack
+}
+
+// nodeSlack is o_i − ⌈b_i/T⌉, the slack of one node.
+func (s *Scheme) nodeSlack(i int, T float64) int {
+	return len(s.out[i]) - DegreeLowerBound(s.ins.Bandwidth(i), T)
 }
 
 // DegreeLowerBound returns ⌈b/T⌉, the minimum outdegree a node of

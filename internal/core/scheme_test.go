@@ -26,6 +26,56 @@ func TestSchemeAddAndRate(t *testing.T) {
 	}
 }
 
+// TestSchemeAddKeepsSortedSums: Adds in any order (ascending runs that
+// take the append path, repeats that accumulate, inserts in the middle)
+// leave each adjacency sorted by destination, with each rate the sum of
+// its Adds in call order and dust dropped.
+func TestSchemeAddKeepsSortedSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	open := make([]float64, 30)
+	for i := range open {
+		open[i] = 1
+	}
+	ins := platform.MustInstance(1, open, nil)
+	for trial := 0; trial < 200; trial++ {
+		s := NewScheme(ins)
+		want := map[[2]int]float64{}
+		for k := 0; k < 60; k++ {
+			i, j := rng.Intn(ins.Total()), rng.Intn(ins.Total())
+			if i == j {
+				continue
+			}
+			if k%3 == 0 {
+				j = ins.Total() - 1 - k%5 // repeats near the top
+				if i == j {
+					continue
+				}
+			}
+			rate := rng.Float64()
+			if k%7 == 0 {
+				rate = 1e-12 // dust
+			}
+			s.Add(i, j, rate)
+			if rate > tol(rate) {
+				want[[2]int{i, j}] += rate
+			}
+		}
+		if s.NumEdges() != len(want) {
+			t.Fatalf("trial %d: %d edges, want %d", trial, s.NumEdges(), len(want))
+		}
+		for i := range s.out {
+			for k, a := range s.out[i] {
+				if k > 0 && s.out[i][k-1].to >= a.to {
+					t.Fatalf("trial %d: node %d adjacency not sorted: %+v", trial, i, s.out[i])
+				}
+				if w := want[[2]int{i, a.to}]; math.Float64bits(a.rate) != math.Float64bits(w) {
+					t.Fatalf("trial %d: c[%d][%d] = %v, want %v", trial, i, a.to, a.rate, w)
+				}
+			}
+		}
+	}
+}
+
 func TestSchemeAddPanics(t *testing.T) {
 	ins := platform.MustInstance(10, []float64{5}, nil)
 	s := NewScheme(ins)

@@ -9,11 +9,11 @@ import (
 
 // Workspace bundles every scratch buffer the hot constructive and
 // verification paths need — the max-flow solver state, the broadcast
-// target list, the supplier queues of BuildScheme and the guarded
-// packer's filling, the dichotomic search's
-// word double-buffer and the per-word evaluation candidates — so a
-// caller running thousands of solves (sweeps, Figure 7/19 grids) reuses
-// one set of allocations instead of re-allocating per call.
+// target list, the supplier lists of BuildScheme and the guarded
+// packer's filling, BuildScheme's transfer record, the dichotomic
+// search's word double-buffer and the per-word evaluation candidates —
+// so a caller running thousands of solves (sweeps, Figure 7/19 grids)
+// reuses one set of allocations instead of re-allocating per call.
 //
 // Every exported function that runs on scratch (OptimalAcyclicThroughput,
 // BuildScheme, Scheme.Throughput, ...) takes a workspace as its last
@@ -25,10 +25,11 @@ import (
 type Workspace struct {
 	flow     maxflow.Workspace
 	targets  []int
-	openQ    []supplier
-	guardedQ []supplier
-	wordCur  Word // probe buffer for feasibility tests
-	wordBest Word // survivor buffer the search keeps across probes
+	sups     []supplier // a walk's two supplier lists (supplierLists)
+	xfers    transfers  // Lemma 4.6's record of one build
+	deg      []int32    // layout: per-node arc counts, then cursors
+	wordCur  Word       // probe buffer for feasibility tests
+	wordBest Word       // survivor buffer the search keeps across probes
 	cands    []wCand
 	edges    []Edge
 	resid    []float64
@@ -90,22 +91,19 @@ func (s WorkspaceStats) Add(other WorkspaceStats) WorkspaceStats {
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// Prealloc grows the workspace's scratch buffers to serve instances of
-// up to total nodes (source + receivers) without further reallocation,
-// so a solve at n=100k starts from right-sized scratch instead of
-// paying a cascade of mid-solve reallocations. It is a deliberate
-// sizing hint, not scratch churn, so it does not count toward
-// WorkspaceStats.Grows. Preallocating for a total the workspace already
-// serves is a no-op; contents are untouched either way.
+// Prealloc grows the scratch of the acyclic path (the dichotomic
+// search's words and candidates, the build's supplier lists, record and
+// layout counts) to serve instances of up to total nodes (source +
+// receivers) without further reallocation, so a solve at n=100k starts
+// from right-sized scratch instead of paying a cascade of mid-solve
+// reallocations. It is a deliberate sizing hint, not scratch churn, so
+// it does not count toward WorkspaceStats.Grows. Scratch that only
+// other paths read (max-flow, targets, residuals, Certify) grows on
+// first use and counts there. Preallocating for a total the workspace
+// already serves is a no-op; contents are untouched either way.
 func (ws *Workspace) Prealloc(total int) {
 	if ws == nil || total <= 1 {
 		return
-	}
-	if cap(ws.targets) < total-1 {
-		ws.targets = make([]int, 0, total-1)
-	}
-	if cap(ws.resid) < total {
-		ws.resid = make([]float64, 0, total)
 	}
 	if cap(ws.wordCur) < total-1 {
 		ws.wordCur = make(Word, 0, total-1)
@@ -116,13 +114,10 @@ func (ws *Workspace) Prealloc(total int) {
 	if cap(ws.cands) < total {
 		ws.cands = make([]wCand, 0, total)
 	}
-	if cap(ws.openQ) < total {
-		ws.openQ = make([]supplier, 0, total)
+	if cap(ws.sups) < total {
+		ws.sups = make([]supplier, 0, total)
 	}
-	if cap(ws.guardedQ) < total {
-		ws.guardedQ = make([]supplier, 0, total)
-	}
-	ws.flow.Prealloc(total)
+	ws.sizeBuild(total)
 }
 
 // wsPool is the one workspace pool: internal/engine leases its
@@ -202,6 +197,37 @@ func (ws *Workspace) residFor(ins *platform.Instance) []float64 {
 	return ws.resid
 }
 
+// supplierLists carves the two supplier lists of a walk over ins from
+// one buffer: the open list (the source and the open nodes) has room for
+// n+1 entries and the guarded list for m, so neither ever appends past
+// its window.
+func (ws *Workspace) supplierLists(ins *platform.Instance) (open, guarded []supplier) {
+	total, n := ins.Total(), ins.N()
+	if cap(ws.sups) < total {
+		ws.sups = make([]supplier, 0, total)
+		ws.stats.Grows++
+	}
+	return ws.sups[: 0 : n+1], ws.sups[n+1 : n+1 : total]
+}
+
+// sizeBuild sizes the build's transfer record and layout counts for a
+// walk over total nodes, and reports whether either had to grow. A
+// transfer either drains its supplier, which happens at most once per
+// supplier, or fully serves its receiver, which ends the receiver's
+// draws; so a walk records at most suppliers + receivers < 2·total
+// transfers, and its appends never reallocate.
+func (ws *Workspace) sizeBuild(total int) (grew bool) {
+	if cap(ws.xfers) < 2*total {
+		ws.xfers = make(transfers, 0, 2*total)
+		grew = true
+	}
+	if cap(ws.deg) < total {
+		ws.deg = make([]int32, total)
+		grew = true
+	}
+	return grew
+}
+
 // scratchWord returns the probe word buffer, emptied.
 func (ws *Workspace) scratchWord() Word { return ws.wordCur[:0] }
 
@@ -223,7 +249,7 @@ func (ws *Workspace) noteWordBuffer(w Word) {
 // keepWord (or clone it) before the next probe if it must survive.
 func (ws *Workspace) probeWord(ins *platform.Instance, T float64) (Word, bool) {
 	ws.stats.GreedyTests++
-	w, _, ok := greedyTest(ins, T, false, ws.scratchWord())
+	w, ok := greedyTest(ins, T, ws.scratchWord())
 	ws.noteWordBuffer(w)
 	return w, ok
 }

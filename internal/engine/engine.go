@@ -285,7 +285,7 @@ func (s *Solver) run(ctx context.Context, ins *platform.Instance, prev core.Word
 		res.Edges = res.Scheme.NumEdges()
 		res.MaxOutDegree = res.Scheme.MaxOutDegree()
 		if res.Throughput > 0 {
-			_, res.MaxDegreeSlack = res.Scheme.DegreeSlack(res.Throughput)
+			res.MaxDegreeSlack = res.Scheme.MaxDegreeSlack(res.Throughput)
 		}
 	}
 	res.Evals = ws.Stats().Sub(before)

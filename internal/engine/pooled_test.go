@@ -126,6 +126,34 @@ func TestPooledSolvesMatchFreshWorkspace(t *testing.T) {
 	}
 }
 
+// TestPooledAcrossSizesMatchesFresh: one workspace carries its scratch
+// from a 100k-receiver solve to a 12-receiver one and then to 10k, the
+// way a pooled workspace moves between large and small requests; each
+// result must equal SolveIsolated's bit for bit.
+func TestPooledAcrossSizesMatchesFresh(t *testing.T) {
+	s, err := Get("acyclic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ws := core.NewWorkspace()
+	for i, nodes := range []int{100_000, 12, 10_000} {
+		ins, err := generator.LargeScale(generator.LargeScaleConfig{Nodes: nodes, POpen: 0.7, Seed: int64(26 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, err := s.run(ctx, ins, nil, false, ws)
+		if err != nil {
+			t.Fatalf("%d receivers, pooled: %v", nodes, err)
+		}
+		fresh, err := SolveIsolated(ctx, s, ins)
+		if err != nil {
+			t.Fatalf("%d receivers, fresh: %v", nodes, err)
+		}
+		sameResult(t, i, pooled, fresh)
+	}
+}
+
 // TestResultEvalsCounters checks the Result.Evals plumbing: a
 // search-based solve reports its probes and its scheme builds (the
 // depth builder's too, on the workspace the engine hands it), and a

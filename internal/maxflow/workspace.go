@@ -20,25 +20,6 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// Prealloc grows the BFS/DFS scratch to serve networks of up to n nodes
-// without further reallocation. Like core.Workspace.Prealloc this is a
-// deliberate sizing hint, not scratch churn, so it does not count
-// toward Grows.
-func (w *Workspace) Prealloc(n int) {
-	if w == nil || n <= 0 {
-		return
-	}
-	if cap(w.level) < n {
-		w.level = make([]int, 0, n)
-	}
-	if cap(w.iter) < n {
-		w.iter = make([]int, 0, n)
-	}
-	if cap(w.queue) < n {
-		w.queue = make([]int, 0, n)
-	}
-}
-
 // ints returns *p resized to n, reallocating only on growth.
 func (w *Workspace) ints(p *[]int, n int) []int {
 	if cap(*p) < n {

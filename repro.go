@@ -331,7 +331,9 @@ func AcyclicOpen(ins *Instance, T float64) (*Scheme, error) { return core.Acycli
 // BuildScheme materializes the low-degree scheme of Lemma 4.6 from an
 // encoding word at throughput T.
 func BuildScheme(ins *Instance, w Word, T float64) (*Scheme, error) {
-	return core.BuildScheme(ins, w, T, nil)
+	ws := core.AcquireWorkspace()
+	defer core.ReleaseWorkspace(ws)
+	return core.BuildScheme(ins, w, T, ws)
 }
 
 // SolveAcyclic runs the full acyclic pipeline: dichotomic search for
@@ -465,7 +467,9 @@ func Figure1Instance() *Instance { return generator.Figure1() }
 // (the paper's future-work delay objective); same feasibility, shallower
 // trees, weaker degree guarantees.
 func BuildSchemeDepthAware(ins *Instance, w Word, T float64) (*Scheme, error) {
-	return core.BuildSchemeDepthAware(ins, w, T, nil)
+	ws := core.AcquireWorkspace()
+	defer core.ReleaseWorkspace(ws)
+	return core.BuildSchemeDepthAware(ins, w, T, ws)
 }
 
 // SchemeDepth is the longest source-to-leaf hop count of an acyclic
