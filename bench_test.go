@@ -412,7 +412,7 @@ func BenchmarkTreeDecompose(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trees.Decompose(s, T); err != nil {
+		if _, err := trees.Decompose(context.Background(), s, T); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -530,7 +530,7 @@ func BenchmarkSchedule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts, err := trees.Decompose(s, T)
+	ts, err := trees.Decompose(context.Background(), s, T)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -255,7 +255,7 @@ func solveWire(out io.Writer, ins *platform.Instance, solverName string) error {
 	if plan.Scheme != nil && plan.Scheme.IsAcyclic() {
 		// Attach the decomposition now that we know it is acyclic
 		// (WithTrees up front would fail the request on cyclic solvers).
-		if plan.Trees, err = trees.Decompose(plan.Scheme, plan.Throughput); err != nil {
+		if plan.Trees, err = trees.Decompose(context.Background(), plan.Scheme, plan.Throughput); err != nil {
 			return err
 		}
 	}
@@ -316,7 +316,7 @@ func solve(out io.Writer, ins *platform.Instance, solverName string, cyclic, ver
 		if verbose {
 			printEdges(out, res.Scheme)
 			if res.Scheme.IsAcyclic() {
-				if ts, err := trees.Decompose(res.Scheme, res.Throughput); err == nil {
+				if ts, err := trees.Decompose(ctx, res.Scheme, res.Throughput); err == nil {
 					fmt.Fprintf(out, "broadcast-tree decomposition: %d trees, max depth %d\n", len(ts), maxDepth(ts))
 				}
 			}

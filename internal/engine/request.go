@@ -228,7 +228,10 @@ func (r *Registry) executeUncached(ctx context.Context, req Request) (*Plan, err
 			return nil, fmt.Errorf("%w: tree decomposition needs an acyclic scheme (solver %q built a cyclic one)",
 				ErrInfeasible, s.Name())
 		}
-		if plan.Trees, err = trees.Decompose(plan.Scheme, plan.Throughput); err != nil {
+		if plan.Trees, err = trees.Decompose(ctx, plan.Scheme, plan.Throughput); err != nil {
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return nil, Canceled(ctxErr)
+			}
 			return nil, fmt.Errorf("%w: decomposing scheme: %v", ErrInfeasible, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -15,7 +16,7 @@ func solved(t *testing.T, ins *platform.Instance) (*core.Scheme, float64, []tree
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := trees.Decompose(s, T)
+	ts, err := trees.Decompose(context.Background(), s, T)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,10 +62,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -124,8 +124,9 @@ type Config struct {
 // the reaper returns its workspace to the engine pool.
 const DefaultSessionTTL = 15 * time.Minute
 
-// maxBodyBytes bounds request bodies.
-const maxBodyBytes = 8 << 20
+// maxBodyBytes bounds request bodies; readBody allocates at most
+// bodyPrealloc of a declared length before any byte arrives.
+const maxBodyBytes, bodyPrealloc = 8 << 20, 64 << 10
 
 // maxJobs caps how many finished jobs are retained for status and
 // stream reads (oldest finished evicted first; running jobs are never
@@ -371,13 +372,20 @@ func (s *Server) reply(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// readBody drains the (size-capped) request body.
+// readBody drains the (size-capped) request body into one buffer sized
+// from its declared length, plus room for the final EOF read. A client
+// can declare any length, so the up-front size stops at bodyPrealloc;
+// a longer or undeclared body grows the buffer by doubling.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
+	size := int64(bytes.MinRead)
+	if r.ContentLength > 0 {
+		size += min(r.ContentLength, bodyPrealloc)
+	}
+	body := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		return nil, fmt.Errorf("%w: reading body: %v", wire.ErrMalformed, err)
 	}
-	return body, nil
+	return body.Bytes(), nil
 }
 
 func (s *Server) track(ep string) func() {

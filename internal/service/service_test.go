@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -438,5 +439,38 @@ func TestMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/solve status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestReadBody checks the sized body read: a declared length that never
+// arrives allocates no more than the capped buffer, a body of no
+// declared length is read whole, and a body past the limit is still a
+// 400 with the malformed-document error.
+func TestReadBody(t *testing.T) {
+	srv, _ := newTestServer(t)
+	r := httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader("0123456789"))
+	r.ContentLength = maxBodyBytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	body, err := srv.readBody(httptest.NewRecorder(), r)
+	runtime.ReadMemStats(&after)
+	if err != nil || string(body) != "0123456789" {
+		t.Fatalf("declared 8 MiB, sent 10 bytes: got %q, %v", body, err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 128<<10 {
+		t.Errorf("declared 8 MiB, sent 10 bytes: readBody allocated %d bytes, want under 128 KiB", n)
+	}
+
+	whole := strings.Repeat("0123456789", 30_000)
+	r = httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(whole))
+	r.ContentLength = -1
+	if body, err = srv.readBody(httptest.NewRecorder(), r); err != nil || string(body) != whole {
+		t.Fatalf("undeclared length: read %d of %d bytes, %v", len(body), len(whole), err)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(strings.Repeat(" ", maxBodyBytes+1))))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "reading body: http: request body too large") {
+		t.Errorf("over-limit body: status %d, %s", rec.Code, rec.Body.String())
 	}
 }

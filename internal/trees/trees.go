@@ -17,6 +17,7 @@
 package trees
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -61,8 +62,10 @@ func (t *Tree) Depth() int {
 // Decompose splits an acyclic scheme of throughput T into weighted
 // spanning arborescences rooted at the source, with Σ weights = T and
 // per-edge usage within the scheme's rates. It errors out when the
-// scheme is cyclic or when some node's in-rate falls short of T.
-func Decompose(s *core.Scheme, T float64) ([]Tree, error) {
+// scheme is cyclic or when some node's in-rate falls short of T, and
+// stops between trees once ctx is done. Each tree costs O(edges): every
+// node scans only its own in-edges.
+func Decompose(ctx context.Context, s *core.Scheme, T float64) ([]Tree, error) {
 	if T <= 0 {
 		return nil, errors.New("trees: non-positive target throughput")
 	}
@@ -70,51 +73,65 @@ func Decompose(s *core.Scheme, T float64) ([]Tree, error) {
 		return nil, errors.New("trees: scheme is cyclic; arborescence extraction requires a DAG")
 	}
 	total := s.Instance().Total()
+	// Edges come in sender order, so each in-rate adds the terms of
+	// Scheme.InRate in its order, and each node's in-edges below list
+	// its senders in increasing id.
+	edges := s.Edges()
+	in := make([]float64, total)
+	start := make([]int, total+1)
+	for _, e := range edges {
+		in[e.To] += e.Weight
+		start[e.To+1]++
+	}
 	for v := 1; v < total; v++ {
-		if in := s.InRate(v); in < T-eps*(1+T) {
-			return nil, fmt.Errorf("trees: node %d receives %v < T=%v", v, in, T)
+		if in[v] < T-eps*(1+T) {
+			return nil, fmt.Errorf("trees: node %d receives %v < T=%v", v, in[v], T)
 		}
 	}
-
-	// Residual rates, mutable.
-	type edgeKey struct{ from, to int }
-	residual := make(map[edgeKey]float64)
-	for _, e := range s.Edges() {
-		residual[edgeKey{e.From, e.To}] = e.Weight
+	for v := 0; v < total; v++ {
+		start[v+1] += start[v]
+	}
+	// inEdge[start[v]:start[v+1]] indexes v's in-edges; residual holds
+	// each edge's unused rate (an edge at or below eps is spent).
+	inEdge := make([]int, len(edges))
+	next := append([]int(nil), start[:total]...)
+	residual := make([]float64, len(edges))
+	for i, e := range edges {
+		inEdge[next[e.To]] = i
+		next[e.To]++
+		residual[i] = e.Weight
 	}
 
 	var out []Tree
+	via := make([]int, total) // the in-edge each node takes in this tree
 	remaining := T
 	for remaining > eps*(1+T) {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("trees: %w", err)
+		}
 		parent := make([]int, total)
 		parent[0] = -1
 		w := remaining
 		// Pick the max-residual in-edge for each node (greedy: fewer,
-		// fatter trees) and track the bottleneck.
+		// fatter trees; ties to the lowest sender) and track the
+		// bottleneck.
 		for v := 1; v < total; v++ {
-			bestFrom, bestRes := -1, eps
-			for u := 0; u < total; u++ {
-				if u == v {
-					continue
-				}
-				if r := residual[edgeKey{u, v}]; r > bestRes {
-					bestFrom, bestRes = u, r
+			best, bestRes := -1, eps
+			for _, i := range inEdge[start[v]:start[v+1]] {
+				if r := residual[i]; r > bestRes {
+					best, bestRes = i, r
 				}
 			}
-			if bestFrom < 0 {
+			if best < 0 {
 				return nil, fmt.Errorf("trees: node %d has no residual in-edge with %v of %v left", v, remaining, T)
 			}
-			parent[v] = bestFrom
+			parent[v], via[v] = edges[best].From, best
 			if bestRes < w {
 				w = bestRes
 			}
 		}
 		for v := 1; v < total; v++ {
-			k := edgeKey{parent[v], v}
-			residual[k] -= w
-			if residual[k] <= eps {
-				delete(residual, k)
-			}
+			residual[via[v]] -= w
 		}
 		out = append(out, Tree{Weight: w, Parent: parent})
 		remaining -= w

@@ -13,9 +13,11 @@ import (
 
 // The codec layer on benchmark-shaped documents. These benchmarks call
 // exported functions only, so the file also runs against an older wire
-// package for a before row:
+// package for a before row (BenchmarkAppendFloat reaches the float
+// kernel through export_test.go; give an older package an
+// export_test.go that binds AppendFloat to its float rule):
 //
-//	go test -run '^$' -benchmem -benchtime 20x -count 3 -cpu 1 -bench 'BenchmarkEncodePlan|BenchmarkDecode' ./internal/wire
+//	go test -run '^$' -benchmem -benchtime 20x -count 3 -cpu 1 -bench 'BenchmarkEncodePlan|BenchmarkDecode|BenchmarkAppendFloat' ./internal/wire
 
 // solved draws an acyclic, tolerance-checked request of n receivers, as
 // the cold and repeat workloads send them, and solves it.
@@ -42,6 +44,28 @@ func BenchmarkEncodePlan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := wire.EncodePlan(plan); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendFloat formats 4,096 edge rates of cold-shaped plans
+// (500 receivers each), the floats that make up most of a plan
+// document, one op per 4,096.
+func BenchmarkAppendFloat(b *testing.B) {
+	var rates []float64
+	for seed := int64(1); len(rates) < 4096; seed++ {
+		_, plan := solved(b, seed, 500)
+		for _, e := range plan.Scheme.Edges() {
+			rates = append(rates, e.Weight)
+		}
+	}
+	rates = rates[:4096]
+	buf := make([]byte, 0, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range rates {
+			buf = wire.AppendFloat(buf[:0], r)
 		}
 	}
 }

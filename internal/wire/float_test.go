@@ -1,0 +1,127 @@
+package wire
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"strconv"
+	"testing"
+)
+
+// jsonFloat is the oracle for appendFloat: the writer's rule before the
+// kernel, strconv's shortest digits laid out as encoding/json lays
+// them out ('e' below 1e-6 and from 1e21 on, e-07 written e-7).
+func jsonFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if a := math.Abs(f); a != 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// floatOracle compares appendFloat with jsonFloat, appending to a
+// non-empty prefix, and reports the first few mismatches.
+type floatOracle struct {
+	t          *testing.T
+	got, want  []byte
+	mismatches int
+}
+
+func (o *floatOracle) check(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return
+	}
+	o.got = appendFloat(append(o.got[:0], "x:"...), f)
+	o.want = jsonFloat(append(o.want[:0], "x:"...), f)
+	if !bytes.Equal(o.got, o.want) {
+		if o.mismatches++; o.mismatches <= 10 {
+			o.t.Errorf("bits %#016x: appendFloat %q, want %q", math.Float64bits(f), o.got, o.want)
+		}
+	}
+}
+
+// TestAppendFloatMatchesStrconv holds the kernel to strconv under the
+// JSON rule on random bit patterns, on the value ranges the solvers'
+// documents carry, and on the edge cases of Schubfach and of the
+// layout: every power of two with both neighbours (the irregular gap
+// below one), the subnormals, the integers of the exact fast path, ±0
+// and the two 'f'/'e' boundaries.
+func TestAppendFloatMatchesStrconv(t *testing.T) {
+	o := &floatOracle{t: t}
+	random, perRange := 10_000_000, 1_000_000
+	if testing.Short() {
+		random, perRange = 1_000_000, 100_000
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < random; i++ {
+		o.check(math.Float64frombits(rng.Uint64()))
+	}
+	ranges := []func() float64{
+		func() float64 { return 1 + 99*rng.Float64() },                 // Unif100's bandwidths
+		func() float64 { return 1000 * rng.Float64() },                 // rates and throughputs
+		func() float64 { return math.Exp(60*rng.Float64() - 30) },      // log-uniform over e^±30
+		func() float64 { return float64(rng.Int63n(1 << 30)) },         // integers below 2^30
+		func() float64 { return float64(rng.Int63n(1_000_000)) / 100 }, // hundredths
+	}
+	for _, draw := range ranges {
+		for i := 0; i < perRange; i++ {
+			o.check(draw())
+		}
+	}
+	for e := -1074; e <= 1023; e++ {
+		p := math.Ldexp(1, e)
+		for _, f := range []float64{math.Nextafter(p, 0), p, math.Nextafter(p, math.Inf(1))} {
+			o.check(f)
+			o.check(-f)
+		}
+	}
+	// Subnormals: every significand below 2^16 (the smallest ones give
+	// Schubfach fewer than two digits), then random ones.
+	for m := uint64(1); m < 1<<16; m++ {
+		o.check(math.Float64frombits(m))
+	}
+	for i := 0; i < perRange; i++ {
+		o.check(math.Float64frombits(rng.Uint64() & (1<<52 - 1)))
+	}
+	// Integers up to 2^53: the exact fast path, and past its end.
+	for n := int64(0); n < 100_000; n++ {
+		o.check(float64(n))
+	}
+	for i := 0; i < perRange; i++ {
+		o.check(float64(rng.Int63n(1<<53 + 1)))
+	}
+	for d := -4.0; d <= 4; d++ {
+		o.check(1<<53 + d)
+	}
+	o.check(0)
+	o.check(math.Copysign(0, -1))
+	for _, edge := range []float64{1e-6, 1e21} {
+		lo, hi := edge, edge
+		for i := 0; i < 4; i++ {
+			o.check(lo)
+			o.check(-hi)
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, math.Inf(1))
+		}
+	}
+	o.check(math.MaxFloat64)
+	o.check(math.SmallestNonzeroFloat64)
+	if o.mismatches > 0 {
+		t.Fatalf("%d mismatches", o.mismatches)
+	}
+}
+
+// FuzzAppendFloat holds the kernel to strconv under the JSON rule on
+// fuzzed bit patterns.
+func FuzzAppendFloat(f *testing.F) {
+	for _, x := range []float64{4.4, 0.1 + 0.2, 1e-6, 9.99e-7, 1e21, 5e-324, math.MaxFloat64, 1 << 53, 1e23} {
+		f.Add(math.Float64bits(x))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		(&floatOracle{t: t}).check(math.Float64frombits(bits))
+	})
+}

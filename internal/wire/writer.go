@@ -169,23 +169,13 @@ func list[T any](w *writer, k string, v []T, omit bool, elem func(*writer, T)) {
 
 func (w *writer) int(n int) { w.b = strconv.AppendInt(w.b, int64(n), 10) }
 
-// float formats like encoding/json: the shortest 'f' form, 'e' below
-// 1e-6 or from 1e21 on with a one-digit negative exponent unpadded
-// (e-7, not e-07).
+// float formats like encoding/json (appendFloat, float.go).
 func (w *writer) float(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		w.punt = true
 		return
 	}
-	format := byte('f')
-	if a := math.Abs(f); a != 0 && (a < 1e-6 || a >= 1e21) {
-		format = 'e'
-	}
-	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
-	if n := len(w.b); format == 'e' && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
-		w.b[n-2] = w.b[n-1]
-		w.b = w.b[:n-1]
-	}
+	w.b = appendFloat(w.b, f)
 }
 
 // string writes s quoted when it is printable ASCII without '"' or

@@ -382,7 +382,9 @@ type Tree = trees.Tree
 
 // DecomposeTrees splits an acyclic scheme of throughput T into weighted
 // spanning arborescences rooted at the source (Σ weights = T).
-func DecomposeTrees(s *Scheme, T float64) ([]Tree, error) { return trees.Decompose(s, T) }
+func DecomposeTrees(s *Scheme, T float64) ([]Tree, error) {
+	return trees.Decompose(context.Background(), s, T)
+}
 
 // VerifyTrees checks a decomposition against its scheme.
 func VerifyTrees(s *Scheme, T float64, ts []Tree) error { return trees.Verify(s, T, ts) }

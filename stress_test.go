@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -96,7 +97,7 @@ func TestEndToEndStress(t *testing.T) {
 
 		// Downstream: trees and a coarse schedule on a subsample.
 		if trial%10 == 0 {
-			ts, err := trees.Decompose(scheme, tac)
+			ts, err := trees.Decompose(context.Background(), scheme, tac)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
