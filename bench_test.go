@@ -680,8 +680,9 @@ func BenchmarkServiceSolveCached(b *testing.B) {
 //	       plan spills to the store — the production miss path;
 //	warm — every iteration posts a distinct mutant with one open
 //	       bandwidth rescaled, within budget: the index seeds an
-//	       incremental repair from the persisted base plan, and the
-//	       admission policy skips the re-spill.
+//	       incremental repair from the persisted base plan, the repair
+//	       certifies its scheme by cut (Scheme.Certify, no max-flow),
+//	       and the admission policy skips the re-spill.
 //
 // (BenchmarkServiceSolveCached's cold is deliberately *not* the
 // reference: it runs the cached miss path, canonical-key encode and

@@ -548,7 +548,21 @@ func (s *Stream) connect() (transient bool, err error) {
 	s.body = chaosBody{resp.Body}
 	s.sc = bufio.NewScanner(s.body)
 	s.sc.Buffer(make([]byte, 64<<10), 8<<20)
+	s.sc.Split(ndjsonLines)
 	return false, nil
+}
+
+// ndjsonLines splits on '\n' alone. Unlike bufio.ScanLines it fails an
+// unterminated tail: a body that ends mid-line was cut, and Next
+// reconnects from its cursor.
+func ndjsonLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	return 0, nil, nil
 }
 
 // chaosBody wraps a stream body so the chaos layer can throttle reads

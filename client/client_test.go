@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -205,6 +207,80 @@ func TestJobStreamCarriesItemErrors(t *testing.T) {
 	}
 	if !errors.Is(failed.Err, engine.ErrInfeasible) {
 		t.Fatalf("item 1 Err = %v, want ErrInfeasible (sentinel across the stream)", failed.Err)
+	}
+}
+
+// tornStream passes every request through to the service, except the
+// first job stream, which it cuts mid-line: item 0 and half of item 1,
+// then the response ends.
+type tornStream struct {
+	backend http.Handler
+	mu      sync.Mutex
+	streams []string // the query of each stream request
+}
+
+func (p *tornStream) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if !strings.HasSuffix(r.URL.Path, "/stream") {
+		p.backend.ServeHTTP(w, r)
+		return
+	}
+	p.mu.Lock()
+	p.streams = append(p.streams, r.URL.RawQuery)
+	first := len(p.streams) == 1
+	p.mu.Unlock()
+	if !first {
+		p.backend.ServeHTTP(w, r)
+		return
+	}
+	full := httptest.NewRecorder()
+	p.backend.ServeHTTP(full, r)
+	body := full.Body.Bytes()
+	one := bytes.IndexByte(body, '\n') + 1
+	two := one + bytes.IndexByte(body[one:], '\n') + 1
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Write(body[:(one+two)/2])
+}
+
+// TestStreamResumesAfterTornLine: a stream whose body ends mid-line was
+// cut, not finished. The client reconnects from its cursor instead of
+// decoding the torn tail, and delivers every item once, in order.
+func TestStreamResumesAfterTornLine(t *testing.T) {
+	srv := service.New(service.Config{Workers: 2})
+	proxy := &tornStream{backend: srv}
+	ts := httptest.NewServer(proxy)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	c := newClient(t, ts.URL, 2, time.Millisecond)
+	ctx := context.Background()
+	var reqs []client.Request
+	for i := 0; i < 3; i++ {
+		ins := platform.MustInstance(6, []float64{5, 5, float64(i + 1)}, []float64{4, 1, 1})
+		reqs = append(reqs, engine.NewRequest(ins, engine.WithSolver("acyclic")))
+	}
+	job, err := c.Submit(ctx, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := job.Stream(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	for i := 0; i < 3; i++ {
+		item, err := stream.Next()
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+		if item.Index != i || item.Err != nil || item.Plan == nil {
+			t.Fatalf("item %d: %+v", i, item)
+		}
+	}
+	if _, err := stream.Next(); err != io.EOF {
+		t.Fatalf("after last item: err = %v, want io.EOF", err)
+	}
+	proxy.mu.Lock()
+	defer proxy.mu.Unlock()
+	if got := strings.Join(proxy.streams, " "); got != "from=0 from=1" {
+		t.Fatalf("stream requests %q, want from=0 then from=1", got)
 	}
 }
 

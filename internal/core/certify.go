@@ -7,7 +7,8 @@ import (
 
 // Certify decides whether the scheme's throughput reaches
 // claimed·(1−relTol) and returns the throughput it measured on the way.
-// engine.Execute runs it on every plan of a request with a tolerance.
+// engine.Execute runs it on every plan of a request with a tolerance,
+// and RepairAcyclic on every scheme it repairs.
 //
 // An acyclic scheme needs no max-flow. Take a receiver v and any node
 // set X that holds v but not the source, and let u be X's

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/platform"
-)
+import "repro/internal/platform"
 
 // Incremental repair: re-solving after platform churn.
 //
@@ -23,10 +19,11 @@ import (
 //     that the optimum has not moved (the common case, one probe); if
 //     it has, the shared bisection (searchLoop) runs on the remaining
 //     bracket [T₀, T*] instead of from scratch;
-//  3. the winning word's scheme is built and *verified* with a
-//     max-flow throughput evaluation; if the verified value deviates
-//     from the claimed one beyond tolerance, the repair is discarded
-//     and a full SolveAcyclic runs (fellBack = true).
+//  3. the winning word's scheme is built and *certified* by cut
+//     (Scheme.Certify: for an acyclic scheme the throughput is exactly
+//     the smallest receiver in-rate); if it deviates from the claimed
+//     one beyond tolerance, the repair is discarded and a full
+//     SolveAcyclic runs (fellBack = true).
 //
 // The contract tested by the churn property suite: the repaired
 // scheme's verified throughput equals a full re-solve's within float
@@ -70,13 +67,13 @@ type RepairResult struct {
 	// Word is the winning encoding word in stable storage — retain it
 	// as the warm start for the next event.
 	Word Word
-	// Verified is Scheme's max-flow-verified throughput — every path
-	// measures it before returning, so callers can reuse it instead of
-	// re-running the throughput functional. On the warm-start path
-	// |Verified − T| ≤ tol(T) is enforced (deviation triggers the
-	// fallback); on the fallback path the full re-solve *is* the
-	// reference, so Verified is simply the measured value (float dust
-	// can put it marginally past tol on large instances).
+	// Verified is Scheme's throughput as Scheme.Certify measures it,
+	// the smallest receiver in-rate, on both paths. On the warm-start
+	// path T−tol(T) ≤ Verified ≤ T+tol(T) is enforced, the lower bound
+	// decided exactly (deviation triggers the fallback); on the
+	// fallback path the full re-solve *is* the reference, so Verified
+	// is simply the measured value (float dust can put it marginally
+	// past tol on large instances).
 	Verified float64
 	// FellBack reports that the warm-started result failed
 	// verification (or there was nothing to warm-start from) and the
@@ -121,15 +118,10 @@ func RepairAcyclic(ins *platform.Instance, prev Word, ws *Workspace) (RepairResu
 	built, scheme, err := BuildSchemeShaved(ins, bestWord, best, ws, BuildScheme)
 	if err == nil {
 		best = built
-		// Verify capped at best+2tol: the acceptance band is ±tol, so
-		// capping strictly above it changes no accept/reject decision
-		// and any *passing* verified value was reached by exhausting
-		// the minimum target — it is the exact scheme throughput, same
-		// as an uncapped evaluation would report. The cap only spares
-		// targets with slack (and the first target, which an uncapped
-		// run always computes exactly) their full max-flow.
-		verified := scheme.ThroughputCapped(ws, best+2*tol(best))
-		if math.Abs(verified-best) <= tol(best) {
+		// The acceptance band is ±tol(best): Certify decides its lower
+		// edge exactly, the upper edge is a float comparison.
+		verified, ok := scheme.Certify(best, tol(best)/best, ws)
+		if ok && verified <= best+tol(best) {
 			return RepairResult{T: best, Scheme: scheme, Word: cloneWord(bestWord), Verified: verified}, nil
 		}
 	}
@@ -139,16 +131,15 @@ func RepairAcyclic(ins *platform.Instance, prev Word, ws *Workspace) (RepairResu
 
 // fullAcyclicWithWord is SolveAcyclic keeping the winning word (so a
 // repair that fell back still hands the next round a real warm start)
-// and measuring the scheme's verified throughput, so every RepairResult
-// carries one.
+// and measuring the scheme's certified throughput, so every
+// RepairResult carries one.
 func fullAcyclicWithWord(ins *platform.Instance, ws *Workspace) (RepairResult, error) {
 	T, scheme, w, err := SolveAcyclic(ins, ws)
 	if err != nil {
 		return RepairResult{}, err
 	}
-	return RepairResult{
-		T: T, Scheme: scheme, Word: w,
-		Verified: scheme.Throughput(ws),
-		FellBack: true,
-	}, nil
+	// Certified for its value alone, with the repair's band: a band of
+	// zero would send every receiver to Certify's big.Rat pass.
+	verified, _ := scheme.Certify(T, tol(T)/T, ws)
+	return RepairResult{T: T, Scheme: scheme, Word: w, Verified: verified, FellBack: true}, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,8 +65,19 @@ func repairAgrees(t *testing.T, ins *platform.Instance, mutate func(*platform.In
 	if err := rr.Scheme.Validate(); err != nil {
 		t.Fatalf("repaired scheme invalid: %v", err)
 	}
-	if v := rr.Scheme.Throughput(nil); v != rr.Verified {
-		t.Fatalf("reported Verified %v, fresh verification %v", rr.Verified, v)
+	if v, _ := rr.Scheme.Certify(rr.T, tol(rr.T)/rr.T, nil); math.Float64bits(v) != math.Float64bits(rr.Verified) {
+		t.Fatalf("reported Verified %v, fresh Certify %v", rr.Verified, v)
+	}
+	// Verified is a float in-rate minimum: a sum of k rates errs by at
+	// most (k−1)·2⁻⁵³ relative, so with k the largest in-degree it lies
+	// within k·2⁻⁵² of the exact throughput.
+	indeg, k := make([]int, ins.Total()), 0
+	for _, e := range rr.Scheme.Edges() {
+		indeg[e.To]++
+		k = max(k, indeg[e.To])
+	}
+	if exact, _ := rr.Scheme.ThroughputExact().Float64(); math.Abs(rr.Verified-exact) > float64(k)*0x1p-52*exact {
+		t.Fatalf("reported Verified %v, exact throughput %v", rr.Verified, exact)
 	}
 	if math.Abs(rr.Verified-rr.T) > tol(rr.T) {
 		t.Fatalf("repaired scheme verifies at %v, claimed %v", rr.Verified, rr.T)
@@ -192,4 +204,117 @@ func TestRepairCheaperThanFullSolve(t *testing.T) {
 	if repairProbes >= fullProbes {
 		t.Fatalf("repair used %d probes, full solve %d — warm start buys nothing", repairProbes, fullProbes)
 	}
+}
+
+// refRepairAcyclic is RepairAcyclic as it stood when it accepted its
+// scheme by max-flow, |Throughput − best| ≤ tol(best), and its fallback
+// reported Throughput. That code capped each Dinic run at best+2·tol;
+// the cap moves no decision (a value at or above it is refused either
+// way) and no passing value (the minimum target runs to exhaustion in
+// both), so the uncapped evaluation stands in for it here.
+func refRepairAcyclic(ins *platform.Instance, prev Word, ws *Workspace) (RepairResult, error) {
+	ws = ws.ensure()
+	full := func() (RepairResult, error) {
+		T, scheme, w, err := SolveAcyclic(ins, ws)
+		if err != nil {
+			return RepairResult{}, err
+		}
+		return RepairResult{T: T, Scheme: scheme, Word: w, Verified: scheme.Throughput(ws), FellBack: true}, nil
+	}
+	if len(prev) == 0 || ins.Total() == 1 {
+		return full()
+	}
+	w0 := AdaptWord(prev, ins.N(), ins.M())
+	T0 := WordThroughput(ins, w0, ws)
+	hi := OptimalCyclicThroughput(ins)
+	best, bestWord := T0, w0
+	if probed, ok := ws.probeWord(ins, hi); ok {
+		bestWord = ws.keepWord(probed)
+		best = claimAtTStar(ins, bestWord, hi, ws)
+	} else if cand := T0 + 3*tol(T0); cand < hi {
+		if probed, ok := ws.probeWord(ins, cand); ok {
+			w := ws.keepWord(probed)
+			if refined, word := searchLoop(ins, ws, cand, w, hi); word != nil && refined > best {
+				best, bestWord = refined, word
+			}
+		}
+	}
+	built, scheme, err := BuildSchemeShaved(ins, bestWord, best, ws, BuildScheme)
+	if err == nil {
+		best = built
+		if verified := scheme.Throughput(ws); math.Abs(verified-best) <= tol(best) {
+			return RepairResult{T: best, Scheme: scheme, Word: cloneWord(bestWord), Verified: verified}, nil
+		}
+	}
+	return full()
+}
+
+// rescaled is ins with k distinct receivers' bandwidths scaled by a
+// factor in [0.8, 1.2): a near-miss at node-multiset edit distance k.
+func rescaled(rng *rand.Rand, ins *platform.Instance, k int) *platform.Instance {
+	open := append([]float64(nil), ins.OpenBW...)
+	guarded := append([]float64(nil), ins.GuardedBW...)
+	for _, j := range rng.Perm(len(open) + len(guarded))[:k] {
+		f := 0.8 + 0.4*rng.Float64()
+		if j < len(open) {
+			open[j] *= f
+		} else {
+			guarded[j-len(open)] *= f
+		}
+	}
+	return platform.MustInstance(ins.B0, open, guarded)
+}
+
+// TestRepairCertifyMatchesDinicAcceptance: over 4,000 warm repairs
+// (every law, 4–300 receivers, a solved base's word repaired onto 1–3
+// rescales of it), the cut check accepts and falls back exactly where
+// the max-flow check did, with the same T, word and scheme to the bit,
+// and its value within 1e-14·T of the max-flow one.
+func TestRepairCertifyMatchesDinicAcceptance(t *testing.T) {
+	events := 4000
+	if testing.Short() {
+		events = 600
+	}
+	const perBase = 5
+	rng := rand.New(rand.NewSource(28))
+	laws := distribution.All()
+	ws, refWS := NewWorkspace(), NewWorkspace()
+	fellBack, worst := 0, 0.0
+	for k := 0; k < events; k += perBase {
+		law := laws[(k/perBase)%len(laws)]
+		base, err := generator.Random(law, 4+rng.Intn(297), 0.1+0.8*rng.Float64(), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, word, err := OptimalAcyclicThroughput(base, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := k; e < k+perBase; e++ {
+			ins := rescaled(rng, base, 1+rng.Intn(3))
+			got, err := RepairAcyclic(ins, word, ws)
+			want, refErr := refRepairAcyclic(ins, word, refWS)
+			if (err != nil) != (refErr != nil) {
+				t.Fatalf("event %d (%s, n=%d m=%d): error %v, reference %v", e, law.Name(), ins.N(), ins.M(), err, refErr)
+			}
+			if err != nil {
+				continue
+			}
+			what := fmt.Sprintf("event %d (%s, n=%d m=%d)", e, law.Name(), ins.N(), ins.M())
+			if got.FellBack != want.FellBack || math.Float64bits(got.T) != math.Float64bits(want.T) ||
+				got.Word.String() != want.Word.String() {
+				t.Fatalf("%s: fell back %v, T %v, word %s; reference %v, %v, %s",
+					what, got.FellBack, got.T, got.Word, want.FellBack, want.T, want.Word)
+			}
+			sameArcs(t, what, got.Scheme, want.Scheme)
+			if got.FellBack {
+				fellBack++
+			}
+			worst = max(worst, math.Abs(got.Verified-want.Verified)/want.T)
+		}
+	}
+	if worst > 1e-14 {
+		t.Errorf("certified and max-flow values differ by %g·T", worst)
+	}
+	t.Logf("%d events, %d fell back, |Dinic − cut| ≤ %.2g·T", events, fellBack, worst)
 }

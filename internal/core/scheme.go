@@ -294,16 +294,6 @@ func SchemeDepth(s *Scheme) int {
 // solver runs one per instance, sweeps run thousands) allocates nothing
 // once the workspace is warm.
 func (s *Scheme) Throughput(ws *Workspace) float64 {
-	return s.ThroughputCapped(ws, math.Inf(1))
-}
-
-// ThroughputCapped computes min(cap, T): every per-target max-flow
-// query stops as soon as it proves flow ≥ cap, so verifying a scheme
-// against a throughput the caller already claims (the repair path)
-// skips the exact-value computation on every target with slack. A
-// result strictly below cap is the exact throughput — the minimum
-// target ran to exhaustion.
-func (s *Scheme) ThroughputCapped(ws *Workspace, cap float64) float64 {
 	ws = ws.ensure()
 	total := s.ins.Total()
 	if total <= 1 {
@@ -315,7 +305,7 @@ func (s *Scheme) ThroughputCapped(ws *Workspace, cap float64) float64 {
 			net.AddEdge(i, e.to, e.rate)
 		}
 	}
-	return ws.flow.MinFromSourceCapped(net, 0, ws.broadcastTargets(total), cap)
+	return ws.flow.MinFromSource(net, 0, ws.broadcastTargets(total))
 }
 
 // ThroughputExact computes the throughput with exact rational max-flow.

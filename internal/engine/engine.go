@@ -139,15 +139,14 @@ type Result struct {
 	// start. Meaningful only when WarmStarted.
 	NeighborDistance int
 	// Verified is the scheme's verified throughput when the solve path
-	// verified it. A repair (Session resolves of CapIncremental solvers,
-	// and Execute with a PrevWord) verifies by max-flow, upholding the
-	// repair contract. Execute with a Tolerance then replaces it with the
-	// value core.Scheme.Certify measured, on every path, so a repair
-	// fallback and a cold solve of the same request report the same
-	// value: the smallest receiver in-rate for an acyclic scheme, the
-	// max-flow throughput for a cyclic one. Zero means the result was not
-	// verified (callers wanting certainty run the throughput functional
-	// themselves).
+	// verified it. A repair (Execute with a PrevWord) and Execute with a
+	// Tolerance report the value core.Scheme.Certify measured, so a
+	// repair fallback and a cold solve of the same request report the
+	// same value: the smallest receiver in-rate for an acyclic scheme,
+	// the max-flow throughput for a cyclic one. Session resolves of
+	// CapIncremental solvers report the max-flow throughput, the churn
+	// timeline's figure. Zero means the result was not verified (callers
+	// wanting certainty run the throughput functional themselves).
 	Verified float64
 	// Evals counts the expensive inner evaluations behind this solve —
 	// max-flow queries, Algorithm 2 probes, per-word evaluations, scheme

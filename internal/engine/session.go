@@ -18,7 +18,8 @@ import (
 //   - carries the previous event's solution across events and, for
 //     CapIncremental solvers, re-solves through core.RepairAcyclic —
 //     a warm-started search that falls back to a full solve when the
-//     repaired scheme's verified throughput deviates;
+//     repaired scheme's certified throughput deviates, and reports the
+//     scheme's max-flow throughput as Verified;
 //   - accumulates per-event evaluation counters into SessionStats, the
 //     timeline metric of the churn simulator ("solve latency under
 //     change", not one-shot throughput).
@@ -93,7 +94,9 @@ func (s *Session) Close() {
 // previous event's solution when the solver is CapIncremental and
 // repair is enabled. The returned Result is stamped like any engine
 // solve (degree stats, wall clock, per-event eval delta) plus
-// Repaired; the session's cumulative counters advance accordingly.
+// Repaired, and for a CapIncremental solver Verified is the scheme's
+// max-flow throughput; the session's cumulative counters advance
+// accordingly.
 func (s *Session) Resolve(ctx context.Context, ins *platform.Instance) (Result, error) {
 	if s.ws == nil {
 		return Result{}, errors.New("engine: Resolve on a closed Session")
@@ -110,6 +113,15 @@ func (s *Session) Resolve(ctx context.Context, ins *platform.Instance) (Result, 
 	res, err := s.solver.run(ctx, ins, prev, true, s.ws)
 	if err != nil {
 		return Result{}, err
+	}
+	if s.solver.repair != nil && res.Scheme != nil {
+		// The repair certified its scheme by cut; the timeline reports
+		// the paper's max-flow figure and counts its queries.
+		before := s.ws.Stats()
+		res.Verified = res.Scheme.Throughput(s.ws)
+		d := s.ws.Stats().Sub(before)
+		res.Evals = res.Evals.Add(d)
+		wsGrows.Add(d.Grows)
 	}
 	s.stats.Events++
 	if res.Repaired {

@@ -68,19 +68,7 @@ func (w *Workspace) Max(g *Network, s, t int) float64 {
 // Targets equal to s are skipped; g is left with its original
 // capacities.
 func (w *Workspace) MinFromSource(g *Network, s int, targets []int) float64 {
-	return w.MinFromSourceCapped(g, s, targets, math.Inf(1))
-}
-
-// MinFromSourceCapped is MinFromSource with the running minimum seeded
-// at cap instead of +Inf, returning min(cap, min_t maxflow(s→t)). A
-// caller verifying a *claimed* functional value (the repair path, which
-// already knows the throughput its scheme was shaved to) can cap every
-// per-target query at the claim: each Dinic run stops the moment it
-// proves flow ≥ cap — including the first, which an uncapped evaluation
-// always runs to exhaustion. Any return value strictly below cap was
-// reached by exhausting a target and is the exact minimum.
-func (w *Workspace) MinFromSourceCapped(g *Network, s int, targets []int, cap float64) float64 {
-	minFlow := cap
+	minFlow := math.Inf(1)
 	consumed := false
 	for _, t := range targets {
 		if t == s {

@@ -21,8 +21,9 @@ import (
 // and land at their request index as NDJSON lines spliced from those
 // documents. GET /v1/jobs/{id} reports progress; GET /v1/jobs/{id}/stream
 // replays the per-item results as NDJSON in item order as they
-// complete, flushing each line, so a client consumes plan 0 while plan
-// 7 is still solving. The stream is resumable: ?from=K skips the first
+// complete, writing every line that is ready and flushing once before
+// it waits for the next, so a client consumes plan 0 while plan 7 is
+// still solving. The stream is resumable: ?from=K skips the first
 // K items, so a client that disconnected mid-batch reattaches at its
 // last confirmed index without re-solving anything.
 //
@@ -287,11 +288,13 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			if _, err := w.Write(line); err != nil {
 				return // client went away; the job keeps running
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
 			i++
 			continue
+		}
+		// Every ready line is written: one flush sends them all (the
+		// last run goes out when the handler returns).
+		if flusher != nil {
+			flusher.Flush()
 		}
 		select {
 		case <-update:

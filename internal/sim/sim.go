@@ -160,8 +160,8 @@ func Run(ctx context.Context, tr *Trace, rc RunConfig) (*Timeline, error) {
 			}
 			switch {
 			case res.Verified > 0:
-				// The repair contract already verified the scheme; reuse
-				// that instead of a second max-flow pass.
+				// The session already measured the repaired scheme by
+				// max-flow; reuse that instead of a second pass.
 				sp.Verified = res.Verified
 			case res.Scheme != nil:
 				// Verification runs on a separate pooled workspace so the

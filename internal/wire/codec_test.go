@@ -332,6 +332,8 @@ func TestScannerShape(t *testing.T) {
 		`{"v":1,` + "\f" + ins + `}`,                           // not JSON whitespace
 		`{"v":1,` + ins + `} x`,                                // trailing bytes
 		`{"v":1,` + ins,                                        // truncated
+		`{"v":1,"instance":{"open":[`,                          // truncated after '['
+		`{"v":1,"instance":{"open":[1,2`,                       // array without its ']'
 		` [{"v":1}]`,                                           // not an object
 	} {
 		if _, ok := scan([]byte(doc), (*scanner).request); ok {

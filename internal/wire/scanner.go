@@ -1,6 +1,9 @@
 package wire
 
-import "strconv"
+import (
+	"bytes"
+	"strconv"
+)
 
 // scanner decodes Request, Instance, Batch and Plan documents in one
 // pass. It accepts only the plain shape this package writes: each
@@ -99,12 +102,19 @@ func (s *scanner) object(field func(key []byte) bool) {
 }
 
 // items scans an array, elem reading each element. [] decodes to an
-// empty, non-nil slice, as in encoding/json.
+// empty, non-nil slice, as in encoding/json. An array of numbers takes
+// its capacity from the commas before the first ']' (a hint: numbers
+// hold neither); other arrays grow by append.
 func items[T any](s *scanner, elem func(*scanner) T) []T {
 	v := []T{}
 	s.expect('[')
 	if s.bad || s.accept(']') {
 		return v
+	}
+	if rest := s.d[s.i:]; len(rest) > 0 && (rest[0] == '-' || '0' <= rest[0] && rest[0] <= '9') {
+		if end := bytes.IndexByte(rest, ']'); end > 0 {
+			v = make([]T, 0, bytes.Count(rest[:end], []byte{','})+1)
+		}
 	}
 	for !s.bad {
 		v = append(v, elem(s))
