@@ -156,27 +156,20 @@ func (g *Network) Reset() {
 }
 
 // Max computes the maximum flow from s to t with Dinic's algorithm.
-// The network's residual capacities are consumed: Reset the network (or
-// use a Workspace) for repeated queries.
+// The network's residual capacities are consumed: Reset the network for
+// repeated queries (Workspace.MinFromSource does, per target).
 func (g *Network) Max(s, t int) float64 {
 	var w Workspace
 	return g.maxBounded(s, t, math.Inf(1), &w)
 }
 
-// MaxBounded is Max with an early-exit bound: the search stops as soon
-// as the accumulated flow reaches bound, returning that partial total.
-// Callers computing min-over-targets use the running minimum as the
-// bound — a target whose flow provably meets it cannot lower the min,
-// so its exact value is irrelevant.
-func (g *Network) MaxBounded(s, t int, bound float64) float64 {
-	var w Workspace
-	return g.maxBounded(s, t, bound, &w)
-}
-
-// maxBounded runs bounded Dinic using w's scratch slices, with two
-// phase-level heuristics on top of the textbook algorithm (both prune
-// only provably-dead work, so augmenting-path order and every float64
-// rounding decision are unchanged):
+// maxBounded runs Dinic using w's scratch slices and stops as soon as
+// the accumulated flow reaches bound, returning the flow so far
+// (MinFromSource passes its running minimum: a target whose flow meets
+// it cannot lower the minimum). It adds two phase-level heuristics to
+// the textbook algorithm (both prune only provably-dead work, so
+// augmenting-path order and every float64 rounding decision are
+// unchanged):
 //
 //   - BFS truncation (the global-relabel analogue): the layering stops
 //     the moment t is labeled — nodes at deeper levels cannot lie on a

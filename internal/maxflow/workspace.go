@@ -45,14 +45,6 @@ func (w *Workspace) Network(n int) *Network {
 	return net
 }
 
-// Max computes the maximum s-t flow on g using the workspace's scratch.
-// Like Network.Max it consumes g's residual capacities (Reset restores
-// them).
-func (w *Workspace) Max(g *Network, s, t int) float64 {
-	w.flowEvals++
-	return g.maxBounded(s, t, math.Inf(1), w)
-}
-
 // MinFromSource returns min over targets of maxflow(s→target), the
 // paper's throughput functional, with three evaluation-loop savings
 // over the naive form:

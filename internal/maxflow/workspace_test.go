@@ -69,22 +69,6 @@ func TestWorkspaceMinFromSourceMatchesCloneLoop(t *testing.T) {
 	}
 }
 
-func TestMaxBoundedStopsAtBound(t *testing.T) {
-	g := NewNetwork(2)
-	g.AddEdge(0, 1, 10)
-	if f := g.MaxBounded(0, 1, 3); f < 3 || f > 10+1e-9 {
-		t.Fatalf("bounded flow %v outside [3, 10]", f)
-	}
-	g.Reset()
-	if f := g.MaxBounded(0, 1, math.Inf(1)); f != 10 {
-		t.Fatalf("unbounded MaxBounded = %v, want 10", f)
-	}
-	g.Reset()
-	if f := g.MaxBounded(0, 1, 0); f != 0 {
-		t.Fatalf("zero-bound flow = %v, want immediate 0", f)
-	}
-}
-
 func TestWorkspaceNetworkReuse(t *testing.T) {
 	ws := NewWorkspace()
 	build := func() *Network {
@@ -114,7 +98,7 @@ func TestWorkspaceNetworkReuse(t *testing.T) {
 	// Shrinking and regrowing the node count must stay correct.
 	small := ws.Network(2)
 	small.AddEdge(0, 1, 1)
-	if f := ws.Max(small, 0, 1); f != 1 {
+	if f := ws.MinFromSource(small, 0, []int{1}); f != 1 {
 		t.Fatalf("shrunk network flow %v, want 1", f)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // kernel through export_test.go; give an older package an
 // export_test.go that binds AppendFloat to its float rule):
 //
-//	go test -run '^$' -benchmem -benchtime 20x -count 3 -cpu 1 -bench 'BenchmarkEncodePlan|BenchmarkDecode|BenchmarkAppendFloat' ./internal/wire
+//	go test -run '^$' -benchmem -benchtime 20x -count 3 -cpu 1 -bench 'BenchmarkEncode|BenchmarkDecode|BenchmarkAppendFloat' ./internal/wire
 
 // solved draws an acyclic, tolerance-checked request of n receivers, as
 // the cold and repeat workloads send them, and solves it.
@@ -43,6 +43,19 @@ func BenchmarkEncodePlan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := wire.EncodePlan(plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeRequest renders the request of BenchmarkEncodePlan as
+// the plan cache keys it: two float lists of 500 bandwidths in all.
+func BenchmarkEncodeRequest(b *testing.B) {
+	req, _ := solved(b, 1, 500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wire.EncodeRequest(req); err != nil {
 			b.Fatal(err)
 		}
 	}

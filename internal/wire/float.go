@@ -191,21 +191,48 @@ var pow10g = func() (g [pow10kMax - pow10kMin + 1][2]uint64) {
 const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
 
 // decimal writes v's decimal digits at the end of buf and returns them.
+// It takes eight digits a step, while more than eight are left: one
+// 64-bit division by 10^8, then 32-bit arithmetic on the remainder's two
+// four-digit halves, which do not wait on each other, written as digit
+// pairs. The last eight or fewer digits fit in 32 bits too.
 func decimal(buf *[20]byte, v uint64) []byte {
 	i := len(buf)
-	for v >= 100 {
-		q := v / 100
-		d := 2 * (v - 100*q)
-		i -= 2
-		buf[i], buf[i+1] = digitPairs[d], digitPairs[d+1]
+	for v >= 1e8 {
+		q := v / 1e8
+		r := uint32(v - q*1e8)
 		v = q
+		i -= 8
+		quad((*[4]byte)(buf[i:]), r/1e4)
+		quad((*[4]byte)(buf[i+4:]), r%1e4)
 	}
-	if v >= 10 {
+	u := uint32(v)
+	if u >= 1e4 {
+		i -= 4
+		quad((*[4]byte)(buf[i:]), u%1e4)
+		u /= 1e4
+	}
+	if u >= 100 {
 		i -= 2
-		buf[i], buf[i+1] = digitPairs[2*v], digitPairs[2*v+1]
+		pair((*[2]byte)(buf[i:]), u%100)
+		u /= 100
+	}
+	if u >= 10 {
+		i -= 2
+		pair((*[2]byte)(buf[i:]), u)
 	} else {
 		i--
-		buf[i] = byte('0' + v)
+		buf[i] = byte('0' + u)
 	}
 	return buf[i:]
+}
+
+// quad writes the four digits of v < 10^4, leading zeros included.
+func quad(b *[4]byte, v uint32) {
+	pair((*[2]byte)(b[:2]), v/100)
+	pair((*[2]byte)(b[2:]), v%100)
+}
+
+// pair writes the two digits of v < 100, a leading zero included.
+func pair(b *[2]byte, v uint32) {
+	b[0], b[1] = digitPairs[2*v], digitPairs[2*v+1]
 }

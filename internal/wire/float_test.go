@@ -115,6 +115,38 @@ func TestAppendFloatMatchesStrconv(t *testing.T) {
 	}
 }
 
+// TestDecimalMatchesStrconv holds decimal to strconv.AppendUint at the
+// edges of its eight-digit steps, which random float bits rarely reach:
+// every length from 1 to 20 digits with 10^k−1, 10^k and 10^k+1, values
+// whose eight-digit chunks are all zeros or start with zeros, random
+// values and the largest.
+func TestDecimalMatchesStrconv(t *testing.T) {
+	vs := []uint64{math.MaxUint64, 100000000, 100000001, 10000000000000001, 9999999900000000}
+	for k, p := 0, uint64(1); k <= 19; k, p = k+1, p*10 {
+		vs = append(vs, p-1, p, p+1)
+	}
+	chunks := []uint64{0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 10001, 99999, 1234567, 10000000, 99999999}
+	for _, top := range []uint64{0, 1, 9, 18} {
+		for _, mid := range chunks {
+			for _, low := range chunks {
+				vs = append(vs, top*1e16+mid*1e8+low)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		// Random bits, then shifted to reach every length.
+		vs = append(vs, rng.Uint64()>>uint(rng.Intn(64)))
+	}
+	var buf [20]byte
+	var want []byte
+	for _, v := range vs {
+		if want = strconv.AppendUint(want[:0], v, 10); !bytes.Equal(decimal(&buf, v), want) {
+			t.Fatalf("decimal(%d) = %q, want %q", v, decimal(&buf, v), want)
+		}
+	}
+}
+
 // FuzzAppendFloat holds the kernel to strconv under the JSON rule on
 // fuzzed bit patterns.
 func FuzzAppendFloat(f *testing.F) {

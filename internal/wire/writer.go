@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strconv"
 	"sync"
 )
@@ -22,7 +21,7 @@ type writer struct {
 	b      []byte
 	indent bool
 	depth  int
-	first  bool // nothing written yet in the innermost open container
+	first  bool // nothing written yet in the innermost open object
 	punt   bool // a value is left to encoding/json
 }
 
@@ -69,51 +68,57 @@ func marshal[T any](v T, indent bool) ([]byte, error) {
 // ---------------------------------------------------------------------------
 // Layout
 
-// open starts an object or array.
-func (w *writer) open(c byte) {
-	w.b = append(w.b, c)
+// breaks is the text between the members of a container: a comma, then
+// in indent mode a newline and two spaces a level, for up to eight
+// levels (no covered document nests deeper than four).
+const breaks = ",\n                "
+
+// brk returns the text before each member but the first of a container
+// whose members sit at depth d. brk(d)[1:] goes before its first
+// member, and brk(d-1)[1:] before its closing bracket.
+func (w *writer) brk(d int) string {
+	if !w.indent {
+		return ","
+	}
+	return breaks[:2+2*d]
+}
+
+// open starts an object.
+func (w *writer) open() {
+	w.b = append(w.b, '{')
 	w.depth++
 	w.first = true
 }
 
-// close ends the innermost container; an empty one stays on its line
-// ({} or []), as encoding/json's indenter leaves it.
-func (w *writer) close(c byte) {
+// close ends the innermost object; an empty one stays on its line
+// ({}), as encoding/json's indenter leaves it.
+func (w *writer) close() {
 	w.depth--
 	if !w.first {
-		w.newline()
+		w.b = append(w.b, w.brk(w.depth)[1:]...)
 	}
-	w.b = append(w.b, c)
+	w.b = append(w.b, '}')
 	w.first = false
 }
 
-// next starts a member of the innermost container.
-func (w *writer) next() {
-	if !w.first {
-		w.b = append(w.b, ',')
-	}
-	w.first = false
-	w.newline()
-}
-
-func (w *writer) newline() {
-	// Two spaces a level; no covered document nests deeper than six.
-	const spaces = "                "
-	if w.indent {
-		w.b = append(w.b, '\n')
-		w.b = append(w.b, spaces[:2*w.depth]...)
-	}
-}
-
-// key starts the object member k (a field name: plain ASCII).
+// key starts the member k of the innermost object.
 func (w *writer) key(k string) {
-	w.next()
-	w.b = append(w.b, '"')
-	w.b = append(w.b, k...)
-	w.b = append(w.b, '"', ':')
-	if w.indent {
-		w.b = append(w.b, ' ')
+	w.b = w.member(w.b, w.depth, k, w.first)
+	w.first = false
+}
+
+// member appends the text before the value of member k (a field name:
+// plain ASCII) of an object whose members sit at depth d.
+func (w *writer) member(b []byte, d int, k string, first bool) []byte {
+	sep := w.brk(d)
+	if first {
+		sep = sep[1:]
 	}
+	b = append(append(append(b, sep...), '"'), k...)
+	if b = append(b, '"', ':'); w.indent {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -129,14 +134,14 @@ func (w *writer) intField(k string, v int64, omit bool) {
 func (w *writer) floatField(k string, v float64, omit bool) {
 	if !omit || v != 0 { // −0 == 0: omitempty drops both
 		w.key(k)
-		w.float(v)
+		w.b = w.float(w.b, v)
 	}
 }
 
 func (w *writer) stringField(k, v string, omit bool) {
 	if !omit || v != "" {
 		w.key(k)
-		w.string(v)
+		w.b = w.string(w.b, v)
 	}
 }
 
@@ -148,80 +153,174 @@ func (w *writer) boolField(k string, v bool) {
 	}
 }
 
-// list writes field k as an array, elem writing each element:
-// omitempty drops an empty slice, and a nil slice renders as null.
-func list[T any](w *writer, k string, v []T, omit bool, elem func(*writer, T)) {
-	if omit && len(v) == 0 {
-		return
-	}
-	w.key(k)
-	if v == nil {
-		w.b = append(w.b, "null"...)
-		return
-	}
-	w.open('[')
-	for _, x := range v {
-		w.next()
-		elem(w, x)
-	}
-	w.close(']')
-}
-
-func (w *writer) int(n int) { w.b = strconv.AppendInt(w.b, int64(n), 10) }
-
-// float formats like encoding/json (appendFloat, float.go).
-func (w *writer) float(f float64) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
+// float appends f as encoding/json formats it (appendFloat, float.go).
+func (w *writer) float(b []byte, f float64) []byte {
+	if f-f != 0 { // NaN or ±Inf
 		w.punt = true
-		return
+		return b
 	}
-	w.b = appendFloat(w.b, f)
+	return appendFloat(b, f)
 }
 
-// string writes s quoted when it is printable ASCII without '"' or
+// string appends s quoted when it is printable ASCII without '"' or
 // '\\', which needs no escape; any other string is left to
 // encoding/json.
-func (w *writer) string(s string) {
+func (w *writer) string(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
 			w.punt = true
 		}
 	}
-	w.b = append(w.b, '"')
-	w.b = append(w.b, s...)
-	w.b = append(w.b, '"')
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // ---------------------------------------------------------------------------
-// Documents, field by field in struct order.
+// Arrays. Each appends its slice as an array whose elements sit at
+// depth d, in one loop over the caller's buffer that writes every
+// element behind the separator brk(d), built once for the array; end
+// then turns the first separator's comma into the opening bracket.
+
+// end finishes an array whose elements, at depth d, were appended to
+// b[at:]. With no elements, a nil slice renders as null and an empty
+// one as [].
+func (w *writer) end(b []byte, at, d int, isNil bool) []byte {
+	switch {
+	case len(b) > at:
+		b[at] = '['
+		return append(append(b, w.brk(d - 1)[1:]...), ']')
+	case isNil:
+		return append(b, "null"...)
+	}
+	return append(b, "[]"...)
+}
+
+func (w *writer) floats(b []byte, v []float64, d int) []byte {
+	sep, at := w.brk(d), len(b)
+	for _, x := range v {
+		b = w.float(append(b, sep...), x)
+	}
+	return w.end(b, at, d, v == nil)
+}
+
+func (w *writer) ints(b []byte, v []int, d int) []byte {
+	sep, at := w.brk(d), len(b)
+	for _, x := range v {
+		b = strconv.AppendInt(append(b, sep...), int64(x), 10)
+	}
+	return w.end(b, at, d, v == nil)
+}
+
+func (w *writer) strings(b []byte, v []string, d int) []byte {
+	sep, at := w.brk(d), len(b)
+	for _, x := range v {
+		b = w.string(append(b, sep...), x)
+	}
+	return w.end(b, at, d, v == nil)
+}
+
+// row is the fixed text of an array of objects that all have the same
+// keys, laid out once for the array: piece(0) is the element separator,
+// the opening brace and the first key, piece(j) leads from value j-1
+// through key j, and piece(len(keys)) closes the element.
+type row struct {
+	text [128]byte
+	ends [5]uint8
+}
+
+// row lays out objects with the given keys as array elements at depth
+// d. The longest row, a transmission in indent mode, takes 87 bytes.
+func (w *writer) row(d int, keys ...string) (r row) {
+	t := append(append(r.text[:0], w.brk(d)...), '{')
+	for j, k := range keys {
+		t = w.member(t, d+1, k, j == 0)
+		r.ends[j] = uint8(len(t))
+	}
+	t = append(append(t, w.brk(d)[1:]...), '}')
+	r.ends[len(keys)] = uint8(len(t))
+	return r
+}
+
+func (r *row) piece(j int) []byte {
+	lo := uint8(0)
+	if j > 0 {
+		lo = r.ends[j-1]
+	}
+	return r.text[lo:r.ends[j]]
+}
+
+func (w *writer) edges(b []byte, v []Edge, d int) []byte {
+	r, at := w.row(d, "from", "to", "rate"), len(b)
+	sep, to, rate, end := r.piece(0), r.piece(1), r.piece(2), r.piece(3)
+	for _, e := range v {
+		b = strconv.AppendInt(append(b, sep...), int64(e.From), 10)
+		b = strconv.AppendInt(append(b, to...), int64(e.To), 10)
+		b = append(w.float(append(b, rate...), e.Rate), end...)
+	}
+	return w.end(b, at, d, v == nil)
+}
+
+func (w *writer) trees(b []byte, v []Tree, d int) []byte {
+	r, at := w.row(d, "weight", "parent"), len(b)
+	sep, parent, end := r.piece(0), r.piece(1), r.piece(2)
+	for _, t := range v {
+		b = w.float(append(b, sep...), t.Weight)
+		b = append(w.ints(append(b, parent...), t.Parent, d+2), end...)
+	}
+	return w.end(b, at, d, v == nil)
+}
+
+func (w *writer) transmissions(b []byte, v []Transmission, d int) []byte {
+	r, at := w.row(d, "from", "to", "block", "tree"), len(b)
+	sep, to, block, tree, end := r.piece(0), r.piece(1), r.piece(2), r.piece(3), r.piece(4)
+	for _, t := range v {
+		b = strconv.AppendInt(append(b, sep...), int64(t.From), 10)
+		b = strconv.AppendInt(append(b, to...), int64(t.To), 10)
+		b = strconv.AppendInt(append(b, block...), int64(t.Block), 10)
+		b = append(strconv.AppendInt(append(b, tree...), int64(t.Tree), 10), end...)
+	}
+	return w.end(b, at, d, v == nil)
+}
+
+// ---------------------------------------------------------------------------
+// Documents, field by field in struct order. An array member's elements
+// sit one level below the member.
 
 func (w *writer) instance(in Instance) {
-	w.open('{')
+	w.open()
 	w.intField("v", int64(in.V), false)
 	w.floatField("b0", in.B0, false)
-	list(w, "open", in.Open, true, (*writer).float)
-	list(w, "guarded", in.Guarded, true, (*writer).float)
-	w.close('}')
+	if len(in.Open) > 0 {
+		w.key("open")
+		w.b = w.floats(w.b, in.Open, w.depth+1)
+	}
+	if len(in.Guarded) > 0 {
+		w.key("guarded")
+		w.b = w.floats(w.b, in.Guarded, w.depth+1)
+	}
+	w.close()
 }
 
 func (w *writer) request(r Request) {
-	w.open('{')
+	w.open()
 	w.intField("v", int64(r.V), false)
 	w.key("instance")
 	w.instance(r.Instance)
 	w.stringField("solver", r.Solver, true)
-	list(w, "need", r.Need, true, (*writer).string)
+	if len(r.Need) > 0 {
+		w.key("need")
+		w.b = w.strings(w.b, r.Need, w.depth+1)
+	}
 	w.floatField("deadline_ms", r.DeadlineMS, true)
 	w.floatField("tolerance", r.Tolerance, true)
 	w.boolField("want_scheme", r.WantScheme)
 	w.boolField("want_trees", r.WantTrees)
 	w.intField("schedule_blocks", int64(r.ScheduleBlocks), true)
 	w.stringField("prev_word", r.PrevWord, true)
-	w.close('}')
+	w.close()
 }
 
 func (w *writer) plan(p Plan) {
-	w.open('{')
+	w.open()
 	w.intField("v", int64(p.V), false)
 	w.stringField("solver", p.Solver, false)
 	w.floatField("throughput", p.Throughput, false)
@@ -231,16 +330,24 @@ func (w *writer) plan(p Plan) {
 	w.intField("max_out_degree", int64(p.MaxOutDegree), true)
 	w.intField("degree_slack", int64(p.DegreeSlack), true)
 	w.boolField("acyclic", p.Acyclic)
-	list(w, "edges", p.Edges, true, (*writer).edge)
-	list(w, "trees", p.Trees, true, (*writer).tree)
+	if len(p.Edges) > 0 {
+		w.key("edges")
+		w.b = w.edges(w.b, p.Edges, w.depth+1)
+	}
+	if len(p.Trees) > 0 {
+		w.key("trees")
+		w.b = w.trees(w.b, p.Trees, w.depth+1)
+	}
 	if s := p.Schedule; s != nil {
 		w.key("schedule")
-		w.open('{')
+		w.open()
 		w.intField("blocks", int64(s.Blocks), false)
-		list(w, "blocks_per_tree", s.BlocksPerTree, false, (*writer).int)
+		w.key("blocks_per_tree")
+		w.b = w.ints(w.b, s.BlocksPerTree, w.depth+1)
 		w.floatField("max_overload", s.MaxOverload, false)
-		list(w, "transmissions", s.Transmissions, false, (*writer).transmission)
-		w.close('}')
+		w.key("transmissions")
+		w.b = w.transmissions(w.b, s.Transmissions, w.depth+1)
+		w.close()
 	}
 	w.boolField("repaired", p.Repaired)
 	w.floatField("verified", p.Verified, true)
@@ -248,40 +355,16 @@ func (w *writer) plan(p Plan) {
 	w.intField("neighbor_distance", int64(p.NeighborDistance), true)
 	w.key("evals")
 	w.evals(p.Evals)
-	w.close('}')
-}
-
-func (w *writer) edge(e Edge) {
-	w.open('{')
-	w.intField("from", int64(e.From), false)
-	w.intField("to", int64(e.To), false)
-	w.floatField("rate", e.Rate, false)
-	w.close('}')
-}
-
-func (w *writer) tree(t Tree) {
-	w.open('{')
-	w.floatField("weight", t.Weight, false)
-	list(w, "parent", t.Parent, false, (*writer).int)
-	w.close('}')
-}
-
-func (w *writer) transmission(t Transmission) {
-	w.open('{')
-	w.intField("from", int64(t.From), false)
-	w.intField("to", int64(t.To), false)
-	w.intField("block", int64(t.Block), false)
-	w.intField("tree", int64(t.Tree), false)
-	w.close('}')
+	w.close()
 }
 
 func (w *writer) evals(e EvalCounts) {
-	w.open('{')
+	w.open()
 	w.intField("flow_evals", e.FlowEvals, false)
 	w.intField("greedy_tests", e.GreedyTests, false)
 	w.intField("word_evals", e.WordEvals, false)
 	w.intField("builds", e.Builds, false)
-	w.close('}')
+	w.close()
 }
 
 // ---------------------------------------------------------------------------
