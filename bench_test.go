@@ -643,7 +643,7 @@ func BenchmarkServiceSolveCached(b *testing.B) {
 		bodies := make([][]byte, b.N)
 		for i := range bodies {
 			mutant := base.Clone()
-			if _, err := mutant.RescaleOpen(0, 1+1e-7*float64(i+1)); err != nil {
+			if _, err := mutant.Rescale(repro.Open, 0, 1+1e-7*float64(i+1)); err != nil {
 				b.Fatal(err)
 			}
 			req := repro.NewRequest(mutant, repro.WithSolver("acyclic"), repro.WithTolerance(1e-9))
@@ -705,7 +705,7 @@ func BenchmarkServiceSolveWarm(b *testing.B) {
 	mutate := func(i, edits int) []byte {
 		mutant := base.Clone()
 		for n := 0; n < edits; n++ {
-			if _, err := mutant.RescaleOpen(n, 1+1e-7*float64(i*edits+n+1)); err != nil {
+			if _, err := mutant.Rescale(repro.Open, n, 1+1e-7*float64(i*edits+n+1)); err != nil {
 				b.Fatal(err)
 			}
 		}

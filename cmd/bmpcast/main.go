@@ -209,10 +209,6 @@ func loadInstance(path string) (*platform.Instance, error) {
 	return &ins, nil
 }
 
-func lookupDist(name string) (distribution.Distribution, error) {
-	return repro.DistributionByName(name)
-}
-
 func cmdSolve(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("solve", flag.ExitOnError)
 	file := fs.String("file", "", "instance JSON file (required)")
@@ -366,7 +362,7 @@ func cmdSweep(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	dist, err := lookupDist(*distName)
+	dist, err := repro.DistributionByName(*distName)
 	if err != nil {
 		return err
 	}
@@ -580,7 +576,7 @@ func cmdGenerate(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	dist, err := lookupDist(*distName)
+	dist, err := repro.DistributionByName(*distName)
 	if err != nil {
 		return err
 	}
@@ -640,15 +636,9 @@ func cmdSim(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var solvers []string
+	solvers := splitList(*solverList)
 	if *solverList == "all" {
 		solvers = experiments.ChurnSolvers()
-	} else {
-		for _, name := range strings.Split(*solverList, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				solvers = append(solvers, name)
-			}
-		}
 	}
 	return prof.run(func() error {
 		tr, err := sim.GenerateTrace(sim.TraceConfig{

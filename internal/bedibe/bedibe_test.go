@@ -3,8 +3,6 @@ package bedibe
 import (
 	"math"
 	"testing"
-
-	"repro/internal/distribution"
 )
 
 func TestNewMeasurementsValidation(t *testing.T) {
@@ -143,8 +141,7 @@ func TestFitDMFValidation(t *testing.T) {
 // last-mile network, the 2n-parameter LastMile fit predicts at least as
 // well as a rank-3 (6n-parameter) matrix factorization.
 func TestLastMileBeatsDMFOnLastMileData(t *testing.T) {
-	_, m := Synthesize(SynthConfig{N: 40, NoiseStd: 0.1, ObserveP: 0.8, Seed: 5,
-		OutDist: distribution.PlanetLab()})
+	_, m := Synthesize(SynthConfig{N: 40, NoiseStd: 0.1, ObserveP: 0.8, Seed: 5})
 	lm, err := FitLastMile(m, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -12,32 +12,28 @@ import (
 // observed through multiplicative noise and partial sampling — the shape
 // of a real PlanetLab-style campaign.
 type SynthConfig struct {
-	N         int     // number of nodes
-	NoiseStd  float64 // multiplicative log-normal-ish noise (0 = exact)
-	ObserveP  float64 // probability a pair is measured (1 = full matrix)
-	InOverOut float64 // incoming capacity = InOverOut × a fresh draw (ADSL-style asymmetry when > 1)
-	Seed      int64
-	OutDist   distribution.Distribution // defaults to PlanetLab()
+	N        int     // number of nodes
+	NoiseStd float64 // multiplicative log-normal-ish noise (0 = exact)
+	ObserveP float64 // probability a pair is measured (1 = full matrix)
+	Seed     int64
 }
 
-// Synthesize draws ground-truth parameters and the noisy partial
-// measurement matrix they induce.
+// inOverOut is the synthetic nodes' download/upload asymmetry: incoming
+// capacity is inOverOut × a fresh draw (ADSL-style).
+const inOverOut = 4
+
+// Synthesize draws ground-truth parameters from distribution.PlanetLab()
+// and the noisy partial measurement matrix they induce.
 func Synthesize(cfg SynthConfig) (truth *LastMileParams, m *Measurements) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	dist := cfg.OutDist
-	if dist == nil {
-		dist = distribution.PlanetLab()
-	}
-	if cfg.InOverOut <= 0 {
-		cfg.InOverOut = 4 // typical download/upload asymmetry
-	}
+	dist := distribution.PlanetLab()
 	if cfg.ObserveP <= 0 || cfg.ObserveP > 1 {
 		cfg.ObserveP = 1
 	}
 	truth = &LastMileParams{Out: make([]float64, cfg.N), In: make([]float64, cfg.N)}
 	for i := 0; i < cfg.N; i++ {
 		truth.Out[i] = dist.Sample(rng)
-		truth.In[i] = cfg.InOverOut * dist.Sample(rng)
+		truth.In[i] = inOverOut * dist.Sample(rng)
 	}
 	bw := make([][]float64, cfg.N)
 	for i := range bw {

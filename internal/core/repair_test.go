@@ -92,20 +92,20 @@ func repairAgrees(t *testing.T, ins *platform.Instance, mutate func(*platform.In
 
 func TestRepairAfterSingleEvents(t *testing.T) {
 	mutations := map[string]func(*platform.Instance){
-		"arrive-open":    func(ins *platform.Instance) { ins.AddOpen(3.5) },
-		"arrive-guarded": func(ins *platform.Instance) { ins.AddGuarded(2.5) },
+		"arrive-open":    func(ins *platform.Instance) { ins.Add(platform.Open, 3.5) },
+		"arrive-guarded": func(ins *platform.Instance) { ins.Add(platform.Guarded, 2.5) },
 		"depart-open": func(ins *platform.Instance) {
 			if ins.N() > 1 {
-				ins.RemoveOpen(ins.N() - 1)
+				ins.Remove(platform.Open, ins.N()-1)
 			}
 		},
 		"depart-guarded": func(ins *platform.Instance) {
 			if ins.M() > 0 {
-				ins.RemoveGuarded(0)
+				ins.Remove(platform.Guarded, 0)
 			}
 		},
-		"rescale-up":     func(ins *platform.Instance) { ins.RescaleOpen(0, 2) },
-		"rescale-down":   func(ins *platform.Instance) { ins.RescaleOpen(0, 0.5) },
+		"rescale-up":     func(ins *platform.Instance) { ins.Rescale(platform.Open, 0, 2) },
+		"rescale-down":   func(ins *platform.Instance) { ins.Rescale(platform.Open, 0, 0.5) },
 		"rescale-source": func(ins *platform.Instance) { ins.SetSourceBandwidth(ins.B0 * 0.8) },
 	}
 	for name, mutate := range mutations {
@@ -127,16 +127,16 @@ func TestRepairMatchesFullSolveRandom(t *testing.T) {
 		repairAgrees(t, ins, func(ins *platform.Instance) {
 			switch trialRNG.Intn(4) {
 			case 0:
-				ins.AddOpen(dist.Sample(trialRNG))
+				ins.Add(platform.Open, dist.Sample(trialRNG))
 			case 1:
-				ins.AddGuarded(dist.Sample(trialRNG))
+				ins.Add(platform.Guarded, dist.Sample(trialRNG))
 			case 2:
 				if ins.N() > 1 {
-					ins.RemoveOpen(trialRNG.Intn(ins.N()))
+					ins.Remove(platform.Open, trialRNG.Intn(ins.N()))
 				}
 			case 3:
 				if ins.M() > 0 {
-					ins.RescaleGuarded(trialRNG.Intn(ins.M()), 0.25+2*trialRNG.Float64())
+					ins.Rescale(platform.Guarded, trialRNG.Intn(ins.M()), 0.25+2*trialRNG.Float64())
 				}
 			}
 		})
@@ -183,7 +183,7 @@ func TestRepairCheaperThanFullSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ins.RescaleOpen(ins.N()-1, 1.05); err != nil {
+	if _, err := ins.Rescale(platform.Open, ins.N()-1, 1.05); err != nil {
 		t.Fatal(err)
 	}
 

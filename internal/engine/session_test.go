@@ -31,20 +31,20 @@ func churnSequence(t testing.TB, seed int64, events int) (*platform.Instance, []
 		muts[i] = func(ins *platform.Instance) {
 			switch op {
 			case 0:
-				ins.AddOpen(bw)
+				ins.Add(platform.Open, bw)
 			case 1:
-				ins.AddGuarded(bw)
+				ins.Add(platform.Guarded, bw)
 			case 2:
 				if ins.N() > 1 {
-					ins.RemoveOpen(int(pick) % ins.N())
+					ins.Remove(platform.Open, int(pick)%ins.N())
 				} else if ins.M() > 0 {
-					ins.RemoveGuarded(int(pick) % ins.M())
+					ins.Remove(platform.Guarded, int(pick)%ins.M())
 				}
 			case 3:
 				if ins.M() > 0 {
-					ins.RescaleGuarded(int(pick)%ins.M(), factor)
+					ins.Rescale(platform.Guarded, int(pick)%ins.M(), factor)
 				} else {
-					ins.RescaleOpen(int(pick)%ins.N(), factor)
+					ins.Rescale(platform.Open, int(pick)%ins.N(), factor)
 				}
 			}
 		}

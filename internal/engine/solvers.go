@@ -88,45 +88,15 @@ func init() {
 
 	Default.MustRegister(NewSolver("greedy",
 		CapHandlesGuarded|CapBuildsScheme|CapAnytime,
-		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
-			T, w, err := core.BestCanonicalThroughput(ins, ws)
-			if err != nil {
-				return Result{}, err
-			}
-			T, s, err := core.BuildSchemeShaved(ins, w, T, ws, core.BuildScheme)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Throughput: T, Scheme: s, Word: w}, nil
-		}))
+		wordThenBuild(core.BestCanonicalThroughput, core.BuildScheme)))
 
 	Default.MustRegister(NewSolver("exhaustive",
 		CapExact|CapHandlesGuarded|CapBuildsScheme,
-		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
-			T, w, err := core.ExhaustiveAcyclicOptimumFloat(ins, ws)
-			if err != nil {
-				return Result{}, err
-			}
-			T, s, err := core.BuildSchemeShaved(ins, w, T, ws, core.BuildScheme)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Throughput: T, Scheme: s, Word: w}, nil
-		}))
+		wordThenBuild(core.ExhaustiveAcyclicOptimumFloat, core.BuildScheme)))
 
 	Default.MustRegister(NewSolver("depth",
 		CapExact|CapHandlesGuarded|CapBuildsScheme,
-		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
-			T, w, err := core.OptimalAcyclicThroughput(ins, ws)
-			if err != nil {
-				return Result{}, err
-			}
-			T, s, err := core.BuildSchemeShaved(ins, w, T, ws, core.BuildSchemeDepthAware)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Throughput: T, Scheme: s, Word: w}, nil
-		}))
+		wordThenBuild(core.OptimalAcyclicThroughput, core.BuildSchemeDepthAware)))
 
 	Default.MustRegister(NewSolver("oneport",
 		CapBuildsScheme|CapAnytime,
@@ -137,4 +107,24 @@ func init() {
 			}
 			return Result{Throughput: T, Scheme: s}, nil
 		}))
+}
+
+// wordThenBuild is the solve step of a solver that finds a throughput
+// and word (T, w) with find, then builds w's scheme with build through
+// core.BuildSchemeShaved.
+func wordThenBuild(
+	find func(*platform.Instance, *core.Workspace) (float64, core.Word, error),
+	build func(*platform.Instance, core.Word, float64, *core.Workspace) (*core.Scheme, error),
+) func(*platform.Instance, *core.Workspace) (Result, error) {
+	return func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
+		T, w, err := find(ins, ws)
+		if err != nil {
+			return Result{}, err
+		}
+		T, s, err := core.BuildSchemeShaved(ins, w, T, ws, build)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Throughput: T, Scheme: s, Word: w}, nil
+	}
 }

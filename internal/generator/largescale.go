@@ -44,9 +44,6 @@ func LargeScale(cfg LargeScaleConfig) (*platform.Instance, error) {
 
 // TraceDrivenConfig configures FromMeasurements.
 type TraceDrivenConfig struct {
-	// FitRounds is the number of coordinate-descent rounds of the
-	// LastMile fit; ≤ 0 means 3 (enough in practice, see bedibe).
-	FitRounds int
 	// Nodes is the receiver count of the built instance. 0 keeps one
 	// receiver per measured node (using its own fitted capacity);
 	// a positive value bootstrap-resamples that many receivers from the
@@ -75,11 +72,7 @@ func FromMeasurements(m *bedibe.Measurements, cfg TraceDrivenConfig) (*platform.
 	if cfg.POpen < 0 || cfg.POpen > 1 {
 		return nil, fmt.Errorf("generator: open probability %v out of [0,1]", cfg.POpen)
 	}
-	rounds := cfg.FitRounds
-	if rounds <= 0 {
-		rounds = 3
-	}
-	params, err := bedibe.FitLastMile(m, rounds)
+	params, err := bedibe.FitLastMile(m, 3) // three coordinate-descent rounds are enough in practice
 	if err != nil {
 		return nil, fmt.Errorf("generator: fitting LastMile model: %w", err)
 	}

@@ -34,9 +34,6 @@ type Config struct {
 	MaxRounds int
 	// Seed drives the pseudo-random packet choices.
 	Seed int64
-	// Warmup is the number of initial rounds excluded from the goodput
-	// measurement (defaults to the overlay depth + 2 when 0).
-	Warmup int
 	// Churn lists node departures. The paper's conclusion (§VII) warns
 	// that the constructed overlays are "probably not resilient to
 	// churn"; injecting departures lets tests measure exactly that: once
@@ -87,14 +84,9 @@ func Simulate(s *core.Scheme, T float64, cfg Config) (*Result, error) {
 			maxRounds = 2000
 		}
 	}
-	warmup := cfg.Warmup
-	if warmup == 0 {
-		if d := core.SchemeDepth(s); d > 0 {
-			warmup = d + 2
-		} else {
-			warmup = 2
-		}
-	}
+	// The goodput window skips the first depth + 2 rounds (2 for a
+	// cyclic overlay, whose depth is −1).
+	warmup := max(core.SchemeDepth(s), 0) + 2
 	for _, ev := range cfg.Churn {
 		if ev.Node == 0 {
 			return nil, errors.New("massoulie: the source cannot depart")

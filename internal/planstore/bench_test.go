@@ -96,9 +96,9 @@ func neighborBenchStore(b *testing.B, n int) (*Store, []engine.Request) {
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			f := 0.8 + 0.4*rng.Float64()
 			if j := rng.Intn(mut.N() + mut.M()); j < mut.N() {
-				_, err = mut.RescaleOpen(j, f)
+				_, err = mut.Rescale(platform.Open, j, f)
 			} else {
-				_, err = mut.RescaleGuarded(j-mut.N(), f)
+				_, err = mut.Rescale(platform.Guarded, j-mut.N(), f)
 			}
 			if err != nil {
 				b.Fatal(err)

@@ -124,9 +124,9 @@ func TestNeighborMatchesLinearScan(t *testing.T) {
 							z = negZero
 						}
 						if rng.Intn(2) == 0 {
-							_, err = ins.AddOpen(z)
+							_, err = ins.Add(platform.Open, z)
 						} else {
-							_, err = ins.AddGuarded(z)
+							_, err = ins.Add(platform.Guarded, z)
 						}
 						if err != nil {
 							t.Fatal(err)
@@ -142,22 +142,22 @@ func TestNeighborMatchesLinearScan(t *testing.T) {
 					n, g := m.N(), m.M()
 					switch rng.Intn(7) {
 					case 0:
-						_, err = m.AddOpen(1 + 99*rng.Float64())
+						_, err = m.Add(platform.Open, 1+99*rng.Float64())
 					case 1:
-						_, err = m.AddGuarded(1 + 99*rng.Float64())
+						_, err = m.Add(platform.Guarded, 1+99*rng.Float64())
 					case 2:
 						if n > 1 {
-							_, err = m.RemoveOpen(rng.Intn(n))
+							_, err = m.Remove(platform.Open, rng.Intn(n))
 						}
 					case 3:
 						if g > 1 {
-							_, err = m.RemoveGuarded(rng.Intn(g))
+							_, err = m.Remove(platform.Guarded, rng.Intn(g))
 						}
 					case 4:
 						if j := rng.Intn(n + g); j < n {
-							_, err = m.RescaleOpen(j, 0.8+0.4*rng.Float64())
+							_, err = m.Rescale(platform.Open, j, 0.8+0.4*rng.Float64())
 						} else {
-							_, err = m.RescaleGuarded(j-n, 0.8+0.4*rng.Float64())
+							_, err = m.Rescale(platform.Guarded, j-n, 0.8+0.4*rng.Float64())
 						}
 					case 5: // flip a zero's sign: distance 0
 						for j, v := range m.OpenBW {

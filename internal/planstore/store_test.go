@@ -192,7 +192,7 @@ func TestStoreNeighbor(t *testing.T) {
 
 	// One rescaled open node: distance 1, same options — a neighbor.
 	mut := base.Instance.Clone()
-	if _, err := mut.RescaleOpen(0, 0.9); err != nil {
+	if _, err := mut.Rescale(platform.Open, 0, 0.9); err != nil {
 		t.Fatal(err)
 	}
 	query := engine.NewRequest(mut, engine.WithSolver("acyclic"), engine.WithTolerance(1e-9))
@@ -217,7 +217,7 @@ func TestStoreNeighbor(t *testing.T) {
 	// A closer stored instance wins over a farther one.
 	persistDocs(t, s, engine.NewRequest(mut.Clone(), engine.WithSolver("acyclic"), engine.WithTolerance(1e-9)))
 	mut2 := mut.Clone()
-	if _, err := mut2.RescaleOpen(1, 1.1); err != nil {
+	if _, err := mut2.Rescale(platform.Open, 1, 1.1); err != nil {
 		t.Fatal(err)
 	}
 	query2 := engine.NewRequest(mut2, engine.WithSolver("acyclic"), engine.WithTolerance(1e-9))
@@ -344,11 +344,11 @@ func TestStoreNeighborDeterministic(t *testing.T) {
 	// Two stored instances both at distance 1 from the query, each
 	// persisted with a word of its own through Persist's trusted word.
 	left := base.Instance.Clone()
-	if _, err := left.RescaleOpen(0, 0.8); err != nil {
+	if _, err := left.Rescale(platform.Open, 0, 0.8); err != nil {
 		t.Fatal(err)
 	}
 	right := base.Instance.Clone()
-	if _, err := right.RescaleOpen(0, 1.2); err != nil {
+	if _, err := right.Rescale(platform.Open, 0, 1.2); err != nil {
 		t.Fatal(err)
 	}
 	word := func(letters string) core.Word {
@@ -391,7 +391,7 @@ func TestStoreOwnsSignatures(t *testing.T) {
 	req := fig1Request(6)
 	orig := req.Instance.Clone()
 	persistDocs(t, s, req)
-	if _, err := req.Instance.RescaleOpen(0, 0.5); err != nil {
+	if _, err := req.Instance.Rescale(platform.Open, 0, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	nb, ok := s.Neighbor(engine.NewRequest(orig, engine.WithSolver("acyclic"), engine.WithTolerance(1e-9)))

@@ -57,31 +57,31 @@ func TestWarmStartProperty(t *testing.T) {
 		for edits := 1 + rng.Intn(3); edits > 0; edits-- {
 			switch rng.Intn(6) {
 			case 0:
-				if _, err := ins.AddOpen(1 + 99*rng.Float64()); err != nil {
+				if _, err := ins.Add(platform.Open, 1+99*rng.Float64()); err != nil {
 					t.Fatal(err)
 				}
 			case 1:
-				if _, err := ins.AddGuarded(1 + 99*rng.Float64()); err != nil {
+				if _, err := ins.Add(platform.Guarded, 1+99*rng.Float64()); err != nil {
 					t.Fatal(err)
 				}
 			case 2:
 				if len(ins.OpenBW) > 1 {
-					if _, err := ins.RemoveOpen(rng.Intn(len(ins.OpenBW))); err != nil {
+					if _, err := ins.Remove(platform.Open, rng.Intn(len(ins.OpenBW))); err != nil {
 						t.Fatal(err)
 					}
 				}
 			case 3:
 				if len(ins.GuardedBW) > 1 {
-					if _, err := ins.RemoveGuarded(rng.Intn(len(ins.GuardedBW))); err != nil {
+					if _, err := ins.Remove(platform.Guarded, rng.Intn(len(ins.GuardedBW))); err != nil {
 						t.Fatal(err)
 					}
 				}
 			case 4:
-				if _, err := ins.RescaleOpen(rng.Intn(len(ins.OpenBW)), 0.75+0.5*rng.Float64()); err != nil {
+				if _, err := ins.Rescale(platform.Open, rng.Intn(len(ins.OpenBW)), 0.75+0.5*rng.Float64()); err != nil {
 					t.Fatal(err)
 				}
 			case 5:
-				if _, err := ins.RescaleGuarded(rng.Intn(len(ins.GuardedBW)), 0.75+0.5*rng.Float64()); err != nil {
+				if _, err := ins.Rescale(platform.Guarded, rng.Intn(len(ins.GuardedBW)), 0.75+0.5*rng.Float64()); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -2,7 +2,8 @@ package platform
 
 import (
 	"fmt"
-	"math"
+	"slices"
+	"sort"
 )
 
 // Mutation API. The churn simulator (internal/sim) replays node
@@ -17,9 +18,8 @@ import (
 //     on are re-accumulated left to right, which is exactly the order
 //     prefixSums uses).
 //
-// The methods require an instance built by NewInstance (or at least one
-// whose slices already satisfy the sorted invariant); mutating a
-// hand-assembled unsorted instance is a programming error.
+// Each operation takes the node's Kind: Open selects the open class
+// and any other Kind the guarded one.
 
 // Clone returns a deep copy sharing no backing storage with ins.
 func (ins *Instance) Clone() *Instance {
@@ -33,117 +33,70 @@ func (ins *Instance) Clone() *Instance {
 	}
 }
 
-// checkBandwidth rejects NaN, infinite and negative bandwidths.
-func checkBandwidth(name string, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("platform: %s bandwidth %v is not finite", name, v)
+// class returns the bandwidth slice of kind k's class.
+func (ins *Instance) class(k Kind) *[]float64 {
+	if k == Open {
+		return &ins.OpenBW
 	}
-	if v < 0 {
-		return fmt.Errorf("platform: %s bandwidth %v is negative", name, v)
-	}
-	return nil
+	return &ins.GuardedBW
 }
 
-// AddOpen inserts an open node of bandwidth bw and returns its rank
-// within the open class (0 = largest bandwidth).
-func (ins *Instance) AddOpen(bw float64) (int, error) {
-	if err := checkBandwidth("open", bw); err != nil {
+// Add inserts a node of kind k and bandwidth bw and returns its rank
+// within its class (0 = largest bandwidth).
+func (ins *Instance) Add(k Kind, bw float64) (int, error) {
+	if err := checkBandwidth(k.String(), bw); err != nil {
 		return 0, err
 	}
-	if ins.B0 <= 0 {
-		return 0, fmt.Errorf("platform: cannot add receivers to a source of bandwidth %v", ins.B0)
+	if err := checkSource(ins.B0, ins.N()+ins.M()+1); err != nil {
+		return 0, err
 	}
-	rank := insertRank(ins.OpenBW, bw)
-	ins.OpenBW = insertAt(ins.OpenBW, rank, bw)
-	ins.refreshOpen(rank)
+	bs := ins.class(k)
+	rank := insertRank(*bs, bw)
+	*bs = slices.Insert(*bs, rank, bw)
+	ins.refresh(k, rank)
 	return rank, nil
 }
 
-// AddGuarded inserts a guarded node of bandwidth bw and returns its
-// rank within the guarded class.
-func (ins *Instance) AddGuarded(bw float64) (int, error) {
-	if err := checkBandwidth("guarded", bw); err != nil {
-		return 0, err
-	}
-	if ins.B0 <= 0 {
-		return 0, fmt.Errorf("platform: cannot add receivers to a source of bandwidth %v", ins.B0)
-	}
-	rank := insertRank(ins.GuardedBW, bw)
-	ins.GuardedBW = insertAt(ins.GuardedBW, rank, bw)
-	ins.refreshGuarded(rank)
-	return rank, nil
-}
-
-// RemoveOpen removes the open node at the given rank and returns its
+// Remove removes the node of kind k at the given rank and returns its
 // bandwidth.
-func (ins *Instance) RemoveOpen(rank int) (float64, error) {
-	if rank < 0 || rank >= len(ins.OpenBW) {
-		return 0, fmt.Errorf("platform: RemoveOpen(%d) out of range [0,%d)", rank, len(ins.OpenBW))
+func (ins *Instance) Remove(k Kind, rank int) (float64, error) {
+	bs := ins.class(k)
+	if rank < 0 || rank >= len(*bs) {
+		return 0, fmt.Errorf("platform: Remove(%v, %d) out of range [0,%d)", k, rank, len(*bs))
 	}
-	bw := ins.OpenBW[rank]
-	ins.OpenBW = append(ins.OpenBW[:rank], ins.OpenBW[rank+1:]...)
-	ins.refreshOpen(rank)
+	bw := (*bs)[rank]
+	*bs = slices.Delete(*bs, rank, rank+1)
+	ins.refresh(k, rank)
 	return bw, nil
 }
 
-// RemoveGuarded removes the guarded node at the given rank and returns
-// its bandwidth.
-func (ins *Instance) RemoveGuarded(rank int) (float64, error) {
-	if rank < 0 || rank >= len(ins.GuardedBW) {
-		return 0, fmt.Errorf("platform: RemoveGuarded(%d) out of range [0,%d)", rank, len(ins.GuardedBW))
-	}
-	bw := ins.GuardedBW[rank]
-	ins.GuardedBW = append(ins.GuardedBW[:rank], ins.GuardedBW[rank+1:]...)
-	ins.refreshGuarded(rank)
-	return bw, nil
-}
-
-// RescaleOpen multiplies the bandwidth of the open node at the given
+// Rescale multiplies the bandwidth of the node of kind k at the given
 // rank by factor and returns the node's new rank (the class is kept
 // sorted, so a rescaled node may move).
-func (ins *Instance) RescaleOpen(rank int, factor float64) (int, error) {
-	if rank < 0 || rank >= len(ins.OpenBW) {
-		return 0, fmt.Errorf("platform: RescaleOpen(%d) out of range [0,%d)", rank, len(ins.OpenBW))
+func (ins *Instance) Rescale(k Kind, rank int, factor float64) (int, error) {
+	bs := ins.class(k)
+	if rank < 0 || rank >= len(*bs) {
+		return 0, fmt.Errorf("platform: Rescale(%v, %d) out of range [0,%d)", k, rank, len(*bs))
 	}
-	bw := ins.OpenBW[rank] * factor
-	if err := checkBandwidth("open", bw); err != nil {
+	bw := (*bs)[rank] * factor
+	if err := checkBandwidth(k.String(), bw); err != nil {
 		return 0, err
 	}
-	ins.OpenBW = append(ins.OpenBW[:rank], ins.OpenBW[rank+1:]...)
-	newRank := insertRank(ins.OpenBW, bw)
-	ins.OpenBW = insertAt(ins.OpenBW, newRank, bw)
-	ins.refreshOpen(min(rank, newRank))
-	return newRank, nil
-}
-
-// RescaleGuarded multiplies the bandwidth of the guarded node at the
-// given rank by factor and returns the node's new rank.
-func (ins *Instance) RescaleGuarded(rank int, factor float64) (int, error) {
-	if rank < 0 || rank >= len(ins.GuardedBW) {
-		return 0, fmt.Errorf("platform: RescaleGuarded(%d) out of range [0,%d)", rank, len(ins.GuardedBW))
-	}
-	bw := ins.GuardedBW[rank] * factor
-	if err := checkBandwidth("guarded", bw); err != nil {
-		return 0, err
-	}
-	ins.GuardedBW = append(ins.GuardedBW[:rank], ins.GuardedBW[rank+1:]...)
-	newRank := insertRank(ins.GuardedBW, bw)
-	ins.GuardedBW = insertAt(ins.GuardedBW, newRank, bw)
-	ins.refreshGuarded(min(rank, newRank))
+	*bs = slices.Delete(*bs, rank, rank+1)
+	newRank := insertRank(*bs, bw)
+	*bs = slices.Insert(*bs, newRank, bw)
+	ins.refresh(k, min(rank, newRank))
 	return newRank, nil
 }
 
 // SetSourceBandwidth replaces b0. The source must stay positive while
 // receivers exist.
 func (ins *Instance) SetSourceBandwidth(b0 float64) error {
-	if err := checkBandwidth("source", b0); err != nil {
+	if err := checkSource(b0, ins.N()+ins.M()); err != nil {
 		return err
 	}
-	if b0 <= 0 && ins.Total() > 1 {
-		return fmt.Errorf("platform: source bandwidth must be positive when receivers exist")
-	}
 	ins.B0 = b0
-	ins.refreshOpen(0)
+	ins.refresh(Open, 0)
 	return nil
 }
 
@@ -151,64 +104,29 @@ func (ins *Instance) SetSourceBandwidth(b0 float64) error {
 // non-increasing slice bs (after any equal values, matching the stable
 // order a re-sort would keep).
 func insertRank(bs []float64, bw float64) int {
-	lo, hi := 0, len(bs)
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if bs[mid] >= bw {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	return sort.Search(len(bs), func(i int) bool { return bs[i] < bw })
+}
+
+// refresh re-establishes kind k's prefix caches from the first rank
+// whose bandwidth changed.
+func (ins *Instance) refresh(k Kind, from int) {
+	if k != Open {
+		ins.guardedPre = reaccumulate(ins.guardedPre, 0, ins.GuardedBW, from)
+		return
 	}
-	return lo
-}
-
-// insertAt inserts v at position rank.
-func insertAt(bs []float64, rank int, v float64) []float64 {
-	bs = append(bs, 0)
-	copy(bs[rank+1:], bs[rank:])
-	bs[rank] = v
-	return bs
-}
-
-// refreshOpen re-establishes the source/open prefix caches from the
-// first open rank whose bandwidth changed. Instances assembled
-// field-by-field (nil caches) gain caches here, so a mutated instance
-// always serves the O(1) accessor paths.
-func (ins *Instance) refreshOpen(from int) {
 	ins.srcPre = reaccumulate(ins.srcPre, ins.B0, ins.OpenBW, from)
 	ins.openSum = reaccumulate(ins.openSum, 0, ins.OpenBW, from)
-	if ins.guardedPre == nil {
-		ins.guardedPre = prefixSums(0, ins.GuardedBW)
-	}
-}
-
-// refreshGuarded re-establishes the guarded prefix cache from the first
-// guarded rank whose bandwidth changed.
-func (ins *Instance) refreshGuarded(from int) {
-	ins.guardedPre = reaccumulate(ins.guardedPre, 0, ins.GuardedBW, from)
-	if ins.srcPre == nil || ins.openSum == nil {
-		ins.srcPre = prefixSums(ins.B0, ins.OpenBW)
-		ins.openSum = prefixSums(0, ins.OpenBW)
-	}
 }
 
 // reaccumulate makes pre equal prefixSums(seed, bs), reusing the backing
 // array and recomputing only entries from rank `from` on (earlier
 // entries are unaffected by the mutation and left bit-identical).
 func reaccumulate(pre []float64, seed float64, bs []float64, from int) []float64 {
-	want := len(bs) + 1
-	if pre == nil || cap(pre) < want || from < 0 {
-		from = 0
+	if want := len(bs) + 1; cap(pre) < want {
+		pre = slices.Grow(pre, want-len(pre))
 	}
-	if cap(pre) < want {
-		pre = make([]float64, want)
-	}
-	pre = pre[:want]
+	pre = pre[:len(bs)+1]
 	pre[0] = seed
-	if from > len(bs) {
-		from = len(bs)
-	}
 	for i := from; i < len(bs); i++ {
 		pre[i+1] = pre[i] + bs[i]
 	}

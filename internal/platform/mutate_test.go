@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,30 +47,30 @@ func checkAgainstRebuild(t *testing.T, ins *Instance) {
 
 func TestAddRemoveRanks(t *testing.T) {
 	ins := MustInstance(6, []float64{5, 3}, []float64{4, 1})
-	rank, err := ins.AddOpen(4)
+	rank, err := ins.Add(Open, 4)
 	if err != nil || rank != 1 {
-		t.Fatalf("AddOpen(4) = (%d, %v), want rank 1", rank, err)
+		t.Fatalf("Add(open, 4) = (%d, %v), want rank 1", rank, err)
 	}
 	checkAgainstRebuild(t, ins)
-	rank, err = ins.AddGuarded(0.5)
+	rank, err = ins.Add(Guarded, 0.5)
 	if err != nil || rank != 2 {
-		t.Fatalf("AddGuarded(0.5) = (%d, %v), want rank 2", rank, err)
+		t.Fatalf("Add(guarded, 0.5) = (%d, %v), want rank 2", rank, err)
 	}
 	checkAgainstRebuild(t, ins)
 	// Equal bandwidths insert after existing ones.
-	rank, err = ins.AddOpen(5)
+	rank, err = ins.Add(Open, 5)
 	if err != nil || rank != 1 {
-		t.Fatalf("AddOpen(5) = (%d, %v), want rank 1", rank, err)
+		t.Fatalf("Add(open, 5) = (%d, %v), want rank 1", rank, err)
 	}
 	checkAgainstRebuild(t, ins)
-	bw, err := ins.RemoveOpen(0)
+	bw, err := ins.Remove(Open, 0)
 	if err != nil || bw != 5 {
-		t.Fatalf("RemoveOpen(0) = (%v, %v), want bw 5", bw, err)
+		t.Fatalf("Remove(open, 0) = (%v, %v), want bw 5", bw, err)
 	}
 	checkAgainstRebuild(t, ins)
-	bw, err = ins.RemoveGuarded(2)
+	bw, err = ins.Remove(Guarded, 2)
 	if err != nil || bw != 0.5 {
-		t.Fatalf("RemoveGuarded(2) = (%v, %v), want bw 0.5", bw, err)
+		t.Fatalf("Remove(guarded, 2) = (%v, %v), want bw 0.5", bw, err)
 	}
 	checkAgainstRebuild(t, ins)
 }
@@ -77,15 +78,15 @@ func TestAddRemoveRanks(t *testing.T) {
 func TestRescaleMovesRank(t *testing.T) {
 	ins := MustInstance(6, []float64{8, 4, 2}, []float64{4, 2, 1})
 	// 2 × 8 = 16 becomes the largest open node.
-	rank, err := ins.RescaleOpen(2, 8)
+	rank, err := ins.Rescale(Open, 2, 8)
 	if err != nil || rank != 0 {
-		t.Fatalf("RescaleOpen(2, 8) = (%d, %v), want rank 0", rank, err)
+		t.Fatalf("Rescale(open, 2, 8) = (%d, %v), want rank 0", rank, err)
 	}
 	checkAgainstRebuild(t, ins)
 	// 4 × 0.1 = 0.4 sinks to the bottom of the guarded class.
-	rank, err = ins.RescaleGuarded(0, 0.1)
+	rank, err = ins.Rescale(Guarded, 0, 0.1)
 	if err != nil || rank != 2 {
-		t.Fatalf("RescaleGuarded(0, 0.1) = (%d, %v), want rank 2", rank, err)
+		t.Fatalf("Rescale(guarded, 0, 0.1) = (%d, %v), want rank 2", rank, err)
 	}
 	checkAgainstRebuild(t, ins)
 }
@@ -103,38 +104,45 @@ func TestSetSourceBandwidth(t *testing.T) {
 
 func TestMutationErrors(t *testing.T) {
 	ins := MustInstance(6, []float64{5}, []float64{4})
-	if _, err := ins.AddOpen(math.NaN()); err == nil {
-		t.Fatal("AddOpen(NaN) should fail")
+	// Bandwidth errors wrap ErrInvalidInstance, as NewInstance's do.
+	_, addNaN := ins.Add(Open, math.NaN())
+	_, addNeg := ins.Add(Guarded, -1)
+	_, rescaleInf := ins.Rescale(Open, 0, math.Inf(1))
+	_, addToZeroSource := MustInstance(0, nil, nil).Add(Open, 1)
+	for name, err := range map[string]error{
+		"Add(open, NaN)":          addNaN,
+		"Add(guarded, -1)":        addNeg,
+		"Rescale(open, 0, +Inf)":  rescaleInf,
+		"SetSourceBandwidth(NaN)": ins.SetSourceBandwidth(math.NaN()),
+		"Add to a zero source":    addToZeroSource,
+	} {
+		if !errors.Is(err, ErrInvalidInstance) {
+			t.Errorf("%s: err = %v, want ErrInvalidInstance in chain", name, err)
+		}
 	}
-	if _, err := ins.AddGuarded(-1); err == nil {
-		t.Fatal("AddGuarded(-1) should fail")
+	if _, err := ins.Remove(Open, 1); err == nil || err.Error() != "platform: Remove(open, 1) out of range [0,1)" {
+		t.Fatalf("Remove(open, 1) out of range: err = %v", err)
 	}
-	if _, err := ins.RemoveOpen(1); err == nil {
-		t.Fatal("RemoveOpen out of range should fail")
+	if _, err := ins.Remove(Guarded, -1); err == nil {
+		t.Fatal("Remove(guarded, -1) should fail")
 	}
-	if _, err := ins.RemoveGuarded(-1); err == nil {
-		t.Fatal("RemoveGuarded(-1) should fail")
-	}
-	if _, err := ins.RescaleOpen(0, math.Inf(1)); err == nil {
-		t.Fatal("RescaleOpen to +Inf should fail")
-	}
-	if _, err := ins.RescaleGuarded(5, 2); err == nil {
-		t.Fatal("RescaleGuarded out of range should fail")
+	if _, err := ins.Rescale(Guarded, 5, 2); err == nil {
+		t.Fatal("Rescale(guarded, 5) out of range should fail")
 	}
 	// Failed mutations must leave the instance untouched.
 	checkAgainstRebuild(t, ins)
-	if ins.N() != 1 || ins.M() != 1 {
-		t.Fatalf("failed mutations changed the shape: n=%d m=%d", ins.N(), ins.M())
+	if ins.N() != 1 || ins.M() != 1 || ins.B0 != 6 {
+		t.Fatalf("failed mutations changed the instance: %v", ins)
 	}
 }
 
 func TestCloneIndependence(t *testing.T) {
 	ins := MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
 	cl := ins.Clone()
-	if _, err := ins.AddOpen(7); err != nil {
+	if _, err := ins.Add(Open, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ins.RemoveGuarded(0); err != nil {
+	if _, err := ins.Remove(Guarded, 0); err != nil {
 		t.Fatal(err)
 	}
 	if cl.N() != 2 || cl.M() != 3 || cl.OpenPrefix(2) != 16 {
@@ -144,62 +152,33 @@ func TestCloneIndependence(t *testing.T) {
 	checkAgainstRebuild(t, ins)
 }
 
-// TestMutationFuzz drives hundreds of random mutations and checks the
-// instance stays exactly equivalent to a from-scratch construction
-// after every step.
+// TestMutationFuzz drives hundreds of random mutations of both classes
+// and of the source, and checks the instance stays exactly equivalent to
+// a from-scratch construction after every step.
 func TestMutationFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ins := MustInstance(10, []float64{9, 5, 3}, []float64{7, 2})
 	for step := 0; step < 600; step++ {
-		switch op := rng.Intn(6); op {
+		k := Kind(rng.Intn(2))
+		size := len(*ins.class(k))
+		var err error
+		switch rng.Intn(4) {
 		case 0:
-			if _, err := ins.AddOpen(rng.Float64() * 100); err != nil {
-				t.Fatalf("step %d AddOpen: %v", step, err)
-			}
+			_, err = ins.Add(k, rng.Float64()*100)
 		case 1:
-			if _, err := ins.AddGuarded(rng.Float64() * 100); err != nil {
-				t.Fatalf("step %d AddGuarded: %v", step, err)
+			if size > 0 {
+				_, err = ins.Remove(k, rng.Intn(size))
 			}
 		case 2:
-			if ins.N() > 1 {
-				if _, err := ins.RemoveOpen(rng.Intn(ins.N())); err != nil {
-					t.Fatalf("step %d RemoveOpen: %v", step, err)
-				}
+			if size > 0 {
+				_, err = ins.Rescale(k, rng.Intn(size), 0.25+rng.Float64()*3)
 			}
 		case 3:
-			if ins.M() > 0 {
-				if _, err := ins.RemoveGuarded(rng.Intn(ins.M())); err != nil {
-					t.Fatalf("step %d RemoveGuarded: %v", step, err)
-				}
-			}
-		case 4:
-			if ins.N() > 0 {
-				if _, err := ins.RescaleOpen(rng.Intn(ins.N()), 0.25+rng.Float64()*3); err != nil {
-					t.Fatalf("step %d RescaleOpen: %v", step, err)
-				}
-			}
-		case 5:
-			if ins.M() > 0 {
-				if _, err := ins.RescaleGuarded(rng.Intn(ins.M()), 0.25+rng.Float64()*3); err != nil {
-					t.Fatalf("step %d RescaleGuarded: %v", step, err)
-				}
-			}
+			err = ins.SetSourceBandwidth(ins.B0 * (0.5 + rng.Float64()))
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 		checkAgainstRebuild(t, ins)
 	}
-}
-
-// TestMutatedHandBuiltInstanceGainsCaches checks the nil-cache fallback
-// path: a field-assembled instance picks up O(1) caches on first
-// mutation.
-func TestMutatedHandBuiltInstanceGainsCaches(t *testing.T) {
-	ins := &Instance{B0: 6, OpenBW: []float64{5, 5}, GuardedBW: []float64{4, 1, 1}}
-	if _, err := ins.AddGuarded(2); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstRebuild(t, ins)
-	if _, err := ins.AddOpen(1); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstRebuild(t, ins)
 }

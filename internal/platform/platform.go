@@ -44,12 +44,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Instance is a broadcast problem instance. Construct with NewInstance so
-// the sortedness invariant holds; the fields are exported for tests and
-// serialization but must not be written directly afterwards — dynamic
-// platforms evolve through the mutation API (AddOpen, RemoveGuarded,
-// RescaleOpen, SetSourceBandwidth, ... in mutate.go), which keeps the
-// sorted invariant and the prefix-sum caches intact.
+// Instance is a broadcast problem instance. An Instance comes from
+// NewInstance, Clone or a mutator (Add, Remove, Rescale,
+// SetSourceBandwidth in mutate.go), which keep the sorted invariant and
+// the prefix-sum caches intact. The fields are exported for tests and
+// serialization but must not be written directly: an instance assembled
+// field by field has no caches, and only Validate may read it.
 type Instance struct {
 	// B0 is the outgoing bandwidth of the source C0.
 	B0 float64
@@ -62,10 +62,8 @@ type Instance struct {
 	// SumGuarded O(1) — they sit under the search and packing inner
 	// loops. srcPre[k] = S_k = b0 + OpenBW[0] + ... + OpenBW[k-1] and
 	// openSum[k] = OpenBW[0] + ... + OpenBW[k-1] are kept separately so
-	// each accessor returns bit-identical values to the summation loops
-	// it replaces (float addition is order-sensitive). Built by
-	// NewInstance; instances assembled field-by-field (tests) fall back
-	// to summation.
+	// each accessor returns bit-identical values to left-to-right
+	// summation (float addition is order-sensitive).
 	srcPre     []float64
 	openSum    []float64
 	guardedPre []float64
@@ -84,8 +82,9 @@ func prefixSums(seed float64, bs []float64) []float64 {
 
 // ErrInvalidInstance reports bandwidth data that cannot form an
 // instance (negative, NaN or infinite values; a non-positive source
-// with receivers present). NewInstance and Validate failures wrap it,
-// so callers branch with errors.Is instead of matching messages.
+// with receivers present). NewInstance and Validate failures and the
+// mutators' bandwidth errors wrap it, so callers branch with errors.Is
+// instead of matching messages.
 var ErrInvalidInstance = errors.New("platform: invalid instance")
 
 // NewInstance builds an instance, copying and sorting the bandwidth
@@ -93,20 +92,8 @@ var ErrInvalidInstance = errors.New("platform: invalid instance")
 // ErrInvalidInstance if any bandwidth is negative, NaN or infinite, or
 // if the source bandwidth is not positive while receivers exist.
 func NewInstance(b0 float64, open, guarded []float64) (*Instance, error) {
-	check := func(name string, v float64) error {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: %s bandwidth %v is not finite", ErrInvalidInstance, name, v)
-		}
-		if v < 0 {
-			return fmt.Errorf("%w: %s bandwidth %v is negative", ErrInvalidInstance, name, v)
-		}
-		return nil
-	}
-	if err := check("source", b0); err != nil {
+	if err := checkSource(b0, len(open)+len(guarded)); err != nil {
 		return nil, err
-	}
-	if b0 <= 0 && len(open)+len(guarded) > 0 {
-		return nil, fmt.Errorf("%w: source bandwidth must be positive when receivers exist", ErrInvalidInstance)
 	}
 	ins := &Instance{
 		B0:        b0,
@@ -114,12 +101,12 @@ func NewInstance(b0 float64, open, guarded []float64) (*Instance, error) {
 		GuardedBW: append([]float64(nil), guarded...),
 	}
 	for _, v := range ins.OpenBW {
-		if err := check("open", v); err != nil {
+		if err := checkBandwidth("open", v); err != nil {
 			return nil, err
 		}
 	}
 	for _, v := range ins.GuardedBW {
-		if err := check("guarded", v); err != nil {
+		if err := checkBandwidth("guarded", v); err != nil {
 			return nil, err
 		}
 	}
@@ -129,6 +116,32 @@ func NewInstance(b0 float64, open, guarded []float64) (*Instance, error) {
 	ins.openSum = prefixSums(0, ins.OpenBW)
 	ins.guardedPre = prefixSums(0, ins.GuardedBW)
 	return ins, nil
+}
+
+// checkBandwidth rejects NaN, infinite and negative bandwidths with an
+// error wrapping ErrInvalidInstance; NewInstance, Validate and the
+// mutators all check through it.
+func checkBandwidth(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%w: %s bandwidth %v is not finite", ErrInvalidInstance, name, v)
+	}
+	if v < 0 {
+		return fmt.Errorf("%w: %s bandwidth %v is negative", ErrInvalidInstance, name, v)
+	}
+	return nil
+}
+
+// checkSource checks the source bandwidth b0 of an instance with the
+// given number of receivers: a valid bandwidth, positive when receivers
+// exist.
+func checkSource(b0 float64, receivers int) error {
+	if err := checkBandwidth("source", b0); err != nil {
+		return err
+	}
+	if b0 <= 0 && receivers > 0 {
+		return fmt.Errorf("%w: source bandwidth must be positive when receivers exist", ErrInvalidInstance)
+	}
+	return nil
 }
 
 // descending orders bandwidths non-increasing. NewInstance rejects NaN
@@ -193,64 +206,30 @@ func (ins *Instance) Bandwidths() []float64 {
 	return bs
 }
 
-// SumOpen returns O = Σ_{i=1..n} b_i (source excluded); O(1) on
-// instances built by NewInstance.
-func (ins *Instance) SumOpen() float64 {
-	if ins.openSum != nil {
-		return ins.openSum[len(ins.openSum)-1]
-	}
-	var s float64
-	for _, v := range ins.OpenBW {
-		s += v
-	}
-	return s
-}
+// SumOpen returns O = Σ_{i=1..n} b_i (source excluded) in O(1).
+func (ins *Instance) SumOpen() float64 { return ins.openSum[len(ins.openSum)-1] }
 
-// SumGuarded returns G = Σ_{i=n+1..n+m} b_i; O(1) on instances built by
-// NewInstance.
-func (ins *Instance) SumGuarded() float64 {
-	if ins.guardedPre != nil {
-		return ins.guardedPre[len(ins.guardedPre)-1]
-	}
-	var s float64
-	for _, v := range ins.GuardedBW {
-		s += v
-	}
-	return s
-}
+// SumGuarded returns G = Σ_{i=n+1..n+m} b_i in O(1).
+func (ins *Instance) SumGuarded() float64 { return ins.guardedPre[len(ins.guardedPre)-1] }
 
 // OpenPrefix returns S_k = b_0 + b_1 + ... + b_k for k in [0, n]
-// (paper notation from Section III-B). O(1) on instances built by
-// NewInstance (the prefix sums are cached — this accessor sits in the
-// dichotomic search's inner loop).
+// (paper notation from Section III-B) in O(1): the prefix sums are
+// cached, because this accessor sits in the dichotomic search's inner
+// loop.
 func (ins *Instance) OpenPrefix(k int) float64 {
 	if k < 0 || k > ins.N() {
 		panic(fmt.Sprintf("platform: OpenPrefix(%d) out of range [0,%d]", k, ins.N()))
 	}
-	if ins.srcPre != nil {
-		return ins.srcPre[k]
-	}
-	s := ins.B0
-	for i := 0; i < k; i++ {
-		s += ins.OpenBW[i]
-	}
-	return s
+	return ins.srcPre[k]
 }
 
-// GuardedPrefix returns b_{n+1} + ... + b_{n+k} for k in [0, m]; O(1)
-// on instances built by NewInstance.
+// GuardedPrefix returns b_{n+1} + ... + b_{n+k} for k in [0, m] in
+// O(1).
 func (ins *Instance) GuardedPrefix(k int) float64 {
 	if k < 0 || k > ins.M() {
 		panic(fmt.Sprintf("platform: GuardedPrefix(%d) out of range [0,%d]", k, ins.M()))
 	}
-	if ins.guardedPre != nil {
-		return ins.guardedPre[k]
-	}
-	var s float64
-	for i := 0; i < k; i++ {
-		s += ins.GuardedBW[i]
-	}
-	return s
+	return ins.guardedPre[k]
 }
 
 // RatBandwidths returns the bandwidths as exact rationals in paper
@@ -268,18 +247,17 @@ func (ins *Instance) RatBandwidths() []*big.Rat {
 	return rs
 }
 
-// Validate re-checks the invariants (useful after deserialization).
+// Validate re-checks the invariants (useful after deserialization). It
+// reads only the exported fields, so it also checks an instance
+// assembled field by field.
 func (ins *Instance) Validate() error {
-	if math.IsNaN(ins.B0) || math.IsInf(ins.B0, 0) || ins.B0 < 0 {
-		return fmt.Errorf("%w: invalid source bandwidth %v", ErrInvalidInstance, ins.B0)
-	}
-	if ins.B0 <= 0 && ins.Total() > 1 {
-		return fmt.Errorf("%w: source bandwidth must be positive when receivers exist", ErrInvalidInstance)
+	if err := checkSource(ins.B0, ins.N()+ins.M()); err != nil {
+		return err
 	}
 	checkSorted := func(name string, bs []float64) error {
 		for i, v := range bs {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return fmt.Errorf("%w: invalid %s bandwidth %v at rank %d", ErrInvalidInstance, name, v, i)
+			if err := checkBandwidth(name, v); err != nil {
+				return fmt.Errorf("%w at rank %d", err, i)
 			}
 			if i > 0 && bs[i-1] < v {
 				return fmt.Errorf("%w: %s bandwidths not sorted non-increasing at rank %d (%v < %v)", ErrInvalidInstance, name, i, bs[i-1], v)

@@ -153,8 +153,7 @@ func TestValidateDetectsUnsorted(t *testing.T) {
 }
 
 // TestPrefixCacheMatchesSummation: the O(1) cached accessors return
-// bit-identical values to the summation loops they replaced (compared
-// against a cache-less instance assembled field-by-field).
+// bit-identical values to left-to-right summation loops.
 func TestPrefixCacheMatchesSummation(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 50; trial++ {
@@ -167,20 +166,27 @@ func TestPrefixCacheMatchesSummation(t *testing.T) {
 		for i := range guarded {
 			guarded[i] = rng.Float64() * 100
 		}
-		cached := MustInstance(1+rng.Float64()*10, open, guarded)
-		// Same sorted data without caches: the fallback summation path.
-		plain := &Instance{B0: cached.B0, OpenBW: cached.OpenBW, GuardedBW: cached.GuardedBW}
+		ins := MustInstance(1+rng.Float64()*10, open, guarded)
+		src, openSum := ins.B0, 0.0
 		for k := 0; k <= n; k++ {
-			if got, want := cached.OpenPrefix(k), plain.OpenPrefix(k); got != want {
-				t.Fatalf("trial %d: OpenPrefix(%d) cached %v != summed %v", trial, k, got, want)
+			if got := ins.OpenPrefix(k); got != src {
+				t.Fatalf("trial %d: OpenPrefix(%d) cached %v != summed %v", trial, k, got, src)
+			}
+			if k < n {
+				src += ins.OpenBW[k]
+				openSum += ins.OpenBW[k]
 			}
 		}
+		gsum := 0.0
 		for k := 0; k <= m; k++ {
-			if got, want := cached.GuardedPrefix(k), plain.GuardedPrefix(k); got != want {
-				t.Fatalf("trial %d: GuardedPrefix(%d) cached %v != summed %v", trial, k, got, want)
+			if got := ins.GuardedPrefix(k); got != gsum {
+				t.Fatalf("trial %d: GuardedPrefix(%d) cached %v != summed %v", trial, k, got, gsum)
+			}
+			if k < m {
+				gsum += ins.GuardedBW[k]
 			}
 		}
-		if cached.SumOpen() != plain.SumOpen() || cached.SumGuarded() != plain.SumGuarded() {
+		if ins.SumOpen() != openSum || ins.SumGuarded() != gsum {
 			t.Fatalf("trial %d: cached sums diverge from summation", trial)
 		}
 	}

@@ -96,34 +96,17 @@ func (e Event) String() string {
 // members applied so far — traces produced by GenerateTrace never
 // fail).
 func Apply(ins *platform.Instance, ev Event) error {
+	var err error
 	switch ev.Op {
 	case OpArrive:
-		var err error
-		if ev.Class == platform.Open {
-			_, err = ins.AddOpen(ev.BW)
-		} else {
-			_, err = ins.AddGuarded(ev.BW)
-		}
-		return err
+		_, err = ins.Add(ev.Class, ev.BW)
 	case OpDepart:
-		var err error
-		if ev.Class == platform.Open {
-			_, err = ins.RemoveOpen(ev.Rank)
-		} else {
-			_, err = ins.RemoveGuarded(ev.Rank)
-		}
-		return err
+		_, err = ins.Remove(ev.Class, ev.Rank)
 	case OpRescale:
 		if ev.Rank < 0 {
 			return ins.SetSourceBandwidth(ins.B0 * ev.Factor)
 		}
-		var err error
-		if ev.Class == platform.Open {
-			_, err = ins.RescaleOpen(ev.Rank, ev.Factor)
-		} else {
-			_, err = ins.RescaleGuarded(ev.Rank, ev.Factor)
-		}
-		return err
+		_, err = ins.Rescale(ev.Class, ev.Rank, ev.Factor)
 	case OpBurst:
 		for i, sub := range ev.Sub {
 			if sub.Op == OpBurst {
@@ -133,10 +116,10 @@ func Apply(ins *platform.Instance, ev Event) error {
 				return fmt.Errorf("sim: burst member %d: %w", i, err)
 			}
 		}
-		return nil
 	default:
 		return fmt.Errorf("sim: unknown op %v", ev.Op)
 	}
+	return err
 }
 
 // TraceConfig parameterizes a generated churn trace.
@@ -154,15 +137,20 @@ type TraceConfig struct {
 	Events int
 	// Seed drives everything: same config + seed ⇒ identical trace.
 	Seed int64
-	// PArrive, PDepart, PRescale, PBurst weight the event mix; they are
-	// normalized, so only ratios matter. All zero means the default mix
-	// 0.35/0.30/0.25/0.10.
-	PArrive, PDepart, PRescale, PBurst float64
-	// BurstMax caps burst size (members per burst, ≥ 2; default 4).
-	BurstMax int
-	// RescaleMin/RescaleMax bracket rescale factors (default 0.25–4).
-	RescaleMin, RescaleMax float64
 }
+
+// The event mix, burst size and rescale range of every generated
+// trace. The weights are float64 variables, summed at run time in next:
+// as untyped constants their sums would fold exactly at compile time,
+// which can differ in the last bit from the float64 sums the recorded
+// traces were drawn with, and move a draw across a threshold.
+var pArrive, pDepart, pRescale, pBurst = 0.35, 0.30, 0.25, 0.10
+
+const (
+	burstMax   = 4    // members per burst, at most
+	rescaleMin = 0.25 // rescale factors are drawn from [rescaleMin, rescaleMax)
+	rescaleMax = 4
+)
 
 // withDefaults fills zero fields.
 func (c TraceConfig) withDefaults() TraceConfig {
@@ -177,18 +165,6 @@ func (c TraceConfig) withDefaults() TraceConfig {
 	}
 	if c.Events == 0 {
 		c.Events = 30
-	}
-	if c.PArrive == 0 && c.PDepart == 0 && c.PRescale == 0 && c.PBurst == 0 {
-		c.PArrive, c.PDepart, c.PRescale, c.PBurst = 0.35, 0.30, 0.25, 0.10
-	}
-	if c.BurstMax < 2 {
-		c.BurstMax = 4
-	}
-	if c.RescaleMin == 0 {
-		c.RescaleMin = 0.25
-	}
-	if c.RescaleMax == 0 {
-		c.RescaleMax = 4
 	}
 	return c
 }
@@ -243,14 +219,13 @@ type traceGen struct {
 }
 
 func (g *traceGen) next() Event {
-	total := g.cfg.PArrive + g.cfg.PDepart + g.cfg.PRescale + g.cfg.PBurst
-	x := g.rng.Float64() * total
+	x := g.rng.Float64() * (pArrive + pDepart + pRescale + pBurst)
 	switch {
-	case x < g.cfg.PArrive:
+	case x < pArrive:
 		return g.arrive()
-	case x < g.cfg.PArrive+g.cfg.PDepart:
+	case x < pArrive+pDepart:
 		return g.depart()
-	case x < g.cfg.PArrive+g.cfg.PDepart+g.cfg.PRescale:
+	case x < pArrive+pDepart+pRescale:
 		return g.rescale()
 	default:
 		return g.burst()
@@ -273,10 +248,7 @@ func (g *traceGen) depart() Event {
 	if n+m <= 2 {
 		return g.arrive()
 	}
-	removableOpen := n - 1 // never the last open node
-	if removableOpen < 0 {
-		removableOpen = 0
-	}
+	removableOpen := max(n-1, 0) // never the last open node
 	pick := g.rng.Intn(removableOpen + m)
 	if pick < removableOpen {
 		return Event{Op: OpDepart, Class: platform.Open, Rank: g.rng.Intn(n)}
@@ -285,7 +257,7 @@ func (g *traceGen) depart() Event {
 }
 
 func (g *traceGen) rescale() Event {
-	factor := g.cfg.RescaleMin + g.rng.Float64()*(g.cfg.RescaleMax-g.cfg.RescaleMin)
+	factor := rescaleMin + g.rng.Float64()*(rescaleMax-rescaleMin)
 	n, m := g.scratch.N(), g.scratch.M()
 	// The source rescales with probability ~15% — bandwidth churn hits
 	// the root too, and T* tracks it immediately.
@@ -299,10 +271,10 @@ func (g *traceGen) rescale() Event {
 	return Event{Op: OpRescale, Class: platform.Guarded, Rank: pick - n, Factor: factor}
 }
 
-// burst draws 2..BurstMax arrivals/departures, validating each member
+// burst draws 2..burstMax arrivals/departures, validating each member
 // against a scratch clone so the whole batch applies atomically.
 func (g *traceGen) burst() Event {
-	k := 2 + g.rng.Intn(g.cfg.BurstMax-1)
+	k := 2 + g.rng.Intn(burstMax-1)
 	sub := make([]Event, 0, k)
 	probe := g.scratch.Clone()
 	saved := g.scratch
