@@ -45,9 +45,10 @@
 //	bmpcast store stats|compact|verify -dir <dir>
 //	    Inspect, compact or integrity-check a `serve -store` plan-store
 //	    directory offline: stats prints entry/byte counts and health
-//	    flags, compact rewrites the log dropping undecodable records,
-//	    verify rescans every record's framing, checksums and documents
-//	    (non-zero exit on any problem).
+//	    flags, compact rewrites the log dropping skipped records, verify
+//	    lists every record the open truncated or skipped (framing,
+//	    checksum, content address, document decode, repeated address)
+//	    and exits non-zero when there is one.
 //
 //	bmpcast loadgen -addr http://h1:8080[,http://h2:8081,...] [-rps 50] [-duration 10s] [-seed 1] [-pjob 0.15] [-hedge-after 0] [-format text|bench]
 //	    Replay a seeded trace of mixed solve/job/stream traffic against
@@ -231,55 +232,30 @@ func cmdSolve(args []string, stdout io.Writer) error {
 		if !*wireOut {
 			return fmt.Errorf("solve: -remote requires -wire (remote plans are wire documents)")
 		}
-		return solveWireRemote(stdout, ins, *solverName, *remote)
+		c, err := newSDKClient(*remote, 0)
+		if err != nil {
+			return err
+		}
+		return solveWire(stdout, ins, *solverName, c.SolveRaw)
 	}
 	if *wireOut {
-		return solveWire(stdout, ins, *solverName)
+		return solveWire(stdout, ins, *solverName, solveLocalWire)
 	}
 	return solve(stdout, ins, *solverName, *cyclic, *verbose)
 }
 
 // solveWire answers like `POST /v1/solve` on stdout: one canonical
-// wire.Plan document (with a tree decomposition when the scheme is
-// acyclic), byte-identical across runs.
-func solveWire(out io.Writer, ins *platform.Instance, solverName string) error {
-	req := engine.NewRequest(ins, engine.WithSolver(solverName), engine.WithTolerance(1e-9))
-	plan, err := engine.Execute(context.Background(), req)
-	if err != nil {
-		return err
-	}
-	if plan.Scheme != nil && plan.Scheme.IsAcyclic() {
-		// Attach the decomposition now that we know it is acyclic
-		// (WithTrees up front would fail the request on cyclic solvers).
-		if plan.Trees, err = trees.Decompose(context.Background(), plan.Scheme, plan.Throughput); err != nil {
-			return err
-		}
-	}
-	data, err := wire.EncodePlan(plan)
-	if err != nil {
-		return err
-	}
-	_, err = out.Write(data)
-	return err
-}
-
-// solveWireRemote answers like solveWire but routes the request
-// through the Go SDK to a running daemon, emitting the service's
-// canonical plan document verbatim — byte-identical to the local
-// `solve -wire` output for the same instance and solver. It first asks
-// for a tree decomposition; if that is infeasible (scheme-less or
-// cyclic solver), it retries plain, mirroring solveWire's
-// attach-if-acyclic behavior.
-func solveWireRemote(out io.Writer, ins *platform.Instance, solverName, url string) error {
+// wire.Plan document, byte-identical across runs and between a local
+// solve and a -remote one. It first asks for a tree decomposition; if
+// that is infeasible (a scheme-less or cyclic solver), it asks again
+// without one.
+func solveWire(out io.Writer, ins *platform.Instance, solverName string,
+	solve func(context.Context, engine.Request) ([]byte, error)) error {
 	ctx := context.Background()
-	c, err := newSDKClient(url, 0)
-	if err != nil {
-		return err
-	}
-	raw, err := c.SolveRaw(ctx, engine.NewRequest(ins,
+	raw, err := solve(ctx, engine.NewRequest(ins,
 		engine.WithSolver(solverName), engine.WithTolerance(1e-9), engine.WithTrees()))
 	if errors.Is(err, engine.ErrInfeasible) {
-		raw, err = c.SolveRaw(ctx, engine.NewRequest(ins,
+		raw, err = solve(ctx, engine.NewRequest(ins,
 			engine.WithSolver(solverName), engine.WithTolerance(1e-9)))
 	}
 	if err != nil {
@@ -287,6 +263,15 @@ func solveWireRemote(out io.Writer, ins *platform.Instance, solverName, url stri
 	}
 	_, err = out.Write(raw)
 	return err
+}
+
+// solveLocalWire solves req in process and renders the plan document.
+func solveLocalWire(ctx context.Context, req engine.Request) ([]byte, error) {
+	plan, err := engine.Execute(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return wire.EncodePlan(plan)
 }
 
 func solve(out io.Writer, ins *platform.Instance, solverName string, cyclic, verbose bool) error {

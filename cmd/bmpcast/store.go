@@ -12,13 +12,15 @@ import (
 //
 //	bmpcast store stats   -dir <dir>   entry/byte counts and health flags
 //	bmpcast store compact -dir <dir>   rewrite the log, dropping skipped records
-//	bmpcast store verify  -dir <dir>   full rescan: framing, checksums, documents
+//	bmpcast store verify  -dir <dir>   what the open truncated or skipped
 //
 // The directory is the one `bmpcast serve -store` writes. All three
 // open the store the same way the daemon does — a torn tail left by a
-// crash is truncated away and reported, never fatal. verify exits
-// non-zero when any record fails its checks, so it slots into CI and
-// cron health checks as-is.
+// crash is truncated away and reported, never fatal. verify prints one
+// problem line per record that open truncated or skipped and exits
+// non-zero when there is one, so it slots into CI and cron health
+// checks as-is. The open has already cut a torn tail by then, so a
+// second verify passes; skipped records stay until compact.
 func cmdStore(args []string, stdout io.Writer) error {
 	if len(args) < 1 {
 		return fmt.Errorf("store: expected one of stats|compact|verify")
@@ -78,15 +80,12 @@ func storeCompact(stdout io.Writer, s *planstore.Store) error {
 }
 
 func storeVerify(stdout io.Writer, s *planstore.Store) error {
-	rep, err := s.Verify()
-	if err != nil {
-		return fmt.Errorf("store verify: %w", err)
-	}
-	fmt.Fprintf(stdout, "verified %d records / %d bytes\n", rep.Records, rep.Bytes)
-	for _, p := range rep.Problems {
+	st := s.Stats()
+	fmt.Fprintf(stdout, "verified %d records / %d bytes\n", st.Entries, st.Bytes)
+	for _, p := range st.Problems {
 		fmt.Fprintf(stdout, "problem: %s\n", p)
 	}
-	if n := len(rep.Problems); n > 0 {
+	if n := len(st.Problems); n > 0 {
 		return fmt.Errorf("store verify: %d problem(s) found", n)
 	}
 	fmt.Fprintln(stdout, "ok")

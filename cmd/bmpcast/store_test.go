@@ -73,26 +73,39 @@ func TestStoreStatsVerifyCompact(t *testing.T) {
 	}
 }
 
-// TestStoreVerifyFailsOnCorruption: verify must exit non-zero when a
-// record's payload was tampered with — the CI health-check contract.
+// TestStoreVerifyFailsOnCorruption: verify must exit non-zero and name
+// the record when the log was tampered with or torn — the CI
+// health-check contract.
 func TestStoreVerifyFailsOnCorruption(t *testing.T) {
-	dir := seedStore(t)
-	logPath := filepath.Join(dir, "plans.log")
-	data, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		damage func([]byte) []byte
+		want   string
+	}{
+		{"flipped bit", func(data []byte) []byte {
+			data[len(data)-2] ^= 0x40 // inside the plan document
+			return data
+		}, "plan checksum"},
+		{"torn tail", func(data []byte) []byte { return data[:len(data)-5] }, "truncated record"},
 	}
-	data[len(data)-2] ^= 0x40 // flip a bit inside the plan document
-	if err := os.WriteFile(logPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Opening truncates the now-corrupt record away and says so.
-	out, _, code := runCLI(t, "store", "stats", "-dir", dir)
-	if code != 0 {
-		t.Fatalf("stats exit %d on a recovered store:\n%s", code, out)
-	}
-	if !strings.Contains(out, "entries   0") || !strings.Contains(out, "truncated 1") {
-		t.Errorf("stats after corruption:\n%s", out)
+	for _, c := range cases {
+		dir := seedStore(t)
+		logPath := filepath.Join(dir, "plans.log")
+		data, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(logPath, c.damage(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, errOut, code := runCLI(t, "store", "verify", "-dir", dir)
+		if code == 0 || strings.HasSuffix(out, "ok\n") {
+			t.Errorf("%s: verify exit %d:\n%s", c.name, code, out)
+		}
+		if !strings.Contains(out, "problem: offset 0: ") || !strings.Contains(out, c.want) ||
+			!strings.Contains(out, " bytes truncated)") || !strings.Contains(errOut, "1 problem(s)") {
+			t.Errorf("%s: verify output does not name the record:\n%s%s", c.name, out, errOut)
+		}
 	}
 }
 

@@ -106,9 +106,6 @@ func Normalize(endpoint string) string {
 // mutate).
 func (r *Ring) Members() []string { return r.members }
 
-// Size reports the number of members.
-func (r *Ring) Size() int { return len(r.members) }
-
 // Contains reports whether member is on the ring.
 func (r *Ring) Contains(member string) bool {
 	i := sort.SearchStrings(r.members, member)

@@ -24,7 +24,6 @@ import (
 	"repro/internal/distribution"
 	"repro/internal/engine"
 	"repro/internal/generator"
-	"repro/internal/platform"
 	"repro/internal/stats"
 )
 
@@ -320,27 +319,4 @@ func WorstCaseReport() (string, error) {
 		fmt.Fprintf(&sb, "  k=%d (n=%d, m=%d): T* = 1, T*_ac = %.6f\n", k, fam.N(), fam.M(), tacK)
 	}
 	return sb.String(), nil
-}
-
-// RatioForInstance bundles the three throughput figures for one instance
-// (used by the CLI).
-type RatioForInstance struct {
-	CyclicOpt   float64
-	AcyclicOpt  float64
-	AcyclicWord core.Word
-	Ratio       float64
-}
-
-// Ratios computes cyclic and acyclic optima for an instance.
-func Ratios(ins *platform.Instance) (RatioForInstance, error) {
-	tstar := core.OptimalCyclicThroughput(ins)
-	tac, w, err := core.OptimalAcyclicThroughput(ins, nil)
-	if err != nil {
-		return RatioForInstance{}, err
-	}
-	r := RatioForInstance{CyclicOpt: tstar, AcyclicOpt: tac, AcyclicWord: w}
-	if tstar > 0 {
-		r.Ratio = tac / tstar
-	}
-	return r, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distribution"
-	"repro/internal/generator"
 )
 
 func TestTableIText(t *testing.T) {
@@ -173,18 +172,5 @@ func TestWorstCaseReport(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q:\n%s", want, text)
 		}
-	}
-}
-
-func TestRatios(t *testing.T) {
-	r, err := Ratios(generator.Figure1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.CyclicOpt-4.4) > 1e-9 || math.Abs(r.AcyclicOpt-4) > 1e-9 {
-		t.Fatalf("Figure 1 ratios wrong: %+v", r)
-	}
-	if math.Abs(r.Ratio-4/4.4) > 1e-9 {
-		t.Fatalf("ratio = %v", r.Ratio)
 	}
 }

@@ -212,11 +212,3 @@ func Figure6(m int) (*platform.Instance, error) {
 	}
 	return platform.NewInstance(1, []float64{float64(m - 1)}, repeat(1/float64(m), m))
 }
-
-// HomogeneousRandom builds an instance with `total` nodes of identical
-// bandwidth bw, each open with probability pOpen, and a tight source.
-// Used by ablation benchmarks to separate heterogeneity effects from
-// connectivity effects.
-func HomogeneousRandom(bw float64, total int, pOpen float64, rng *rand.Rand) (*platform.Instance, error) {
-	return Random(distribution.Homogeneous{Value: bw}, total, pOpen, rng)
-}

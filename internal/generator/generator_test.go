@@ -270,16 +270,3 @@ func TestFigure6Generator(t *testing.T) {
 		t.Error("expected error for m < 2")
 	}
 }
-
-func TestHomogeneousRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ins, err := HomogeneousRandom(10, 20, 0.5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= ins.N()+ins.M(); i++ {
-		if ins.Bandwidth(i) != 10 {
-			t.Fatalf("node %d bandwidth %v, want 10", i, ins.Bandwidth(i))
-		}
-	}
-}

@@ -65,7 +65,6 @@ func TestStoreRecoversFromInjectedTornAppends(t *testing.T) {
 
 	// …and across reopen, where recovery may also drop a torn tail.
 	s2 := openStore(t, dir)
-	defer s2.Close()
 	for _, r := range kept {
 		got, ok := s2.Rendered(r.key)
 		if !ok || !bytes.Equal(got, r.planDoc) {
@@ -87,8 +86,8 @@ func TestStoreRecoversFromInjectedTornAppends(t *testing.T) {
 			t.Fatalf("re-persisted record %d not served back", r.req)
 		}
 	}
-	if rep, err := s2.Verify(); err != nil || len(rep.Problems) != 0 {
-		t.Fatalf("Verify after healing: report %+v, err %v", rep, err)
+	if p := reopenProblems(t, s2, dir); len(p) != 0 {
+		t.Fatalf("problems after healing: %q", p)
 	}
 }
 

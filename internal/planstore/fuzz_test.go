@@ -54,26 +54,3 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeIndex pins the same contract for the advisory index: valid
-// document or ErrCorrupt, never a panic.
-func FuzzDecodeIndex(f *testing.F) {
-	f.Add(encodeIndex(3, 4096))
-	f.Add(encodeIndex(0, 0))
-	f.Add([]byte(`{"v":1,"records":-1,"bytes":2}`))
-	f.Add([]byte(`{"v":9}`))
-	f.Add([]byte(`garbage`))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := decodeIndex(data)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("untyped index decode error: %v", err)
-			}
-			return
-		}
-		if idx.V != recordVersion || idx.Records < 0 || idx.Bytes < 0 {
-			t.Fatalf("decodeIndex accepted invalid document: %+v", idx)
-		}
-	})
-}

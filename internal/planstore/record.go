@@ -7,22 +7,21 @@
 // signatures that drops each record as soon as it cannot beat the best
 // so far; the signatures are rebuilt when the log is replayed on open.
 //
-// On-disk layout, one directory per store:
+// On disk a store is one directory holding one file:
 //
 //	plans.log   append-only records, each a one-line JSON header
 //	            followed by the raw canonical request and plan
 //	            documents (the wire codec is the only format, on disk
 //	            as on the network)
-//	index.json  advisory summary {"v":1,"records":N,"bytes":B} written
-//	            on open/close/compact; the log is the truth and a
-//	            stale index only marks the store for inspection
 //
 // A record's key is the SHA-256 of its request document — the same
 // address engine.Cache uses — so the store is content-addressed end to
 // end: decode re-checks the hash, and a served document is provably
 // the one that was stored. Torn tails from a crash mid-append are
 // detected by the framing (length prefixes + checksum) and truncated
-// away on open; everything before the tear stays served.
+// away on open; everything before the tear stays served. Open's replay
+// is the only reader of the log, and Stats.Problems keeps what it
+// truncated or skipped.
 package planstore
 
 import (
@@ -164,34 +163,4 @@ func decodeRecord(data []byte) (key [sha256.Size]byte, reqDoc, planDoc []byte, n
 	}
 	copy(key[:], keyBytes)
 	return key, reqDoc, planDoc, n, nil
-}
-
-// indexDoc is the advisory index.json summary.
-type indexDoc struct {
-	V       int   `json:"v"`
-	Records int   `json:"records"`
-	Bytes   int64 `json:"bytes"`
-}
-
-// encodeIndex renders the advisory index document.
-func encodeIndex(records int, bytes int64) []byte {
-	out, _ := json.Marshal(indexDoc{V: recordVersion, Records: records, Bytes: bytes})
-	return append(out, '\n')
-}
-
-// decodeIndex parses index.json. Like decodeRecord it never panics and
-// wraps every failure in ErrCorrupt (an index has no tail to tear — it
-// is replaced atomically).
-func decodeIndex(data []byte) (indexDoc, error) {
-	var idx indexDoc
-	if err := json.Unmarshal(data, &idx); err != nil {
-		return indexDoc{}, fmt.Errorf("%w: index: %v", ErrCorrupt, err)
-	}
-	if idx.V != recordVersion {
-		return indexDoc{}, fmt.Errorf("%w: index version %d", ErrCorrupt, idx.V)
-	}
-	if idx.Records < 0 || idx.Bytes < 0 {
-		return indexDoc{}, fmt.Errorf("%w: negative index counts", ErrCorrupt)
-	}
-	return idx, nil
 }

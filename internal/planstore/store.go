@@ -23,10 +23,7 @@ import (
 // burst without admitting unrelated instances.
 const DefaultEditBudget = 4
 
-const (
-	logName   = "plans.log"
-	indexName = "index.json"
-)
+const logName = "plans.log"
 
 // Config tunes a Store.
 type Config struct {
@@ -35,8 +32,8 @@ type Config struct {
 }
 
 // Stats is a snapshot of a store's counters. Entries/Bytes are current
-// sizes; the hit counters only grow; Truncated and Skipped describe
-// what the last Open had to drop.
+// sizes; the hit counters only grow; Truncated, Skipped and Problems
+// describe what Open had to drop.
 type Stats struct {
 	// Entries is the number of stored plans.
 	Entries int
@@ -52,13 +49,15 @@ type Stats struct {
 	// Truncated counts torn tails dropped by Open (0 or 1: the log is
 	// append-only, so at most its end can tear).
 	Truncated int
-	// Skipped counts structurally valid records Open could not decode
-	// as wire documents (e.g. written by a future version) — kept out
-	// of the indexes, removed by Compact.
+	// Skipped counts structurally valid records left out of the
+	// indexes: documents that do not decode as wire documents (e.g.
+	// written by a future version) and repeated addresses. Compact
+	// removes them from the log.
 	Skipped int
-	// IndexStale reports that index.json disagreed with the log at
-	// Open (e.g. the previous process died before rewriting it).
-	IndexStale bool
+	// Problems has one line per record Open truncated or skipped, in
+	// log order; nil for a clean log. Open sets it and nothing changes
+	// it afterwards, so the slice is shared.
+	Problems []string
 }
 
 // recordRef locates one record inside the log.
@@ -96,9 +95,9 @@ type Store struct {
 	// optIDs interns optsKey, so a Neighbor scan compares integers.
 	optIDs map[string]int32
 
-	truncated  int
-	skipped    int
-	indexStale bool
+	truncated int
+	skipped   int
+	problems  []string // set by Open only
 
 	diskHits  atomic.Int64
 	warmHits  atomic.Int64
@@ -109,7 +108,9 @@ type Store struct {
 // tail: the first frame that does not decode ends the log, everything
 // after it is truncated away, and everything before it is served. A
 // re-solve of the dropped request re-persists it — crash consistency
-// by replay, not by fsync.
+// by replay, not by fsync. The replay is the only reader of the log:
+// each record it truncates or skips becomes one line of
+// Stats.Problems, which `bmpcast store verify` reports.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("planstore: empty directory")
@@ -141,12 +142,15 @@ func Open(cfg Config) (*Store, error) {
 			// Torn tail (or tampering): the log ends here. Drop the
 			// unreachable remainder so the next append starts clean.
 			s.truncated++
+			s.problems = append(s.problems, fmt.Sprintf("offset %d: %v (%d bytes truncated)", off, err, int64(len(data))-off))
 			break
 		}
-		s.addLocked(key, recordRef{
+		if err := s.addLocked(key, recordRef{
 			off: off, n: n,
 			planOff: off + int64(n-len(planDoc)), planLen: len(planDoc),
-		}, reqDoc, planDoc, nil, nil)
+		}, reqDoc, planDoc, nil, nil); err != nil {
+			s.problems = append(s.problems, fmt.Sprintf("offset %d (%x): %v", off, key[:4], err))
+		}
 		off += int64(n)
 	}
 	s.size = off
@@ -160,27 +164,21 @@ func Open(cfg Config) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("planstore: %w", err)
 	}
-	idxData, idxErr := os.ReadFile(filepath.Join(cfg.Dir, indexName))
-	if idxErr != nil {
-		s.indexStale = !os.IsNotExist(idxErr) || len(s.refs) > 0
-	} else if idx, err := decodeIndex(idxData); err != nil || idx.Records != len(s.refs) || idx.Bytes != s.size {
-		s.indexStale = true
-	}
-	s.writeIndexLocked()
 	return s, nil
 }
 
-// addLocked indexes one decoded record. Records whose documents do not
-// decode as wire documents are counted and skipped — they would never
-// match a live request's address anyway. A non-nil reqHint is trusted
-// as the decoded form of reqDoc and a non-nil word as the plan's
-// encoding word (the solve path just produced all four), skipping the
-// JSON re-parses; the Open replay path passes neither and decodes +
-// validates both documents here.
-func (s *Store) addLocked(key [sha256.Size]byte, ref recordRef, reqDoc, planDoc []byte, reqHint *engine.Request, word core.Word) {
-	if _, dup := s.refs[key]; dup {
+// addLocked indexes one decoded record. A record whose address repeats
+// an indexed one, or whose documents do not decode as wire documents,
+// is counted as skipped and left out — it would never match a live
+// request's address anyway — and the returned error says why. A
+// non-nil reqHint is trusted as the decoded form of reqDoc and a
+// non-nil word as the plan's encoding word (the solve path just
+// produced all four), skipping the JSON re-parses; the Open replay
+// path passes neither and decodes + validates both documents here.
+func (s *Store) addLocked(key [sha256.Size]byte, ref recordRef, reqDoc, planDoc []byte, reqHint *engine.Request, word core.Word) error {
+	if prev, dup := s.refs[key]; dup {
 		s.skipped++
-		return
+		return fmt.Errorf("address repeats the record at offset %d", prev.off)
 	}
 	var req engine.Request
 	if reqHint != nil {
@@ -189,14 +187,14 @@ func (s *Store) addLocked(key [sha256.Size]byte, ref recordRef, reqDoc, planDoc 
 		var err error
 		if req, err = wire.DecodeRequest(reqDoc); err != nil {
 			s.skipped++
-			return
+			return fmt.Errorf("request document: %w", err)
 		}
 	}
 	if word == nil {
 		plan, err := wire.DecodePlan(planDoc)
 		if err != nil {
 			s.skipped++
-			return
+			return fmt.Errorf("plan document: %w", err)
 		}
 		if plan.Word != "" {
 			if w, err := core.ParseWord(plan.Word); err == nil {
@@ -207,7 +205,7 @@ func (s *Store) addLocked(key [sha256.Size]byte, ref recordRef, reqDoc, planDoc 
 	s.refs[key] = ref
 	s.order = append(s.order, key)
 	if len(word) == 0 || req.Instance == nil {
-		return // valid record, but wordless plans cannot seed a repair
+		return nil // valid record, but wordless plans cannot seed a repair
 	}
 	opts := optsKey(req)
 	id, ok := s.optIDs[opts]
@@ -223,6 +221,7 @@ func (s *Store) addLocked(key [sha256.Size]byte, ref recordRef, reqDoc, planDoc 
 	copy(bw, ins.OpenBW)
 	copy(bw[n:], ins.GuardedBW)
 	s.sigs = append(s.sigs, sig{opts: id, b0: ins.B0, open: bw[:n:n], guarded: bw[n:], word: word})
+	return nil
 }
 
 // Rendered implements engine.PlanStore: the stored canonical plan
@@ -399,7 +398,8 @@ func (s *Store) Persist(req engine.Request, reqDoc, planDoc []byte, word core.Wo
 	if f, ok := chaos.Hit(chaos.StoreAppend); ok {
 		// Simulated crash mid-append: a prefix of the frame lands on
 		// disk, then the "process dies" before the rollback or the
-		// index update — exactly the torn state Open's recovery heals.
+		// in-memory update — exactly the torn state Open's recovery
+		// heals.
 		// In-memory size/refs stay at the pre-append state, so a later
 		// successful append overwrites the garbage from the same
 		// offset, and a reopen truncates any surviving tail.
@@ -445,11 +445,11 @@ func (s *Store) NoteWarmStart(held bool) {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{
-		Entries:    len(s.refs),
-		Bytes:      s.size,
-		Truncated:  s.truncated,
-		Skipped:    s.skipped,
-		IndexStale: s.indexStale,
+		Entries:   len(s.refs),
+		Bytes:     s.size,
+		Truncated: s.truncated,
+		Skipped:   s.skipped,
+		Problems:  s.problems,
 	}
 	s.mu.Unlock()
 	st.DiskHits = s.diskHits.Load()
@@ -458,26 +458,16 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// writeIndexLocked atomically replaces index.json. Callers hold s.mu.
-func (s *Store) writeIndexLocked() {
-	tmp := filepath.Join(s.dir, indexName+".tmp")
-	if err := os.WriteFile(tmp, encodeIndex(len(s.refs), s.size), 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, filepath.Join(s.dir, indexName))
-}
-
-// Close rewrites the index and closes the log.
+// Close closes the log.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.writeIndexLocked()
 	return s.f.Close()
 }
 
-// Compact rewrites the log keeping only live, decodable records (in
-// their original order, so neighbor tie-breaks are stable), dropping
-// skipped ones, and reports how many bytes it reclaimed. The rewrite
+// Compact rewrites the log keeping only indexed records (in their
+// original order, so neighbor tie-breaks are stable), dropping skipped
+// ones, and reports how many bytes it reclaimed. The rewrite
 // is atomic: a crash mid-compaction leaves either the old or the new
 // log.
 func (s *Store) Compact() (reclaimed int64, err error) {
@@ -535,60 +525,5 @@ func (s *Store) Compact() (reclaimed int64, err error) {
 	s.f, s.size, s.refs = f, off, newRefs
 	s.skipped = 0
 	_ = old.Close()
-	s.writeIndexLocked()
 	return reclaimed, nil
-}
-
-// VerifyReport is the outcome of a full store scan.
-type VerifyReport struct {
-	// Records and Bytes describe the verified prefix of the log.
-	Records int
-	Bytes   int64
-	// Problems lists everything wrong, one human-readable line each
-	// (empty = clean). A truncated tail, an undecodable document, a
-	// stale index all land here.
-	Problems []string
-}
-
-// Verify re-reads the whole log from disk, re-checking every frame,
-// content address, checksum, and document decode, plus the advisory
-// index — the `bmpcast store verify` command.
-func (s *Store) Verify() (VerifyReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var rep VerifyReport
-	data, err := os.ReadFile(filepath.Join(s.dir, logName))
-	if err != nil {
-		return rep, fmt.Errorf("planstore: verify: %w", err)
-	}
-	var off int64
-	for int(off) < len(data) {
-		key, reqDoc, planDoc, n, err := decodeRecord(data[off:])
-		if err != nil {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("offset %d: %v", off, err))
-			break
-		}
-		if _, err := wire.DecodeRequest(reqDoc); err != nil {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("offset %d (%x): request document: %v", off, key[:4], err))
-		} else if _, err := wire.DecodePlan(planDoc); err != nil {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("offset %d (%x): plan document: %v", off, key[:4], err))
-		} else {
-			rep.Records++
-		}
-		off += int64(n)
-	}
-	rep.Bytes = off
-	// The index is a checkpoint (rewritten on open/close/compact, not
-	// per append), so lagging the log is normal. Claiming MORE than the
-	// log holds is not — that means log data went missing.
-	idxData, err := os.ReadFile(filepath.Join(s.dir, indexName))
-	if err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("index: %v", err))
-	} else if idx, err := decodeIndex(idxData); err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("index: %v", err))
-	} else if idx.Records > rep.Records || idx.Bytes > rep.Bytes {
-		rep.Problems = append(rep.Problems,
-			fmt.Sprintf("index says %d records / %d bytes, log has only %d / %d", idx.Records, idx.Bytes, rep.Records, rep.Bytes))
-	}
-	return rep, nil
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -63,6 +65,18 @@ func openStore(t *testing.T, dir string) *Store {
 	return s
 }
 
+// reopenProblems closes s and returns what a fresh Open of dir finds
+// wrong with the log: the lines `bmpcast store verify` prints.
+func reopenProblems(t *testing.T, s *Store, dir string) []string {
+	t.Helper()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openStore(t, dir)
+	defer s.Close()
+	return s.Stats().Problems
+}
+
 func TestStoreRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
@@ -95,12 +109,12 @@ func TestStoreRoundTripAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: every document must round-trip byte-identical, the index
-	// must be fresh, nothing truncated.
+	// Reopen: every document must round-trip byte-identical, nothing
+	// truncated, skipped or reported.
 	s2 := openStore(t, dir)
 	defer s2.Close()
 	st = s2.Stats()
-	if st.Entries != 3 || st.Truncated != 0 || st.Skipped != 0 || st.IndexStale {
+	if st.Entries != 3 || st.Truncated != 0 || st.Skipped != 0 || len(st.Problems) != 0 {
 		t.Fatalf("stats after reopen: %+v", st)
 	}
 	for i, r := range recs {
@@ -108,10 +122,6 @@ func TestStoreRoundTripAcrossReopen(t *testing.T) {
 		if !ok || !bytes.Equal(out, r.planDoc) {
 			t.Fatalf("record %d after reopen: ok=%v, byte-identity broken", i, ok)
 		}
-	}
-	rep, err := s2.Verify()
-	if err != nil || len(rep.Problems) != 0 || rep.Records != 3 {
-		t.Fatalf("verify: %+v err=%v", rep, err)
 	}
 }
 
@@ -125,7 +135,9 @@ func TestStoreCrashConsistency(t *testing.T) {
 	var lastReq, lastPlan []byte
 	var lastR engine.Request
 	var keys [][sha256.Size]byte
+	var lastOff int64 // where the third record starts
 	for _, b0 := range []float64{6, 7, 8} {
+		lastOff = s.Stats().Bytes
 		lastR = fig1Request(b0)
 		reqDoc, planDoc := persistDocs(t, s, lastR)
 		lastReq, lastPlan = reqDoc, planDoc
@@ -155,8 +167,10 @@ func TestStoreCrashConsistency(t *testing.T) {
 		if st.Entries != 2 || st.Truncated != 1 {
 			t.Fatalf("cut %d: stats %+v, want 2 entries / 1 truncated", cut, st)
 		}
-		if !st.IndexStale {
-			t.Fatalf("cut %d: index claimed fresh over a torn log", cut)
+		head := fmt.Sprintf("offset %d: %v: ", lastOff, ErrTruncated)
+		tail := fmt.Sprintf("(%d bytes truncated)", full-cut-lastOff)
+		if len(st.Problems) != 1 || !strings.HasPrefix(st.Problems[0], head) || !strings.HasSuffix(st.Problems[0], tail) {
+			t.Fatalf("cut %d: problems %q, want one %q…%q", cut, st.Problems, head, tail)
 		}
 		for i := 0; i < 2; i++ {
 			if _, ok := s.Rendered(keys[i]); !ok {
@@ -172,12 +186,9 @@ func TestStoreCrashConsistency(t *testing.T) {
 		if !ok || !bytes.Equal(out, lastPlan) {
 			t.Fatalf("cut %d: re-persist after crash failed", cut)
 		}
-		if rep, err := s.Verify(); err != nil || len(rep.Problems) != 0 {
-			t.Fatalf("cut %d: verify after recovery: %+v err=%v", cut, rep, err)
-		}
 		full = s.Stats().Bytes
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
+		if p := reopenProblems(t, s, dir); len(p) != 0 {
+			t.Fatalf("cut %d: problems after recovery: %q", cut, p)
 		}
 	}
 }
@@ -242,65 +253,102 @@ func TestStoreCompactDropsSkippedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	logPath := filepath.Join(dir, logName)
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Append a structurally valid record whose documents are not wire
-	// documents — a future version's record, say. Open skips it.
+	// documents — a future version's record, say — and a second copy of
+	// the whole log, whose addresses repeat. Open skips all three.
 	junk, err := encodeRecord([]byte(`{"v":99}`), []byte(`{"v":99}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	waste := append(append([]byte{}, junk...), data...)
+	if err := os.WriteFile(logPath, append(data, waste...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(junk); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	s = openStore(t, dir)
-	defer s.Close()
 	st := s.Stats()
-	if st.Entries != 2 || st.Skipped != 1 {
+	if st.Entries != 2 || st.Skipped != 3 {
 		t.Fatalf("stats with junk record: %+v", st)
+	}
+	junkOff, copyOff := len(data), len(data)+len(junk)
+	junkKey := sha256.Sum256([]byte(`{"v":99}`))
+	wants := []string{
+		fmt.Sprintf("offset %d (%x): request document: ", junkOff, junkKey[:4]),
+		fmt.Sprintf("offset %d (%x): address repeats the record at offset 0", copyOff, key0[:4]),
+		"address repeats the record at offset ",
+	}
+	if len(st.Problems) != len(wants) {
+		t.Fatalf("problems %q, want %d", st.Problems, len(wants))
+	}
+	for i, want := range wants {
+		if !strings.Contains(st.Problems[i], want) {
+			t.Errorf("problem %d = %q, want it to contain %q", i, st.Problems[i], want)
+		}
 	}
 	before := st.Bytes
 	reclaimed, err := s.Compact()
-	if err != nil || reclaimed != int64(len(junk)) {
-		t.Fatalf("compact reclaimed %d (err=%v), want %d", reclaimed, err, len(junk))
+	if err != nil || reclaimed != int64(len(waste)) {
+		t.Fatalf("compact reclaimed %d (err=%v), want %d", reclaimed, err, len(waste))
 	}
 	st = s.Stats()
-	if st.Entries != 2 || st.Skipped != 0 || st.Bytes != before-int64(len(junk)) {
+	if st.Entries != 2 || st.Skipped != 0 || st.Bytes != before-int64(len(waste)) {
 		t.Fatalf("stats after compact: %+v", st)
 	}
 	out, ok := s.Rendered(key0)
 	if !ok || !bytes.Equal(out, plan0) {
 		t.Fatal("compact broke byte-identity of surviving records")
 	}
-	if rep, err := s.Verify(); err != nil || len(rep.Problems) != 0 || rep.Records != 2 {
-		t.Fatalf("verify after compact: %+v err=%v", rep, err)
+	if p := reopenProblems(t, s, dir); len(p) != 0 {
+		t.Fatalf("problems after compact: %q", p)
 	}
 }
 
+// TestStoreVerifyFlagsCorruption: one flipped bit in a plan document
+// ends the log at that record. Open serves the records before it,
+// truncates the rest, and names the record in Stats.Problems — the
+// line `bmpcast store verify` prints.
 func TestStoreVerifyFlagsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir)
-	persistDocs(t, s, fig1Request(6))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	logPath := filepath.Join(dir, logName)
-	data, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-2] ^= 0x40 // flip a bit inside the plan document
-	if err := os.WriteFile(logPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s = openStore(t, dir) // recovery drops the now-corrupt record
-	defer s.Close()
-	if st := s.Stats(); st.Entries != 0 || st.Truncated != 1 {
-		t.Fatalf("stats over corrupt log: %+v", st)
+	for _, c := range []struct{ records, bad int }{{1, 0}, {3, 1}} {
+		dir := t.TempDir()
+		s := openStore(t, dir)
+		var offs []int64 // where each record starts
+		for i := 0; i < c.records; i++ {
+			offs = append(offs, s.Stats().Bytes)
+			persistDocs(t, s, fig1Request(float64(6+i)))
+		}
+		full := s.Stats().Bytes
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		end := full // where the bad record ends
+		if c.bad+1 < c.records {
+			end = offs[c.bad+1]
+		}
+		logPath := filepath.Join(dir, logName)
+		data, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[end-2] ^= 0x40 // flip a bit inside the bad record's plan document
+		if err := os.WriteFile(logPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s = openStore(t, dir)
+		st := s.Stats()
+		s.Close()
+		head := fmt.Sprintf("offset %d: %v: plan checksum ", offs[c.bad], ErrCorrupt)
+		tail := fmt.Sprintf("(%d bytes truncated)", full-offs[c.bad])
+		if st.Entries != c.bad || st.Truncated != 1 || st.Bytes != offs[c.bad] {
+			t.Errorf("%d records, record %d corrupt: stats %+v", c.records, c.bad, st)
+		}
+		if len(st.Problems) != 1 || !strings.HasPrefix(st.Problems[0], head) || !strings.HasSuffix(st.Problems[0], tail) {
+			t.Errorf("%d records, record %d corrupt: problems %q, want one %q…%q", c.records, c.bad, st.Problems, head, tail)
+		}
 	}
 }
 
