@@ -669,6 +669,52 @@ func BenchmarkServiceSolveCached(b *testing.B) {
 	})
 }
 
+// BenchmarkServiceBatch measures one `POST /v1/batch` through the
+// service handler (no TCP): a sweep-shaped batch of 36 distinct
+// acyclic-search items of 10–50 receivers, drawn from Unif100 and
+// PlanetLab, as the sweep workload sends them. Every iteration posts a
+// distinct body, built before the timer, so every item is a miss: body
+// read, batch decode, the item fan-out, 36 solves and their cache keys,
+// and the spliced answer. Gated in CI via BENCH_baseline.json.
+func BenchmarkServiceBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(36))
+	laws := []distribution.Distribution{distribution.Unif100(), distribution.PlanetLab()}
+	bodies := make([][]byte, b.N+1)
+	for n := range bodies {
+		reqs := make([]repro.Request, 36)
+		for i := range reqs {
+			ins, err := repro.RandomInstance(laws[i%2], 10+rng.Intn(41), 0.2+0.7*rng.Float64(), rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reqs[i] = repro.NewRequest(ins, repro.WithSolver("acyclic-search"))
+		}
+		var err error
+		if bodies[n], err = wire.EncodeBatch(reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Close()
+	post := func(body []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
+		w := httptest.NewRecorder()
+		svc.ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		if n := bytes.Count(w.Body.Bytes(), []byte(`"solver": `)); n != 36 {
+			b.Fatalf("answer holds %d plans, want 36", n)
+		}
+	}
+	post(bodies[b.N]) // warm the workspace pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(bodies[i])
+	}
+}
+
 // BenchmarkServiceSolveWarm measures the plan store's middle latency
 // tier on the BenchmarkServiceSolveCached instance (200 nodes), against
 // a cold reference through the *same* store-enabled service so the two

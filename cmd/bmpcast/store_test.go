@@ -74,19 +74,19 @@ func TestStoreStatsVerifyCompact(t *testing.T) {
 }
 
 // TestStoreVerifyFailsOnCorruption: verify must exit non-zero and name
-// the record when the log was tampered with or torn — the CI
-// health-check contract.
+// the record when the log was tampered with (the record is skipped) or
+// torn (the tail is truncated) — the CI health-check contract.
 func TestStoreVerifyFailsOnCorruption(t *testing.T) {
 	cases := []struct {
-		name   string
-		damage func([]byte) []byte
-		want   string
+		name       string
+		damage     func([]byte) []byte
+		want, tail string
 	}{
 		{"flipped bit", func(data []byte) []byte {
 			data[len(data)-2] ^= 0x40 // inside the plan document
 			return data
-		}, "plan checksum"},
-		{"torn tail", func(data []byte) []byte { return data[:len(data)-5] }, "truncated record"},
+		}, "plan checksum", " (skipped)"},
+		{"torn tail", func(data []byte) []byte { return data[:len(data)-5] }, "truncated record", " bytes truncated)"},
 	}
 	for _, c := range cases {
 		dir := seedStore(t)
@@ -103,7 +103,7 @@ func TestStoreVerifyFailsOnCorruption(t *testing.T) {
 			t.Errorf("%s: verify exit %d:\n%s", c.name, code, out)
 		}
 		if !strings.Contains(out, "problem: offset 0: ") || !strings.Contains(out, c.want) ||
-			!strings.Contains(out, " bytes truncated)") || !strings.Contains(errOut, "1 problem(s)") {
+			!strings.Contains(out, c.tail) || !strings.Contains(errOut, "1 problem(s)") {
 			t.Errorf("%s: verify output does not name the record:\n%s%s", c.name, out, errOut)
 		}
 	}

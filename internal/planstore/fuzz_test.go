@@ -8,7 +8,8 @@ import (
 
 // FuzzDecodeRecord pins the decoder contract: any byte sequence maps to
 // a valid record, ErrTruncated, or ErrCorrupt — never a panic, never an
-// untyped error. A successful decode must survive an encode/decode
+// untyped error, and a frame length with an error only for ErrCorrupt
+// (a whole frame that fails its check), within the input. A successful decode must survive an encode/decode
 // round trip with both documents byte-identical (the disk tier's
 // guarantee); the frame itself may differ when a hand-built header
 // orders its JSON keys unlike the canonical encoder.
@@ -29,6 +30,10 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
 				t.Fatalf("untyped decode error: %v", err)
+			}
+			// Only a whole frame that fails its check has a length.
+			if n != 0 && (!errors.Is(err, ErrCorrupt) || n < 0 || n > len(data)) {
+				t.Fatalf("frame length %d for %d input bytes with %v", n, len(data), err)
 			}
 			return
 		}

@@ -19,9 +19,10 @@
 // end: decode re-checks the hash, and a served document is provably
 // the one that was stored. Torn tails from a crash mid-append are
 // detected by the framing (length prefixes + checksum) and truncated
-// away on open; everything before the tear stays served. Open's replay
-// is the only reader of the log, and Stats.Problems keeps what it
-// truncated or skipped.
+// away on open; everything before the tear stays served. A whole
+// record that fails its checksum or address is skipped instead, and
+// the records after it stay served. Open's replay is the only reader
+// of the log, and Stats.Problems keeps what it truncated or skipped.
 package planstore
 
 import (
@@ -38,7 +39,7 @@ import (
 var (
 	// ErrCorrupt marks bytes that cannot be a record regardless of what
 	// may follow: a malformed or oversized header, a checksum or
-	// content-address mismatch.
+	// content-address mismatch (the one case with a known frame length).
 	ErrCorrupt = errors.New("planstore: corrupt record")
 	// ErrTruncated marks a prefix of a valid record — the torn tail a
 	// crash mid-append leaves behind. More bytes could complete it;
@@ -116,7 +117,9 @@ func encodeRecord(reqDoc, planDoc []byte) ([]byte, error) {
 // content address, the two document payloads (sub-slices of data — the
 // caller owns the aliasing), and the total frame length. The content
 // address and plan checksum are re-verified, so a decoded record is
-// exactly what encodeRecord framed.
+// exactly what encodeRecord framed. A whole, well-framed record whose
+// address or checksum fails is ErrCorrupt with its frame length n, so
+// the next record can still be read; every other error has n == 0.
 func decodeRecord(data []byte) (key [sha256.Size]byte, reqDoc, planDoc []byte, n int, err error) {
 	limit := len(data)
 	if limit > maxHeaderBytes {
@@ -156,10 +159,10 @@ func decodeRecord(data []byte) (key [sha256.Size]byte, reqDoc, planDoc []byte, n
 	reqDoc = data[nl+1 : nl+1+hdr.ReqLen]
 	planDoc = data[nl+1+hdr.ReqLen : n]
 	if sha256.Sum256(reqDoc) != [sha256.Size]byte(keyBytes) {
-		return key, nil, nil, 0, fmt.Errorf("%w: request bytes do not hash to the record key", ErrCorrupt)
+		return key, nil, nil, n, fmt.Errorf("%w: request bytes do not hash to the record key", ErrCorrupt)
 	}
 	if got := fmt.Sprintf("%08x", crc32.Checksum(planDoc, castagnoli)); got != hdr.Sum {
-		return key, nil, nil, 0, fmt.Errorf("%w: plan checksum %s, header says %s", ErrCorrupt, got, hdr.Sum)
+		return key, nil, nil, n, fmt.Errorf("%w: plan checksum %s, header says %s", ErrCorrupt, got, hdr.Sum)
 	}
 	copy(key[:], keyBytes)
 	return key, reqDoc, planDoc, n, nil

@@ -49,10 +49,10 @@ type Stats struct {
 	// Truncated counts torn tails dropped by Open (0 or 1: the log is
 	// append-only, so at most its end can tear).
 	Truncated int
-	// Skipped counts structurally valid records left out of the
-	// indexes: documents that do not decode as wire documents (e.g.
-	// written by a future version) and repeated addresses. Compact
-	// removes them from the log.
+	// Skipped counts whole records left out of the indexes: frames
+	// whose content address or checksum fails, documents that do not
+	// decode as wire documents (e.g. written by a future version) and
+	// repeated addresses. Compact removes them from the log.
 	Skipped int
 	// Problems has one line per record Open truncated or skipped, in
 	// log order; nil for a clean log. Open sets it and nothing changes
@@ -105,11 +105,12 @@ type Store struct {
 }
 
 // Open loads (or creates) the store in cfg.Dir, recovering from a torn
-// tail: the first frame that does not decode ends the log, everything
+// tail: the first frame that does not parse ends the log, everything
 // after it is truncated away, and everything before it is served. A
 // re-solve of the dropped request re-persists it — crash consistency
-// by replay, not by fsync. The replay is the only reader of the log:
-// each record it truncates or skips becomes one line of
+// by replay, not by fsync. A whole frame that fails its checksum or
+// address (a flipped bit) is skipped. The replay is the only reader of
+// the log: each record it truncates or skips becomes one line of
 // Stats.Problems, which `bmpcast store verify` reports.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
@@ -138,6 +139,12 @@ func Open(cfg Config) (*Store, error) {
 	var off int64
 	for int(off) < len(data) {
 		key, reqDoc, planDoc, n, err := decodeRecord(data[off:])
+		if err != nil && n > 0 { // a whole frame that fails its check
+			s.skipped++
+			s.problems = append(s.problems, fmt.Sprintf("offset %d: %v (skipped)", off, err))
+			off += int64(n)
+			continue
+		}
 		if err != nil {
 			// Torn tail (or tampering): the log ends here. Drop the
 			// unreachable remainder so the next append starts clean.

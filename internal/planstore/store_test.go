@@ -309,9 +309,9 @@ func TestStoreCompactDropsSkippedRecords(t *testing.T) {
 }
 
 // TestStoreVerifyFlagsCorruption: one flipped bit in a plan document
-// ends the log at that record. Open serves the records before it,
-// truncates the rest, and names the record in Stats.Problems — the
-// line `bmpcast store verify` prints.
+// costs that record only. Open skips it, serves the records around it,
+// keeps the whole log (compact drops the record) and names it in
+// Stats.Problems — the line `bmpcast store verify` prints.
 func TestStoreVerifyFlagsCorruption(t *testing.T) {
 	for _, c := range []struct{ records, bad int }{{1, 0}, {3, 1}} {
 		dir := t.TempDir()
@@ -340,14 +340,18 @@ func TestStoreVerifyFlagsCorruption(t *testing.T) {
 		}
 		s = openStore(t, dir)
 		st := s.Stats()
-		s.Close()
 		head := fmt.Sprintf("offset %d: %v: plan checksum ", offs[c.bad], ErrCorrupt)
-		tail := fmt.Sprintf("(%d bytes truncated)", full-offs[c.bad])
-		if st.Entries != c.bad || st.Truncated != 1 || st.Bytes != offs[c.bad] {
+		if st.Entries != c.records-1 || st.Truncated != 0 || st.Skipped != 1 || st.Bytes != full {
 			t.Errorf("%d records, record %d corrupt: stats %+v", c.records, c.bad, st)
 		}
-		if len(st.Problems) != 1 || !strings.HasPrefix(st.Problems[0], head) || !strings.HasSuffix(st.Problems[0], tail) {
-			t.Errorf("%d records, record %d corrupt: problems %q, want one %q…%q", c.records, c.bad, st.Problems, head, tail)
+		if len(st.Problems) != 1 || !strings.HasPrefix(st.Problems[0], head) || !strings.HasSuffix(st.Problems[0], "(skipped)") {
+			t.Errorf("%d records, record %d corrupt: problems %q, want one %q…(skipped)", c.records, c.bad, st.Problems, head)
+		}
+		if reclaimed, err := s.Compact(); err != nil || reclaimed != end-offs[c.bad] {
+			t.Errorf("compact reclaimed %d (err=%v), want the bad record's %d bytes", reclaimed, err, end-offs[c.bad])
+		}
+		if p := reopenProblems(t, s, dir); len(p) != 0 {
+			t.Errorf("problems after compact: %q", p)
 		}
 	}
 }

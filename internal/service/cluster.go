@@ -165,13 +165,15 @@ func (s *Server) handleClusterSolve(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleClusterFill(w http.ResponseWriter, r *http.Request) {
 	defer s.track("clusterfill")()
-	body, err := s.readBody(w, r)
+	body, release, err := s.readBody(w, r)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	var doc wire.FillDoc
-	if err := wire.Unmarshal(body, &doc, "fill request"); err != nil {
+	err = wire.Unmarshal(body, &doc, "fill request")
+	release()
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -260,13 +262,15 @@ func (s *Server) memberOp(w http.ResponseWriter, r *http.Request, join bool) {
 		s.fail(w, errNotClustered())
 		return
 	}
-	body, err := s.readBody(w, r)
+	body, release, err := s.readBody(w, r)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	var doc wire.MemberOpDoc
-	if err := wire.Unmarshal(body, &doc, "membership request"); err != nil {
+	err = wire.Unmarshal(body, &doc, "membership request")
+	release()
+	if err != nil {
 		s.fail(w, err)
 		return
 	}

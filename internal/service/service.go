@@ -125,9 +125,11 @@ type Config struct {
 // the reaper returns its workspace to the engine pool.
 const DefaultSessionTTL = 15 * time.Minute
 
-// maxBodyBytes bounds request bodies; readBody allocates at most
-// bodyPrealloc of a declared length before any byte arrives.
-const maxBodyBytes, bodyPrealloc = 8 << 20, 64 << 10
+// maxBodyBytes bounds request bodies, bodyPrealloc what readBody sizes
+// up front for a declared length, and maxPooledBody the buffers it pools.
+const maxBodyBytes, bodyPrealloc, maxPooledBody = 8 << 20, 64 << 10, 1 << 20
+
+var bodies sync.Pool // readBody's buffers, *bytes.Buffer
 
 // maxJobs caps how many finished jobs are retained for status and
 // stream reads (oldest finished evicted first; running jobs are never
@@ -376,20 +378,29 @@ func (s *Server) reply(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// readBody drains the (size-capped) request body into one buffer sized
-// from its declared length, plus room for the final EOF read. A client
+// readBody drains the (size-capped) request body into a pooled buffer
+// with room for its declared length, plus the final EOF read. A client
 // can declare any length, so the up-front size stops at bodyPrealloc;
-// a longer or undeclared body grows the buffer by doubling.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	size := int64(bytes.MinRead)
-	if r.ContentLength > 0 {
-		size += min(r.ContentLength, bodyPrealloc)
+// a longer or undeclared body grows the buffer by doubling. The caller
+// calls release once it has decoded the body, and nothing it decoded
+// may alias the body: the buffer then serves another request.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (body []byte, release func(), err error) {
+	size := bytes.MinRead + int(min(max(r.ContentLength, 0), bodyPrealloc))
+	buf, _ := bodies.Get().(*bytes.Buffer)
+	if buf == nil || buf.Cap() < size {
+		buf = bytes.NewBuffer(make([]byte, 0, size))
 	}
-	body := bytes.NewBuffer(make([]byte, 0, size))
-	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		return nil, fmt.Errorf("%w: reading body: %v", wire.ErrMalformed, err)
+	buf.Reset()
+	release = func() {
+		if buf.Cap() <= maxPooledBody {
+			bodies.Put(buf)
+		}
 	}
-	return body.Bytes(), nil
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		release()
+		return nil, nil, fmt.Errorf("%w: reading body: %v", wire.ErrMalformed, err)
+	}
+	return buf.Bytes(), release, nil
 }
 
 func (s *Server) track(ep string) func() {
@@ -411,7 +422,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // peer-to-peer /v1/cluster/solve (always answered locally, so two
 // replicas can never chase a key in a loop).
 func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, forwardable bool) {
-	body, err := s.readBody(w, r)
+	body, release, err := s.readBody(w, r)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -422,11 +433,13 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, forwardable 
 	// worker slot. Any other spelling misses here and reaches the same
 	// entry through decode and ExecuteRendered, still labelled hit.
 	if out, ok := s.cache.Rendered(sha256.Sum256(body)); ok {
+		release()
 		w.Header().Set("X-Bmpcast-Cache", "hit")
 		s.reply(w, out)
 		return
 	}
 	req, err := wire.DecodeRequest(body)
+	release()
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -484,10 +497,11 @@ func (s *Server) solveRendered(ctx context.Context, req engine.Request) ([]byte,
 // readBatch reads and decodes a batch document for /v1/batch and
 // /v1/jobs alike. what names the document in error messages.
 func (s *Server) readBatch(w http.ResponseWriter, r *http.Request, what string) ([]engine.Request, error) {
-	body, err := s.readBody(w, r)
+	body, release, err := s.readBody(w, r)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 	return wire.DecodeBatch(body, what)
 }
 
@@ -542,13 +556,15 @@ func (s *Server) solveItems(ctx context.Context, reqs []engine.Request, done fun
 
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	defer s.track("session")()
-	body, err := s.readBody(w, r)
+	body, release, err := s.readBody(w, r)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	var sreq wire.SessionRequest
-	if err := wire.Unmarshal(body, &sreq, "session request"); err != nil {
+	err = wire.Unmarshal(body, &sreq, "session request")
+	release()
+	if err != nil {
 		s.fail(w, err)
 		return
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/chaos/leakcheck"
 	"repro/internal/engine"
+	"repro/internal/platform"
 	"repro/internal/wire"
 )
 
@@ -442,21 +444,22 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestReadBody checks the sized body read: a declared length that never
-// arrives allocates no more than the capped buffer, a body of no
-// declared length is read whole, and a body past the limit is still a
-// 400 with the malformed-document error.
+// TestReadBody checks the sized, pooled body read: a declared length
+// that never arrives allocates no more than the capped buffer, a body of
+// no declared length is read whole, and a body past the limit is still
+// a 400 with the malformed-document error.
 func TestReadBody(t *testing.T) {
 	srv, _ := newTestServer(t)
 	r := httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader("0123456789"))
 	r.ContentLength = maxBodyBytes
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	body, err := srv.readBody(httptest.NewRecorder(), r)
+	body, release, err := srv.readBody(httptest.NewRecorder(), r)
 	runtime.ReadMemStats(&after)
 	if err != nil || string(body) != "0123456789" {
 		t.Fatalf("declared 8 MiB, sent 10 bytes: got %q, %v", body, err)
 	}
+	release()
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 128<<10 {
 		t.Errorf("declared 8 MiB, sent 10 bytes: readBody allocated %d bytes, want under 128 KiB", n)
 	}
@@ -464,13 +467,105 @@ func TestReadBody(t *testing.T) {
 	whole := strings.Repeat("0123456789", 30_000)
 	r = httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(whole))
 	r.ContentLength = -1
-	if body, err = srv.readBody(httptest.NewRecorder(), r); err != nil || string(body) != whole {
+	if body, release, err = srv.readBody(httptest.NewRecorder(), r); err != nil || string(body) != whole {
 		t.Fatalf("undeclared length: read %d of %d bytes, %v", len(body), len(whole), err)
 	}
+	release()
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(strings.Repeat(" ", maxBodyBytes+1))))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "reading body: http: request body too large") {
 		t.Errorf("over-limit body: status %d, %s", rec.Code, rec.Body.String())
 	}
+}
+
+// TestPooledBodiesAnswerByteForByte: request bodies share pooled
+// buffers, so a decoded value that aliased one would change under a
+// later request. Goroutines post distinct bodies of different sizes to
+// /v1/solve, /v1/batch and /v1/jobs on one server at once, and every
+// answer must be the in-process engine.Execute plus wire.EncodePlan
+// bytes. Run it under -race -count=10 after touching readBody.
+func TestPooledBodiesAnswerByteForByte(t *testing.T) {
+	_, ts := newTestServer(t)
+	ctx := context.Background()
+	fetch := func(method, url string, body []byte) (int, []byte, error) {
+		req, err := http.NewRequest(method, url, bytes.NewReader(body))
+		if err != nil {
+			return 0, nil, err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, data, err
+	}
+	// round posts one body built from distinct requests and checks the
+	// answer against the in-process documents.
+	round := func(g, r int) error {
+		reqs := make([]engine.Request, 1+r%3*(2+g%3))
+		want := make([][]byte, len(reqs))
+		for i := range reqs {
+			open := make([]float64, 2+(g+i)%7)
+			for k := range open {
+				open[k] = float64(1 + g*1000 + r*50 + i*7 + k)
+			}
+			ins, err := platform.NewInstance(6, open, []float64{4, 1, 1})
+			if err != nil {
+				return err
+			}
+			reqs[i] = engine.NewRequest(ins, engine.WithSolver("acyclic"), engine.WithTolerance(1e-9))
+			plan, err := engine.Execute(ctx, reqs[i])
+			if err != nil {
+				return err
+			}
+			if want[i], err = wire.EncodePlan(plan); err != nil {
+				return err
+			}
+		}
+		endpoint, expect := "/v1/solve", want[0]
+		body, err := wire.EncodeRequest(reqs[0])
+		if r%3 != 0 {
+			endpoint, expect = "/v1/batch", wire.EncodeBatchPlans(want)
+			body, err = wire.EncodeBatch(reqs)
+		}
+		if err != nil {
+			return err
+		}
+		if r%3 == 2 {
+			code, data, err := fetch(http.MethodPost, ts.URL+"/v1/jobs", body)
+			var st wire.JobStatus
+			if err != nil || code != http.StatusAccepted || json.Unmarshal(data, &st) != nil {
+				return fmt.Errorf("job submit: %d %s %v", code, data, err)
+			}
+			endpoint, body, expect = "/v1/jobs/"+st.Job+"/stream", nil, nil
+			for i, doc := range want {
+				expect = append(expect, wire.EncodeJobLine(i, doc)...)
+			}
+		}
+		method := http.MethodPost
+		if body == nil {
+			method = http.MethodGet
+		}
+		code, data, err := fetch(method, ts.URL+endpoint, body)
+		if err != nil || code != http.StatusOK || !bytes.Equal(data, expect) {
+			return fmt.Errorf("%s: status %d, %v, %d bytes, want the %d in-process bytes", endpoint, code, err, len(data), len(expect))
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 6; r++ {
+				if err := round(g, r); err != nil {
+					t.Errorf("goroutine %d, round %d: %v", g, r, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -99,28 +99,51 @@ func BenchmarkDecodeRequest(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeBatch decodes a sweep-shaped batch: 36 acyclic-search
-// items of 10–50 receivers.
-func BenchmarkDecodeBatch(b *testing.B) {
+// sweepBatch renders a sweep-shaped batch: 36 acyclic-search items of
+// 10–50 receivers.
+func sweepBatch(tb testing.TB) []byte {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(2))
 	reqs := make([]engine.Request, 36)
 	for i := range reqs {
 		ins, err := generator.Random(distribution.Unif100(), 10+rng.Intn(41), 0.2+0.7*rng.Float64(), rng)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		reqs[i] = engine.NewRequest(ins, engine.WithSolver("acyclic-search"))
 	}
 	doc, err := wire.EncodeBatch(reqs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return doc
+}
+
+// BenchmarkDecodeBatch decodes a sweep-shaped batch (sweepBatch).
+func BenchmarkDecodeBatch(b *testing.B) {
+	doc := sweepBatch(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := wire.DecodeBatch(doc, "batch"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDecodeBatchAllocs bounds BenchmarkDecodeBatch's allocations: the
+// items convert as they close and share two arrays of scratch, so no
+// []Request or per-item float slice is allocated. That takes 269 (271
+// under the race detector); the per-item reads took 333.
+func TestDecodeBatchAllocs(t *testing.T) {
+	doc := sweepBatch(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := wire.DecodeBatch(doc, "batch"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 271 {
+		t.Fatalf("DecodeBatch allocates %v times on a 36-item batch, want at most 271", allocs)
 	}
 }
 

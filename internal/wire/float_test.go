@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -156,4 +157,76 @@ func FuzzAppendFloat(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		(&floatOracle{t: t}).check(math.Float64frombits(bits))
 	})
+}
+
+// TestScannerFloatMatchesStrconv holds the scanner's float reader to
+// strconv.ParseFloat, bit for bit and in what it refuses, on more than
+// a million tokens: random bit patterns, uniforms on [1, 100] and
+// scaled integers, each rendered by strconv in 'g', 'e' and 'f', at the
+// shortest and at fixed precisions, and the edges of the exact fast
+// path.
+func TestScannerFloatMatchesStrconv(t *testing.T) {
+	tokens, mismatches := 0, 0
+	check := func(tok string) {
+		tokens++
+		s := scanner{d: []byte(tok)}
+		got := s.float()
+		ok := !s.bad && s.i == len(tok)
+		want, err := strconv.ParseFloat(tok, 64)
+		if ok != (err == nil) || ok && math.Float64bits(got) != math.Float64bits(want) {
+			if mismatches++; mismatches <= 10 {
+				t.Errorf("%q: scanner %v (accepted %v), strconv %v (error %v)", tok, got, ok, want, err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	draws := []func() float64{
+		func() float64 { return math.Float64frombits(rng.Uint64()) },
+		func() float64 { return 1 + 99*rng.Float64() },
+		func() float64 { return float64(rng.Int63n(1<<54)) * math.Pow10(rng.Intn(60)-30) },
+	}
+	var buf []byte
+	for _, draw := range draws {
+		for i := 0; i < 40_000; i++ {
+			f := draw()
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				continue
+			}
+			for _, format := range []byte{'g', 'e', 'f'} {
+				for _, prec := range []int{-1, 3, 17} {
+					buf = strconv.AppendFloat(buf[:0], f, format, prec, 64)
+					check(string(buf))
+				}
+			}
+		}
+	}
+	zeros := strings.Repeat("0", 25)
+	for _, tok := range []string{
+		"9007199254740992", "9007199254740993", "9007199254740991", "-9007199254740993e-22",
+		"9007199254740992e22", "9007199254740993e-5", "9007199254740992.5",
+		"1e22", "1e23", "-1e22", "1e-22", "1e-23", "4.5e22", "123456789e22",
+		"1234567890123456789", "9999999999999999999", "1234567890123456789e-10", "1.234567890123456789",
+		"12345678901234567890", "12345678901234567891", "10000000000000000000", "1000000000000000000000",
+		"1234567890123456789.5", "0.12345678901234567891", "1.0000000000000000000000001",
+		"0." + zeros[:19] + "1", "0." + zeros[:20] + "1", "0." + zeros[:21] + "1",
+		"0." + zeros[:22] + "5", "0." + zeros + "12345", "-0." + zeros + "1e30",
+		"0", "-0", "0.0", "-0.0", "0e0", "-0e-400", "0e400", "-0.000e5", "0." + zeros,
+		"1e-400", "1e400", "-1e400", "1e0000000000000000000001", "1e-0000000000000000000022",
+		"0." + strings.Repeat("0", 50000) + "1e50001", "1" + strings.Repeat("0", 50000) + "e-50000",
+	} {
+		check(tok)
+	}
+	// Not JSON grammar, though strconv reads some of them.
+	for _, tok := range []string{"-", "1.", ".5", "1e", "1e+", "01", "+1", "Inf", "0x1p3", "1_0"} {
+		s := scanner{d: []byte(tok)}
+		if s.float(); !s.bad && s.i == len(tok) {
+			t.Errorf("scanner accepted %q", tok)
+		}
+	}
+	if tokens < 1_000_000 {
+		t.Fatalf("only %d tokens checked", tokens)
+	}
+	if mismatches > 0 {
+		t.Fatalf("%d of %d tokens differ from strconv", mismatches, tokens)
+	}
 }

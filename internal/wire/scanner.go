@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 )
 
@@ -22,6 +23,8 @@ type scanner struct {
 	// three of its schedule's, four of a transmission's).
 	keys  [24][]byte
 	nkeys int
+	// open and guarded are the memory instance reads its arrays into.
+	open, guarded []float64
 }
 
 // decode reads a T from data with read when the input stays on the
@@ -101,28 +104,39 @@ func (s *scanner) object(field func(key []byte) bool) {
 	s.nkeys = base
 }
 
-// items scans an array, elem reading each element. [] decodes to an
-// empty, non-nil slice, as in encoding/json. An array of numbers takes
-// its capacity from the commas before the first ']' (a hint: numbers
-// hold neither); other arrays grow by append.
-func items[T any](s *scanner, elem func(*scanner) T) []T {
-	v := []T{}
+// each scans an array, elem reading each element, and reports true.
+func (s *scanner) each(elem func()) bool {
 	s.expect('[')
 	if s.bad || s.accept(']') {
-		return v
-	}
-	if rest := s.d[s.i:]; len(rest) > 0 && (rest[0] == '-' || '0' <= rest[0] && rest[0] <= '9') {
-		if end := bytes.IndexByte(rest, ']'); end > 0 {
-			v = make([]T, 0, bytes.Count(rest[:end], []byte{','})+1)
-		}
+		return true
 	}
 	for !s.bad {
-		v = append(v, elem(s))
+		elem()
 		if !s.accept(',') {
 			s.expect(']')
 			break
 		}
 	}
+	return true
+}
+
+// items scans an array into dst[:0], elem reading each element. []
+// decodes to an empty, non-nil slice, as in encoding/json. An array of
+// numbers takes its capacity from the commas before the first ']' (a
+// hint: numbers hold neither); other arrays grow by append.
+func items[T any](s *scanner, dst []T, elem func(*scanner) T) []T {
+	v := dst[:0]
+	if v == nil {
+		v = []T{}
+	}
+	s.each(func() {
+		if rest := s.d[s.i:]; len(v) == 0 && len(rest) > 0 && (rest[0] == '-' || '0' <= rest[0] && rest[0] <= '9') {
+			if end := bytes.IndexByte(rest, ']'); end > 0 {
+				v = slices.Grow(v, bytes.Count(rest[:end], []byte{','})+1)
+			}
+		}
+		v = append(v, elem(s))
+	})
 	return v
 }
 
@@ -146,16 +160,39 @@ func (s *scanner) token() []byte {
 
 func (s *scanner) string() string { return string(s.token()) }
 
-// number scans a number in JSON grammar. An int field's ParseInt then
-// refuses a fraction or an exponent.
-func (s *scanner) number() []byte {
+// number scans a number in JSON grammar and returns its token and the
+// decimal strconv.ParseFloat reads in it, |value| = sig·10^exp: the
+// first 19 significant digits, the exponent's digits adding up to 10000
+// at most, as in strconv, and inexact for a nonzero digit dropped. An
+// int field's ParseInt then refuses a fraction or an exponent.
+func (s *scanner) number() (tok []byte, sig uint64, exp int, inexact bool) {
 	s.ws()
 	start, d := s.i, s.d
-	i := start
-	digits := func() {
+	i, nd, pow := start, 0, 0
+	// digits scans a run of one or more digits of part 'i' (integer) or
+	// 'f' (fraction) into sig, or of part 'e' (exponent) into pow.
+	digits := func(part byte) {
 		j := i
-		for i < len(d) && '0' <= d[i] && d[i] <= '9' {
-			i++
+		for ; i < len(d) && '0' <= d[i] && d[i] <= '9'; i++ {
+			c := d[i] - '0'
+			switch {
+			case part == 'e':
+				if pow < 10000 {
+					pow = pow*10 + int(c)
+				}
+			case nd < 19:
+				if sig = sig*10 + uint64(c); sig > 0 {
+					nd++
+				}
+				if part == 'f' {
+					exp--
+				}
+			default:
+				inexact = inexact || c > 0
+				if part == 'i' {
+					exp++
+				}
+			}
 		}
 		if i == j {
 			s.bad = true
@@ -167,25 +204,50 @@ func (s *scanner) number() []byte {
 	if i < len(d) && d[i] == '0' {
 		i++
 	} else {
-		digits()
+		digits('i')
 	}
 	if i < len(d) && d[i] == '.' {
 		i++
-		digits()
+		digits('f')
 	}
 	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
 		i++
-		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+		neg := i < len(d) && d[i] == '-'
+		if i < len(d) && (d[i] == '+' || neg) {
 			i++
 		}
-		digits()
+		if digits('e'); neg {
+			pow = -pow
+		}
+		exp += pow
 	}
 	s.i = i
-	return d[start:i]
+	return d[start:i], sig, exp, inexact
 }
 
+// pow10 holds the powers of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// float converts exactly without strconv when sig and 10^|exp| are both
+// exact float64s (Clinger's fast path): IEEE rounds the one product or
+// quotient once, and the sign goes on last, so -0 stays -0. Any other
+// token goes through strconv.ParseFloat.
 func (s *scanner) float() float64 {
-	f, err := strconv.ParseFloat(string(s.number()), 64)
+	tok, sig, exp, inexact := s.number()
+	if !s.bad && !inexact && sig <= 1<<53 && -22 <= exp && exp <= 22 {
+		f := float64(sig)
+		if exp < 0 {
+			f /= pow10[-exp]
+		} else {
+			f *= pow10[exp]
+		}
+		if tok[0] == '-' {
+			f = -f
+		}
+		return f
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
 		s.bad = true
 	}
@@ -193,7 +255,8 @@ func (s *scanner) float() float64 {
 }
 
 func (s *scanner) int() int {
-	n, err := strconv.ParseInt(string(s.number()), 10, strconv.IntSize)
+	tok, _, _, _ := s.number()
+	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
 	if err != nil {
 		s.bad = true
 	}
@@ -226,8 +289,8 @@ func (s *scanner) instance() (in Instance) {
 	s.object(func(k []byte) bool {
 		return string(k) == "v" && set(&in.V, s.int()) ||
 			string(k) == "b0" && set(&in.B0, s.float()) ||
-			string(k) == "open" && set(&in.Open, items(s, (*scanner).float)) ||
-			string(k) == "guarded" && set(&in.Guarded, items(s, (*scanner).float))
+			string(k) == "open" && set(&s.open, items(s, s.open, (*scanner).float)) && set(&in.Open, s.open) ||
+			string(k) == "guarded" && set(&s.guarded, items(s, s.guarded, (*scanner).float)) && set(&in.Guarded, s.guarded)
 	})
 	return in
 }
@@ -237,7 +300,7 @@ func (s *scanner) request() (r Request) {
 		return string(k) == "v" && set(&r.V, s.int()) ||
 			string(k) == "instance" && set(&r.Instance, s.instance()) ||
 			string(k) == "solver" && set(&r.Solver, s.string()) ||
-			string(k) == "need" && set(&r.Need, items(s, (*scanner).string)) ||
+			string(k) == "need" && set(&r.Need, items(s, nil, (*scanner).string)) ||
 			string(k) == "deadline_ms" && set(&r.DeadlineMS, s.float()) ||
 			string(k) == "tolerance" && set(&r.Tolerance, s.float()) ||
 			string(k) == "want_scheme" && set(&r.WantScheme, s.bool()) ||
@@ -248,10 +311,15 @@ func (s *scanner) request() (r Request) {
 	return r
 }
 
-func (s *scanner) batch() (b Batch) {
+// batch converts each item as its object closes: no []Request is built.
+func (s *scanner) batch() (b batchItems) {
 	s.object(func(k []byte) bool {
-		return string(k) == "v" && set(&b.V, s.int()) ||
-			string(k) == "requests" && set(&b.Requests, items(s, (*scanner).request))
+		return string(k) == "v" && set(&b.v, s.int()) ||
+			string(k) == "requests" && s.each(func() {
+				if r := s.request(); !s.bad {
+					b.add(r)
+				}
+			})
 	})
 	return b
 }
@@ -267,8 +335,8 @@ func (s *scanner) plan() (p Plan) {
 			string(k) == "max_out_degree" && set(&p.MaxOutDegree, s.int()) ||
 			string(k) == "degree_slack" && set(&p.DegreeSlack, s.int()) ||
 			string(k) == "acyclic" && set(&p.Acyclic, s.bool()) ||
-			string(k) == "edges" && set(&p.Edges, items(s, (*scanner).edge)) ||
-			string(k) == "trees" && set(&p.Trees, items(s, (*scanner).tree)) ||
+			string(k) == "edges" && set(&p.Edges, items(s, nil, (*scanner).edge)) ||
+			string(k) == "trees" && set(&p.Trees, items(s, nil, (*scanner).tree)) ||
 			string(k) == "schedule" && set(&p.Schedule, s.schedule()) ||
 			string(k) == "repaired" && set(&p.Repaired, s.bool()) ||
 			string(k) == "verified" && set(&p.Verified, s.float()) ||
@@ -291,7 +359,7 @@ func (s *scanner) edge() (e Edge) {
 func (s *scanner) tree() (t Tree) {
 	s.object(func(k []byte) bool {
 		return string(k) == "weight" && set(&t.Weight, s.float()) ||
-			string(k) == "parent" && set(&t.Parent, items(s, (*scanner).int))
+			string(k) == "parent" && set(&t.Parent, items(s, nil, (*scanner).int))
 	})
 	return t
 }
@@ -300,9 +368,9 @@ func (s *scanner) schedule() *Schedule {
 	sc := new(Schedule)
 	s.object(func(k []byte) bool {
 		return string(k) == "blocks" && set(&sc.Blocks, s.int()) ||
-			string(k) == "blocks_per_tree" && set(&sc.BlocksPerTree, items(s, (*scanner).int)) ||
+			string(k) == "blocks_per_tree" && set(&sc.BlocksPerTree, items(s, nil, (*scanner).int)) ||
 			string(k) == "max_overload" && set(&sc.MaxOverload, s.float()) ||
-			string(k) == "transmissions" && set(&sc.Transmissions, items(s, (*scanner).transmission))
+			string(k) == "transmissions" && set(&sc.Transmissions, items(s, nil, (*scanner).transmission))
 	})
 	return sc
 }

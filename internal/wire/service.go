@@ -29,23 +29,44 @@ func EncodeBatch(reqs []engine.Request) ([]byte, error) {
 
 // DecodeBatch parses a batch document: the version is checked, then
 // every item is validated before any request is returned. what names
-// the document in error messages.
+// the document in error messages. The scanner converts each item as its
+// object closes, encoding/json's path after the whole document.
 func DecodeBatch(data []byte, what string) ([]engine.Request, error) {
-	doc, err := decode(data, what, (*scanner).batch)
-	if err != nil {
-		return nil, err
-	}
-	if doc.V != Version {
-		return nil, fmt.Errorf("%w: %s has v=%d", ErrVersion, what, doc.V)
-	}
-	reqs := make([]engine.Request, len(doc.Requests))
-	for i, wr := range doc.Requests {
-		var err error
-		if reqs[i], err = wr.Request(); err != nil {
-			return nil, fmt.Errorf("request %d: %w", i, err)
+	b, ok := scan(data, (*scanner).batch)
+	if !ok {
+		var doc Batch
+		if err := Unmarshal(data, &doc, what); err != nil {
+			return nil, err
+		}
+		b = batchItems{v: doc.V}
+		for _, wr := range doc.Requests {
+			b.add(wr)
 		}
 	}
-	return reqs, nil
+	if b.v != Version {
+		return nil, fmt.Errorf("%w: %s has v=%d", ErrVersion, what, b.v)
+	}
+	return b.reqs, b.err
+}
+
+// batchItems is a batch document as its items convert: its version,
+// the requests so far, or none and the first item that did not convert.
+type batchItems struct {
+	v    int
+	reqs []engine.Request
+	err  error
+}
+
+// add converts the next item; after a failure it does nothing.
+func (b *batchItems) add(wr Request) {
+	if b.err != nil {
+		return
+	}
+	if req, err := wr.Request(); err != nil {
+		b.reqs, b.err = nil, fmt.Errorf("request %d: %w", len(b.reqs), err)
+	} else {
+		b.reqs = append(b.reqs, req)
+	}
 }
 
 // BatchPlans answers a Batch: Plans[i] answers Requests[i].

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -366,6 +367,33 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("re-encoded batch has %d requests, want %d", len(back), len(reqs))
 		}
 	})
+}
+
+// TestDecodeBatchErrorOrder pins which error a batch reports, on the
+// scanner's path and on encoding/json's (an unknown key sends a
+// document there): a bad version before any bad item, wherever "v"
+// stands, then the first bad item by index; [] and a missing "requests"
+// give no requests and no error.
+func TestDecodeBatchErrorOrder(t *testing.T) {
+	const good, bad = `{"v":1,"instance":{"v":1,"b0":6,"open":[5,5],"guarded":[4,1,1]}}`, `{"v":1,"instance":{"v":1,"b0":-1}}`
+	cases := []struct {
+		doc, err string
+		n        int
+	}{
+		{`{"requests":[` + bad + `],"v":2`, "wire: unsupported version: batch has v=2", 0},
+		{`{"v":1,"requests":[` + good + `,` + good + `,` + bad + `,` + bad + `]`, "request 2: wire: malformed document: ", 0},
+		{`{"v":1,"requests":[` + good + `,` + good + `]`, "", 2},
+		{`{"v":1,"requests":[]`, "", 0},
+		{`{"v":1`, "", 0},
+	}
+	for _, c := range cases {
+		for _, doc := range []string{c.doc + "}", c.doc + `,"added_in_v1_9":0}`} {
+			reqs, err := DecodeBatch([]byte(doc), "batch")
+			if c.err == "" && (err != nil || len(reqs) != c.n) || c.err != "" && (err == nil || !strings.HasPrefix(err.Error(), c.err) || reqs != nil) {
+				t.Errorf("%s: %d requests, error %v; want %d, error %q…", doc, len(reqs), err, c.n, c.err)
+			}
+		}
+	}
 }
 
 // FuzzDecodePlan asserts malformed plan documents error cleanly
